@@ -89,7 +89,7 @@ emit_report(report, "json", workdir / "report.json")
 print("\nper-location (tight-window):")
 for g in report.groups:
     print("  %-9s n=%2d dice %.4f +/- %.4f   robustness %.4f +/- %.4f"
-          % (g.location, g.n, g.dice_mean, g.dice_std,
+          % (g.key, g.n, g.dice_mean, g.dice_std,
              g.robustness_mean, g.robustness_std))
 
 print("\nmodel comparison (paired two-tailed t, Bonferroni-corrected):")

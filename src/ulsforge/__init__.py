@@ -25,12 +25,11 @@ from .lesions import (
 )
 from .metrics import RobustnessTriple, dice, mean_pairwise_dice, robustness
 from .pipeline import (
-    DatasetStats,
     EvalRecord,
-    GroupStats,
     Manifest,
     ManifestEntry,
     StratifiedReport,
+    StratumStats,
     aggregate_by_location,
     compare_models,
     emit_report,
@@ -69,8 +68,7 @@ __all__ = [
     "TestResult", "paired_ttest", "bonferroni",
     "GrowParams", "SegmenterRef", "SegmentationResult",
     "segment", "segment_region_grow", "segment_external",
-    "Manifest", "ManifestEntry", "EvalRecord", "GroupStats", "DatasetStats",
-    "StratifiedReport",
+    "Manifest", "ManifestEntry", "EvalRecord", "StratumStats", "StratifiedReport",
     "load_manifest", "save_manifest", "split_patients",
     "run_dice_eval", "run_robustness_eval", "run_metadata",
     "aggregate_by_location", "compare_models", "emit_report", "read_report",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .clicks import build_click_plan, generate_shifted_samples
+from .clicks import build_click_plan
 from .errors import UlsforgeError
 from .segmenter import GrowParams, SegmenterRef
 from .voi import VOICfg, crop_voi, isolate_central_lesion
@@ -156,28 +156,23 @@ def _cmd_extract(args) -> int:
     for entry in manifest.entries:
         try:
             image, mask, instance = pipeline._resolve_lesion(entry, args.connectivity)
+            plan = build_click_plan(instance, args.seed, entry.lesion_id,
+                                    k=max(0, args.augment))
             if args.augment > 0:
-                plans.append(build_click_plan(instance, args.seed, entry.lesion_id,
-                                              k=args.augment).to_record())
-                samples = generate_shifted_samples(
-                    image, mask, instance, cfg, args.seed, k=args.augment,
-                    lesion_id=entry.lesion_id, connectivity=args.connectivity)
-            else:
-                sample = crop_voi(image, mask, instance.center, cfg)
-                sample.mask = isolate_central_lesion(sample.mask, sample.local_click,
-                                                     args.connectivity)
-                sample.lesion_id = entry.lesion_id
-                samples = [sample]
-            for i, sample in enumerate(samples):
+                plans.append(plan.to_record())
+            for i, click in enumerate(plan.all_clicks()):
+                sample = crop_voi(image, mask, click, cfg)
+                voi_mask = isolate_central_lesion(sample.mask, sample.local_click,
+                                                  args.connectivity)
                 stem = entry.lesion_id if i == 0 else "%s_aug%d" % (entry.lesion_id, i)
                 img_path = out / ("%s_img.nii.gz" % stem)
                 mask_path = out / ("%s_mask.nii.gz" % stem)
                 write_volume(sample.image, img_path)
-                write_volume(sample.mask, mask_path)
+                write_volume(voi_mask, mask_path)
                 index.append({
                     "lesion_id": entry.lesion_id,
                     "sample": "normal" if i == 0 else "aug%d" % i,
-                    "click": list(sample.click.pos),
+                    "click": list(click.pos),
                     "offset": list(sample.offset),
                     "seed_root": args.seed if args.augment > 0 else None,
                     "image": img_path.name,

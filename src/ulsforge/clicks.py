@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._rng import draw_index
 from .errors import EmptyInstanceError
-from .lesions import SAMPLED, ClickPoint, LesionInstance, lesion_center
+from .lesions import SAMPLED, ClickPoint, LesionInstance
 from .voi import VOICfg, VOISample, crop_voi, isolate_central_lesion
 from .volume import Volume3D
 
@@ -65,9 +65,10 @@ def sample_click_points(instance: LesionInstance, k: int, seed_root: int,
 
 def build_click_plan(instance: LesionInstance, seed_root: int, lesion_id: str,
                      k: int = DEFAULT_AUGMENT_COUNT) -> ClickPlan:
+    """The instance's center click followed by k sampled clicks."""
     return ClickPlan(
         lesion_id=lesion_id,
-        normal=lesion_center(instance),
+        normal=instance.center,
         augmented=tuple(sample_click_points(instance, k, seed_root, lesion_id)),
         seed_root=seed_root,
         k=k,

@@ -108,9 +108,8 @@ def _instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:
 def _center_from_voxels(voxels: np.ndarray) -> ClickPoint:
     centroid = voxels.mean(axis=0)
     rounded = np.floor(centroid + 0.5).astype(np.int64)  # round half up, per axis
-    occupied = set(map(tuple, voxels.tolist()))
     pos = tuple(int(v) for v in rounded)
-    if pos not in occupied:
+    if not (voxels == rounded).all(axis=1).any():
         # snap to the in-mask voxel nearest the continuous centroid;
         # voxels are lexicographically sorted, so the first minimum wins ties
         d2 = ((voxels - centroid) ** 2).sum(axis=1)

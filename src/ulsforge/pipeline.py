@@ -41,7 +41,7 @@ from .metrics import dice, mean_pairwise_dice
 from .segmenter import SegmenterRef, segment
 from .stats import TestResult, degenerate_result, paired_ttest
 from .voi import VOICfg, crop_voi, isolate_central_lesion, place_back
-from .volume import Volume3D, read_volume
+from .volume import Volume3D, VolumeKind, read_volume
 
 DEFAULT_TEST_FRACTION = 0.2
 DEFAULT_SIGNIFICANCE_ALPHA = 0.0001
@@ -50,7 +50,6 @@ OVERALL_LOCATION = "(all)"
 
 FLAG_EMPTY_PREDICTION = "empty-prediction"
 FLAG_TRUNCATED = "truncated"
-FLAG_LENIENT_ISOLATION = "lenient-isolation"
 FLAG_ERROR = "error"
 
 
@@ -291,23 +290,25 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 def _resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
     """Load one entry's volumes and identify its lesion instance.
 
-    Returns (image, full binary mask, instance). The instance comes from
-    the entry's component_label if given, else the component containing
-    the entry's recorded click, else the mask's single component.
+    Returns (image, binary mask, instance). With a component_label the
+    binary mask holds that label's voxels only, so a touching lesion with
+    another label never joins it; the instance is that label. Otherwise
+    the mask holds every labeled voxel and the instance is the component
+    containing the entry's recorded click, else the mask's single one.
     """
     image = read_volume(entry.image_path)
     mask_raw = read_volume(entry.mask_path)
     if image.dims != mask_raw.dims:
         raise UlsforgeError("image dims %s != mask dims %s" % (image.dims, mask_raw.dims))
-    binary = mask_raw.as_binary_mask()
     if entry.component_label is not None:
-        labeled = mask_raw.as_labeled_mask()
-        voxels = np.argwhere(labeled.data == entry.component_label)
+        selected = mask_raw.data == entry.component_label
+        voxels = np.argwhere(selected)
         if voxels.shape[0] == 0:
             raise UlsforgeError("component_label %d not present in %s"
                                 % (entry.component_label, entry.mask_path))
-        instance = _instance_from_voxels(entry.component_label, voxels)
-        return image, binary, instance
+        binary = mask_raw.with_data(selected.astype(np.uint8), VolumeKind.BINARY_MASK)
+        return image, binary, _instance_from_voxels(entry.component_label, voxels)
+    binary = mask_raw.as_binary_mask()
     labeled = label_components(binary, connectivity)
     if entry.click is not None:
         if any(c < 0 or c >= n for c, n in zip(entry.click, labeled.dims)):
@@ -340,50 +341,31 @@ def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
     )
 
 
-def _segment_placed(image: Volume3D, voi, seg: SegmenterRef):
-    """Segment one VOI and return (global prediction, flags)."""
-    result = segment(voi.image, voi.local_click, seg, strict=False)
-    flags = set()
-    if result.truncated:
-        flags.add(FLAG_TRUNCATED)
-    if not result.mask.data.any():
-        flags.add(FLAG_EMPTY_PREDICTION)
-    return place_back(result.mask, image.dims, voi.offset), flags
+def _eval_one(entry: ManifestEntry, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
+              model_id: str, seed_root: int | None, k: int) -> EvalRecord:
+    """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
-
-def _eval_dice_one(entry: ManifestEntry, seg: SegmenterRef, cfg: VOICfg,
-                   connectivity: int, model_id: str) -> EvalRecord:
-    try:
-        image, mask, instance = _resolve_lesion(entry, connectivity)
-        voi = crop_voi(image, mask, instance.center, cfg)
-        gt_local = isolate_central_lesion(voi.mask, voi.local_click, connectivity)
-        gt_global = place_back(gt_local, image.dims, voi.offset)
-        pred_global, flags = _segment_placed(image, voi, seg)
-        score = dice(pred_global, gt_global)
-        return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=score,
-                          location=entry.location, dataset=entry.dataset,
-                          flags=frozenset(flags))
-    except (UlsforgeError, OSError) as e:
-        return _error_record(entry, model_id, None, e)
-
-
-def _eval_robustness_one(entry: ManifestEntry, seg: SegmenterRef, cfg: VOICfg,
-                         connectivity: int, model_id: str, seed_root: int,
-                         k: int) -> EvalRecord:
+    Each click is cropped, segmented and placed back into the global
+    frame. Dice compares the centroid prediction with the central lesion
+    of the centroid VOI; robustness is the mean pairwise Dice of all
+    predictions and exists only for k >= 1. The Dice protocol is k = 0.
+    """
     try:
         image, mask, instance = _resolve_lesion(entry, connectivity)
         plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
         flags: set[str] = set()
         preds = []
-        gt_global = None
         for click in plan.all_clicks():
             voi = crop_voi(image, mask, click, cfg)
-            if click is plan.normal:
+            if not preds:
                 gt_local = isolate_central_lesion(voi.mask, voi.local_click, connectivity)
                 gt_global = place_back(gt_local, image.dims, voi.offset)
-            pred, pred_flags = _segment_placed(image, voi, seg)
-            flags |= pred_flags
-            preds.append(pred)
+            result = segment(voi.image, voi.local_click, seg, strict=False)
+            if result.truncated:
+                flags.add(FLAG_TRUNCATED)
+            if not result.mask.data.any():
+                flags.add(FLAG_EMPTY_PREDICTION)
+            preds.append(place_back(result.mask, image.dims, voi.offset))
         score = dice(preds[0], gt_global)
         robust = mean_pairwise_dice(preds) if len(preds) >= 2 else None
         return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=score,
@@ -423,7 +405,7 @@ def run_dice_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(),
     """
     model = model_id or seg.model_id
     return _run(manifest.entries,
-                lambda e: _eval_dice_one(e, seg, cfg, connectivity, model),
+                lambda e: _eval_one(e, seg, cfg, connectivity, model, None, 0),
                 workers)
 
 
@@ -440,7 +422,7 @@ def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOI
     """
     model = model_id or seg.model_id
     return _run(manifest.entries,
-                lambda e: _eval_robustness_one(e, seg, cfg, connectivity, model, seed_root, k),
+                lambda e: _eval_one(e, seg, cfg, connectivity, model, seed_root, k),
                 workers)
 
 
@@ -450,9 +432,16 @@ def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOI
 
 
 @dataclass(frozen=True)
-class GroupStats:
+class StratumStats:
+    """A model's scores on one stratum value: a location group or a dataset cell.
+
+    ``stratum`` is the field the rows are keyed by, "location" or
+    "dataset"; ``to_record`` emits ``key`` under that name.
+    """
+
     model_id: str
-    location: str
+    stratum: str
+    key: str
     n: int
     dice_mean: float
     dice_std: float
@@ -462,41 +451,23 @@ class GroupStats:
 
     def to_record(self) -> dict:
         return {
-            "model_id": self.model_id, "location": self.location, "n": self.n,
+            "model_id": self.model_id, self.stratum: self.key, "n": self.n,
             "dice_mean": self.dice_mean, "dice_std": self.dice_std,
             "robustness_mean": self.robustness_mean,
             "robustness_std": self.robustness_std,
             "robustness_n": self.robustness_n,
         }
 
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """One summary-table cell group: a model's scores on one dataset."""
-
-    model_id: str
-    dataset: str
-    n: int
-    dice_mean: float
-    dice_std: float
-    robustness_mean: float | None
-    robustness_std: float | None
-    robustness_n: int
-
-    def to_record(self) -> dict:
-        return {
-            "model_id": self.model_id, "dataset": self.dataset, "n": self.n,
-            "dice_mean": self.dice_mean, "dice_std": self.dice_std,
-            "robustness_mean": self.robustness_mean,
-            "robustness_std": self.robustness_std,
-            "robustness_n": self.robustness_n,
-        }
+    @classmethod
+    def from_record(cls, rec: dict, stratum: str) -> StratumStats:
+        fields = dict(rec)
+        return cls(stratum=stratum, key=fields.pop(stratum), **fields)
 
 
 @dataclass
 class StratifiedReport:
-    groups: list[GroupStats]
-    summary: list[DatasetStats] = field(default_factory=list)
+    groups: list[StratumStats]
+    summary: list[StratumStats] = field(default_factory=list)
     comparisons: list[TestResult] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     records: list[EvalRecord] = field(default_factory=list)
@@ -519,10 +490,6 @@ def _metric_stats(recs: list[EvalRecord]) -> dict:
     return {"n": len(recs), "dice_mean": dice_mean, "dice_std": dice_std,
             "robustness_mean": r_mean, "robustness_std": r_std,
             "robustness_n": len(robust)}
-
-
-def _group_stats(model_id: str, location: str, recs: list[EvalRecord]) -> GroupStats:
-    return GroupStats(model_id=model_id, location=location, **_metric_stats(recs))
 
 
 def aggregate_by_location(records: list[EvalRecord], metadata: dict | None = None) -> StratifiedReport:
@@ -551,10 +518,10 @@ def aggregate_by_location(records: list[EvalRecord], metadata: dict | None = Non
             by_ds.setdefault(rec.dataset, []).append(rec)
         locations = sorted(by_loc, key=lambda l: (l == UNDEFINED_LOCATION, l))
         for loc in locations:
-            groups.append(_group_stats(model_id, loc, by_loc[loc]))
-        groups.append(_group_stats(model_id, OVERALL_LOCATION, recs))
+            groups.append(StratumStats(model_id, "location", loc, **_metric_stats(by_loc[loc])))
+        groups.append(StratumStats(model_id, "location", OVERALL_LOCATION, **_metric_stats(recs)))
         for dataset in sorted(by_ds):
-            summary.append(DatasetStats(model_id=model_id, dataset=dataset,
+            summary.append(StratumStats(model_id, "dataset", dataset,
                                         **_metric_stats(by_ds[dataset])))
     return StratifiedReport(groups=groups, summary=summary,
                             metadata=dict(metadata or {}), records=list(records))
@@ -643,6 +610,13 @@ def _test_result_from_record(rec: dict) -> TestResult:
                       significant=rec["significant"], degenerate=rec["degenerate"])
 
 
+def _write_table(writer, rows: list[dict]) -> None:
+    """Header from the first record's keys, then every record's values (None -> "")."""
+    if rows:
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+
+
 def emit_report(report: StratifiedReport, format: str, path: str | Path) -> None:
     """Write the aggregate report; JSON round-trips via read_report.
 
@@ -665,38 +639,13 @@ def emit_report(report: StratifiedReport, format: str, path: str | Path) -> None
             for key in sorted(report.metadata):
                 f.write("# %s: %s\n" % (key, report.metadata[key]))
             writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["model_id", "location", "n", "dice_mean", "dice_std",
-                             "robustness_mean", "robustness_std", "robustness_n"])
-            for g in report.groups:
-                writer.writerow([
-                    g.model_id, g.location, g.n, repr(g.dice_mean), repr(g.dice_std),
-                    "" if g.robustness_mean is None else repr(g.robustness_mean),
-                    "" if g.robustness_std is None else repr(g.robustness_std),
-                    g.robustness_n,
-                ])
+            _write_table(writer, [g.to_record() for g in report.groups])
             if report.summary:
                 f.write("# summary: model x dataset\n")
-                writer.writerow(["model_id", "dataset", "n", "dice_mean", "dice_std",
-                                 "robustness_mean", "robustness_std", "robustness_n"])
-                for s in report.summary:
-                    writer.writerow([
-                        s.model_id, s.dataset, s.n, repr(s.dice_mean), repr(s.dice_std),
-                        "" if s.robustness_mean is None else repr(s.robustness_mean),
-                        "" if s.robustness_std is None else repr(s.robustness_std),
-                        s.robustness_n,
-                    ])
+                _write_table(writer, [s.to_record() for s in report.summary])
             if report.comparisons:
                 f.write("# comparisons\n")
-                writer.writerow(["comparison_id", "n_pairs", "t_stat", "df",
-                                 "p_two_tailed", "p_adjusted", "significant", "degenerate"])
-                for t in report.comparisons:
-                    writer.writerow([
-                        t.comparison_id, t.n_pairs,
-                        "" if t.t_stat is None else repr(t.t_stat), t.df,
-                        "" if t.p_two_tailed is None else repr(t.p_two_tailed),
-                        "" if t.p_adjusted is None else repr(t.p_adjusted),
-                        t.significant, t.degenerate,
-                    ])
+                _write_table(writer, [_test_result_record(t) for t in report.comparisons])
     else:
         raise ValueError("format must be 'csv' or 'json', got %r" % format)
     if report.records:
@@ -707,10 +656,9 @@ def read_report(path: str | Path) -> StratifiedReport:
     """Parse a JSON report written by emit_report."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    groups = [GroupStats(**g) for g in doc["groups"]]
     return StratifiedReport(
-        groups=groups,
-        summary=[DatasetStats(**s) for s in doc.get("summary", [])],
+        groups=[StratumStats.from_record(g, "location") for g in doc["groups"]],
+        summary=[StratumStats.from_record(s, "dataset") for s in doc.get("summary", [])],
         comparisons=[_test_result_from_record(t) for t in doc["comparisons"]],
         metadata=doc["metadata"],
         records=[EvalRecord(

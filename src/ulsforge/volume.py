@@ -10,6 +10,7 @@ geometry.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -196,7 +197,12 @@ def read_volume(path: str | Path) -> Volume3D:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == GZIP_MAGIC:
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except EOFError as e:
+            raise TruncatedDataError("%s: gzip stream ends early" % path) from e
+        except (zlib.error, gzip.BadGzipFile) as e:
+            raise BadMagicError("%s: corrupt gzip stream: %s" % (path, e)) from e
 
     if len(raw) < HEADER_SIZE:
         raise BadMagicError("%s: file shorter than a NIfTI-1 header" % path)

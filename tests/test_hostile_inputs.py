@@ -1,0 +1,103 @@
+"""Hostile inputs end as flagged records or exact scores, never an aborted run."""
+
+import json
+
+import numpy as np
+import pytest
+
+import ulsforge.pipeline as pl
+from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, ball, make_manifest
+from ulsforge import (
+    GrowParams,
+    Manifest,
+    ManifestEntry,
+    SegmenterRef,
+    VOICfg,
+    Volume3D,
+    VolumeKind,
+    read_records_csv,
+    read_volume,
+    run_dice_eval,
+    run_robustness_eval,
+    write_volume,
+)
+from ulsforge.cli import main
+from ulsforge.errors import BadMagicError, TruncatedDataError
+
+BUILTIN = SegmenterRef.builtin(GrowParams(hu_window=GROW_WINDOW))
+
+
+def truncate(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+
+
+def flip_byte(path, pos):
+    raw = bytearray(path.read_bytes())
+    raw[pos] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+# byte 10 opens the deflate stream, right after the 10-byte gzip header;
+# byte 2 is the gzip compression method
+@pytest.mark.parametrize("corrupt, error", [
+    (truncate, TruncatedDataError),
+    (lambda p: flip_byte(p, 10), BadMagicError),
+    (lambda p: flip_byte(p, 2), BadMagicError),
+], ids=["truncated", "deflate-bit-flip", "bad-method"])
+def test_corrupt_gzip_raises_toolkit_errors(tmp_path, corrupt, error):
+    path = tmp_path / "vol.nii.gz"
+    write_volume(Volume3D(np.arange(512, dtype=np.int16).reshape(8, 8, 8)), path)
+    corrupt(path)
+    with pytest.raises(error, match="gzip"):
+        read_volume(path)
+
+
+def test_eval_survives_corrupt_gzip_volumes(tmp_path):
+    path = make_manifest(tmp_path, 3)
+    entries = json.loads(path.read_text())["entries"]
+    truncate(tmp_path / entries[0]["image_path"])
+    flip_byte(tmp_path / entries[1]["image_path"], 10)
+    out = tmp_path / "run"
+    rc = main(["eval", "--manifest", str(path), "--voi", "32x32x16",
+               "--segmenter", "builtin", "--hu-window", "50:150", "--out", str(out)])
+    assert rc == 0
+    records = read_records_csv(out / "records.csv")
+    assert [r.lesion_id for r in records] == ["les000", "les001", "les002"]
+    for r in records[:2]:
+        assert r.flags == frozenset({pl.FLAG_ERROR})
+        assert "gzip" in r.error
+    assert records[2].flags == frozenset()
+    assert records[2].dice == 1.0
+
+
+def touching_labels_case(tmp_path):
+    """Labels 1 and 2 share a face; only label 1 lies in the grow window."""
+    shape = (40, 40, 24)
+    image = np.full(shape, BACKGROUND_HU, dtype=np.int16)
+    labels = np.zeros(shape, dtype=np.uint8)
+    one = ball(shape, (16, 20, 12), 4)
+    two = ball(shape, (24, 20, 12), 4) & ~one
+    image[one] = LESION_HU
+    image[two] = 300
+    labels[one] = 1
+    labels[two] = 2
+    img_path = tmp_path / "touch_img.nii.gz"
+    mask_path = tmp_path / "touch_mask.nii.gz"
+    write_volume(Volume3D(image), img_path)
+    write_volume(Volume3D(labels, kind=VolumeKind.LABELED_MASK), mask_path)
+    entry = ManifestEntry(lesion_id="one", patient_id="p", image_path=str(img_path),
+                          mask_path=str(mask_path), component_label=1)
+    return Manifest([entry]), int(one.sum())
+
+
+def test_touching_labels_do_not_merge(tmp_path):
+    manifest, n_one = touching_labels_case(tmp_path)
+    image, mask, instance = pl._resolve_lesion(manifest.entries[0], 26)
+    assert int(mask.data.sum()) == instance.size_vox == n_one
+    cfg = VOICfg(size=(32, 32, 16))
+    record = run_dice_eval(manifest, BUILTIN, cfg)[0]
+    assert record.flags == frozenset()
+    assert record.dice == 1.0
+    record = run_robustness_eval(manifest, BUILTIN, cfg, seed_root=3)[0]
+    assert (record.dice, record.robustness) == (1.0, 1.0)

@@ -316,7 +316,7 @@ def rec(lid, model="m", d=1.0, rob=None, loc="liver", dataset="ds"):
 
 def test_single_record_group():
     report = aggregate_by_location([rec("a", d=0.8)])
-    row = next(g for g in report.groups if g.location == "liver")
+    row = next(g for g in report.groups if g.key == "liver")
     assert row.n == 1
     assert row.dice_mean == 0.8
     assert row.dice_std == 0.0
@@ -324,7 +324,7 @@ def test_single_record_group():
 
 def test_two_record_stats():
     report = aggregate_by_location([rec("a", d=0.6), rec("b", d=0.8)])
-    row = next(g for g in report.groups if g.location == "liver")
+    row = next(g for g in report.groups if g.key == "liver")
     assert row.dice_mean == pytest.approx(0.7, abs=1e-15)
     assert row.dice_std == pytest.approx(0.14142135623730953, abs=1e-12)
 
@@ -332,9 +332,9 @@ def test_two_record_stats():
 def test_blank_location_becomes_undefined_and_sorts_last():
     records = [rec("a", loc="lung"), rec("b", loc=""), rec("c", loc="bone")]
     report = aggregate_by_location(records)
-    locations = [g.location for g in report.groups]
+    locations = [g.key for g in report.groups]
     assert locations == ["bone", "lung", "undefined", "(all)"]
-    counts = sum(g.n for g in report.groups if g.location != "(all)")
+    counts = sum(g.n for g in report.groups if g.key != "(all)")
     assert counts == 3
 
 
@@ -346,7 +346,7 @@ def test_aggregate_requires_records():
 def test_aggregate_tracks_robustness_subset():
     records = [rec("a", rob=0.9), rec("b", rob=None)]
     report = aggregate_by_location(records)
-    overall = next(g for g in report.groups if g.location == "(all)")
+    overall = next(g for g in report.groups if g.key == "(all)")
     assert overall.n == 2
     assert overall.robustness_n == 1
     assert overall.robustness_mean == 0.9
@@ -451,7 +451,7 @@ def test_summary_has_model_by_dataset_layout():
                     dice=0.6 + i * 0.1, robustness=0.7 + i * 0.1,
                     location="liver", dataset=ds))
     report = aggregate_by_location(records)
-    cells = [(s.model_id, s.dataset) for s in report.summary]
+    cells = [(s.model_id, s.key) for s in report.summary]
     assert cells == [("model-a", "set1"), ("model-a", "set2"),
                      ("model-b", "set1"), ("model-b", "set2")]
     for s in report.summary:
@@ -493,5 +493,5 @@ def test_aggregate_means_match_csv_within_tolerance(tmp_path):
     write_records_csv(records, path)
     parsed = read_records_csv(path)
     recomputed = float(np.mean([r.dice for r in parsed]))
-    overall = next(g for g in report.groups if g.location == "(all)")
+    overall = next(g for g in report.groups if g.key == "(all)")
     assert abs(recomputed - overall.dice_mean) < 1e-12
