@@ -13,7 +13,6 @@ import numpy as np
 
 from ulsforge import (
     GrowParams,
-    RobustnessTriple,
     Volume3D,
     VOICfg,
     VolumeKind,
@@ -21,8 +20,8 @@ from ulsforge import (
     extract_instances,
     generate_shifted_samples,
     label_components,
+    mean_pairwise_dice,
     place_back,
-    robustness,
     segment_region_grow,
 )
 
@@ -55,12 +54,11 @@ for s in samples:
     result = segment_region_grow(s.image, s.local_click, params)
     placed.append(place_back(result.mask, shape, s.offset))
 
-triple = RobustnessTriple(*placed, lesion_id="demo")
 print("\npairwise Dice:")
 print("  normal vs aug1: %.4f" % dice(placed[0], placed[1]))
 print("  normal vs aug2: %.4f" % dice(placed[0], placed[2]))
 print("  aug1   vs aug2: %.4f" % dice(placed[1], placed[2]))
-print("robustness score: %.4f" % robustness(triple))
+print("robustness score: %.4f" % mean_pairwise_dice(placed))
 print("centered-click Dice vs ground truth: %.4f" % dice(placed[0], gt))
 
 # the region grower is translation-equivariant, so interior lesions

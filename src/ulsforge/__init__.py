@@ -21,9 +21,8 @@ from .lesions import (
     LesionInstance,
     extract_instances,
     label_components,
-    lesion_center,
 )
-from .metrics import RobustnessTriple, dice, mean_pairwise_dice, robustness
+from .metrics import dice, mean_pairwise_dice
 from .pipeline import (
     EvalRecord,
     Manifest,
@@ -61,10 +60,10 @@ __all__ = [
     "errors",
     "Volume3D", "VolumeKind", "read_volume", "write_volume",
     "ClickPoint", "LesionInstance", "CENTROID", "SAMPLED",
-    "label_components", "extract_instances", "lesion_center",
+    "label_components", "extract_instances",
     "VOICfg", "VOISample", "crop_voi", "isolate_central_lesion", "place_back",
     "ClickPlan", "sample_click_points", "build_click_plan", "generate_shifted_samples",
-    "RobustnessTriple", "dice", "robustness", "mean_pairwise_dice",
+    "dice", "mean_pairwise_dice",
     "TestResult", "paired_ttest", "bonferroni",
     "GrowParams", "SegmenterRef", "SegmentationResult",
     "segment", "segment_region_grow", "segment_external",

@@ -31,6 +31,10 @@ class TruncatedDataError(UlsforgeError):
     """Voxel payload shorter than the header promises."""
 
 
+class UnsupportedScalingError(UlsforgeError):
+    """Header asks for intensity rescaling (scl_slope/scl_inter), which is not applied."""
+
+
 # volume semantics -----------------------------------------------------------
 
 class WrongKindError(UlsforgeError):

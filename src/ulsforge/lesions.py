@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyInstanceError, WrongKindError
+from .errors import WrongKindError
 from .volume import Volume3D, VolumeKind
 
 CONNECTIVITIES = (6, 18, 26)
@@ -64,19 +64,10 @@ def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
     """
     if mask.kind is not VolumeKind.BINARY_MASK:
         raise WrongKindError("label_components expects a binary mask, got %s" % mask.kind.value)
-    raw, count = ndimage.label(mask.data, structure=_structure(connectivity))
-    raw = raw.astype(np.int32, copy=False)
-    if count > 1:
-        # scipy scans in C order (z fastest for our [x, y, z] arrays);
-        # remap ids to first encounter along the x-fastest scan.
-        flat = raw.ravel(order="F")
-        ids, first = np.unique(flat, return_index=True)
-        keep = ids > 0
-        order = np.argsort(first[keep], kind="stable")
-        lut = np.zeros(int(ids.max()) + 1, dtype=np.int32)
-        lut[ids[keep][order]] = np.arange(1, int(keep.sum()) + 1, dtype=np.int32)
-        raw = lut[raw]
-    return mask.with_data(raw, VolumeKind.LABELED_MASK)
+    # scipy numbers components in its C-order scan; on the [z, y, x]
+    # transpose that scan is the x-fastest scan of our [x, y, z] array.
+    raw, _ = ndimage.label(np.ascontiguousarray(mask.data.T), structure=_structure(connectivity))
+    return mask.with_data(raw.T, VolumeKind.LABELED_MASK)
 
 
 def extract_instances(labeled: Volume3D) -> list[LesionInstance]:
@@ -115,16 +106,3 @@ def _center_from_voxels(voxels: np.ndarray) -> ClickPoint:
         d2 = ((voxels - centroid) ** 2).sum(axis=1)
         pos = tuple(int(v) for v in voxels[int(np.argmin(d2))])
     return ClickPoint(pos=pos, origin=CENTROID)
-
-
-def lesion_center(instance: LesionInstance) -> ClickPoint:
-    """Voxel-rounded centroid of the instance, snapped into the mask.
-
-    Per-axis mean rounded half up; if that voxel is not part of the
-    lesion (non-convex shapes), the in-mask voxel closest to the
-    continuous centroid is returned, ties broken by lexicographically
-    smallest (x, y, z).
-    """
-    if instance.size_vox < 1 or instance.voxels.shape[0] < 1:
-        raise EmptyInstanceError("lesion instance %r has no voxels" % instance.label)
-    return _center_from_voxels(instance.voxels)

@@ -2,24 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DimsMismatchError
 from .volume import Volume3D
-
-
-@dataclass(eq=False)
-class RobustnessTriple:
-    """Three predictions of one lesion in a common (global) frame."""
-
-    p_normal: Volume3D
-    p_aug1: Volume3D
-    p_aug2: Volume3D
-    lesion_id: str = ""
-
-    def masks(self) -> tuple[Volume3D, Volume3D, Volume3D]:
-        return (self.p_normal, self.p_aug1, self.p_aug2)
 
 
 def dice(a: Volume3D, b: Volume3D) -> float:
@@ -37,12 +23,6 @@ def dice(a: Volume3D, b: Volume3D) -> float:
     if total == 0:
         return 1.0
     return 2.0 * int((am & bm).sum()) / total
-
-
-def robustness(t: RobustnessTriple) -> float:
-    """Mean pairwise Dice among the three shifted-click predictions."""
-    pn, p1, p2 = t.masks()
-    return mean_pairwise_dice([pn, p1, p2])
 
 
 def mean_pairwise_dice(masks: list[Volume3D]) -> float:

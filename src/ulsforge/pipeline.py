@@ -603,13 +603,6 @@ def _test_result_record(t: TestResult) -> dict:
     }
 
 
-def _test_result_from_record(rec: dict) -> TestResult:
-    return TestResult(t_stat=rec["t_stat"], df=rec["df"],
-                      p_two_tailed=rec["p_two_tailed"], p_adjusted=rec["p_adjusted"],
-                      n_pairs=rec["n_pairs"], comparison_id=rec["comparison_id"],
-                      significant=rec["significant"], degenerate=rec["degenerate"])
-
-
 def _write_table(writer, rows: list[dict]) -> None:
     """Header from the first record's keys, then every record's values (None -> "")."""
     if rows:
@@ -659,11 +652,7 @@ def read_report(path: str | Path) -> StratifiedReport:
     return StratifiedReport(
         groups=[StratumStats.from_record(g, "location") for g in doc["groups"]],
         summary=[StratumStats.from_record(s, "dataset") for s in doc.get("summary", [])],
-        comparisons=[_test_result_from_record(t) for t in doc["comparisons"]],
+        comparisons=[TestResult(**t) for t in doc["comparisons"]],
         metadata=doc["metadata"],
-        records=[EvalRecord(
-            lesion_id=r["lesion_id"], model_id=r["model_id"], dice=r["dice"],
-            robustness=r["robustness"], location=r["location"], dataset=r["dataset"],
-            flags=frozenset(r["flags"]), seed_root=r["seed_root"], error=r["error"],
-        ) for r in doc["records"]],
+        records=[EvalRecord(**dict(r, flags=frozenset(r["flags"]))) for r in doc["records"]],
     )

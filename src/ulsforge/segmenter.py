@@ -8,7 +8,9 @@ five-placeholder command template (see ``PLACEHOLDERS``).
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 from collections import deque
@@ -210,14 +212,23 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
             for key, value in subs.items():
                 token = token.replace(key, value)
             argv.append(token)
-        try:
-            proc = subprocess.run(argv, capture_output=True, timeout=ref.timeout_s)
-        except subprocess.TimeoutExpired:
-            raise SegmenterTimeoutError("segmenter exceeded %gs: %s" % (ref.timeout_s, argv[0]))
+        # a session of its own lets us kill the model together with any workers it forked
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            try:
+                _, stderr = proc.communicate(timeout=ref.timeout_s)
+            except BaseException as e:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                if isinstance(e, subprocess.TimeoutExpired):
+                    raise SegmenterTimeoutError("segmenter exceeded %gs: %s" % (ref.timeout_s, argv[0]))
+                raise
         if proc.returncode != 0:
             raise ProcessFailedError(
                 "segmenter exited %d: %s\nstderr: %s"
-                % (proc.returncode, " ".join(argv), proc.stderr.decode(errors="replace")[-2000:])
+                % (proc.returncode, " ".join(argv), stderr.decode(errors="replace")[-2000:])
             )
         if not output_path.exists():
             raise ProcessFailedError("segmenter exited 0 but wrote no mask at %s" % output_path)

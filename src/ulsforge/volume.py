@@ -10,6 +10,7 @@ geometry.
 from __future__ import annotations
 
 import gzip
+import math
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,6 +23,7 @@ from .errors import (
     BadMagicError,
     TruncatedDataError,
     UnsupportedDatatypeError,
+    UnsupportedScalingError,
     WrongKindError,
 )
 
@@ -191,7 +193,7 @@ def read_volume(path: str | Path) -> Volume3D:
     Raises
     ------
     FileNotFoundError, BadMagicError, UnsupportedDatatypeError,
-    TruncatedDataError, BadHeaderError
+    TruncatedDataError, BadHeaderError, UnsupportedScalingError
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -215,6 +217,11 @@ def read_volume(path: str | Path) -> Volume3D:
     if code not in _CODE_TO_DTYPE:
         raise UnsupportedDatatypeError("%s: NIfTI datatype code %d not supported" % (path, code))
     dtype = _CODE_TO_DTYPE[code]
+    # a zero or non-finite slope means unscaled (NIfTI-1; nibabel writes NaN)
+    slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
+    if math.isfinite(slope) and slope != 0 and (slope != 1 or inter != 0):
+        raise UnsupportedScalingError(
+            "%s: scl_slope %g, scl_inter %g ask for rescaled intensities" % (path, slope, inter))
 
     ndim = int(hdr["dim"][0])
     if ndim < 3:

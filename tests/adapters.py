@@ -66,6 +66,16 @@ import sys, time
 time.sleep(30)
 """
 
+# forks a sleeping worker, records its pid, then hangs
+FORKS_SLEEPER = """
+import subprocess, sys, time
+# args: image x y z output pidfile
+worker = subprocess.Popen(["sleep", "30"])
+with open(sys.argv[6], "w") as f:
+    f.write(str(worker.pid))
+time.sleep(30)
+"""
+
 
 def write_adapter(tmp_path: Path, body: str, name: str = "adapter.py") -> str:
     script = tmp_path / name

@@ -20,7 +20,6 @@ from ulsforge import (
     GrowParams,
     Manifest,
     ManifestEntry,
-    RobustnessTriple,
     SegmenterRef,
     Volume3D,
     VOICfg,
@@ -30,10 +29,10 @@ from ulsforge import (
     generate_shifted_samples,
     label_components,
     load_manifest,
+    mean_pairwise_dice,
     paired_ttest,
     place_back,
     read_volume,
-    robustness,
     run_dice_eval,
     run_robustness_eval,
     split_patients,
@@ -108,19 +107,19 @@ def test_criterion_2_crop_place_back_round_trip():
 def test_criterion_3_robustness_formula():
     with criterion(3, "robustness equals mean pairwise Dice"):
         full = binary(np.ones((4, 4, 4)))
-        assert robustness(RobustnessTriple(full, full, full)) == 1.0
+        assert mean_pairwise_dice([full, full, full]) == 1.0
 
         n = np.zeros((6, 1, 1))
         a = np.zeros((6, 1, 1))
         n[0:2, 0, 0] = 1
         a[1:3, 0, 0] = 1  # dice(n,a)=0.5, dice(a,a)=1.0
-        t = RobustnessTriple(binary(n), binary(a), binary(a))
-        assert abs(robustness(t) - 2.0 / 3.0) < 1e-12
+        t = [binary(n), binary(a), binary(a)]
+        assert abs(mean_pairwise_dice(t) - 2.0 / 3.0) < 1e-12
 
         rng = np.random.default_rng(1003)
         for _ in range(25):
             masks = [binary(rng.random((5, 5, 5)) < 0.5) for _ in range(3)]
-            scores = {robustness(RobustnessTriple(*p)) for p in permutations(masks)}
+            scores = {mean_pairwise_dice(list(p)) for p in permutations(masks)}
             assert len(scores) == 1
 
 

@@ -1,5 +1,6 @@
 """Hostile inputs end as flagged records or exact scores, never an aborted run."""
 
+import gzip
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from ulsforge import (
     write_volume,
 )
 from ulsforge.cli import main
-from ulsforge.errors import BadMagicError, TruncatedDataError
+from ulsforge.errors import BadMagicError, TruncatedDataError, UnsupportedScalingError
 
 BUILTIN = SegmenterRef.builtin(GrowParams(hu_window=GROW_WINDOW))
 
@@ -69,6 +70,51 @@ def test_eval_survives_corrupt_gzip_volumes(tmp_path):
         assert "gzip" in r.error
     assert records[2].flags == frozenset()
     assert records[2].dice == 1.0
+
+
+def set_scaling(path, slope, inter):
+    """Rewrite a NIfTI-1 file uncompressed with scl_slope, scl_inter (bytes 112:120) set."""
+    raw = path.read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
+    path.write_bytes(raw[:112] + np.array([slope, inter], dtype="<f4").tobytes() + raw[120:])
+
+
+# a zero or non-finite slope means unscaled, whatever the intercept
+@pytest.mark.parametrize("slope, inter, scaled", [
+    (1.0, 0.0, False),
+    (0.0, 0.0, False),
+    (0.0, -1024.0, False),
+    (float("nan"), float("nan"), False),
+    (1.0, -1024.0, True),
+    (2.0, 0.0, True),
+    (0.5, 10.0, True),
+    (-1.0, 0.0, True),
+])
+def test_scaled_intensities_rejected(tmp_path, slope, inter, scaled):
+    path = tmp_path / "vol.nii"
+    data = np.arange(512, dtype=np.int16).reshape(8, 8, 8)
+    write_volume(Volume3D(data), path)
+    set_scaling(path, slope, inter)
+    if scaled:
+        with pytest.raises(UnsupportedScalingError, match="scl_slope"):
+            read_volume(path)
+    else:
+        assert np.array_equal(read_volume(path).data, data)
+
+
+def test_eval_survives_scaled_volume(tmp_path):
+    path = make_manifest(tmp_path, 3)
+    entries = json.loads(path.read_text())["entries"]
+    set_scaling(tmp_path / entries[1]["image_path"], 1.0, -1024.0)
+    out = tmp_path / "run"
+    rc = main(["eval", "--manifest", str(path), "--voi", "32x32x16",
+               "--segmenter", "builtin", "--hu-window", "50:150", "--out", str(out)])
+    assert rc == 0
+    records = read_records_csv(out / "records.csv")
+    assert [r.flags for r in records] == [frozenset(), frozenset({pl.FLAG_ERROR}), frozenset()]
+    assert "scl_slope" in records[1].error
+    assert records[0].dice == records[2].dice == 1.0
 
 
 def touching_labels_case(tmp_path):

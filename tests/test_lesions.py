@@ -6,12 +6,12 @@ from ulsforge import (
     LesionInstance,
     Volume3D,
     VolumeKind,
+    build_click_plan,
     extract_instances,
     label_components,
-    lesion_center,
 )
 from ulsforge.errors import EmptyInstanceError, WrongKindError
-from ulsforge.lesions import CENTROID
+from ulsforge.lesions import CENTROID, _instance_from_voxels
 
 
 def binary(arr):
@@ -71,9 +71,12 @@ def test_matches_flood_fill_oracle(connectivity):
     for _ in range(30):
         shape = tuple(int(rng.integers(2, 10)) for _ in range(3))
         mask = (rng.random(shape) < rng.uniform(0.2, 0.6)).astype(np.uint8)
-        ours = label_components(binary(mask), connectivity).data
         expected = flood_fill_components(mask, connectivity)
-        assert np.array_equal(ours, expected)
+        on_disk = np.asfortranarray(mask)  # read_volume's layout: Fortran order, read-only
+        on_disk.setflags(write=False)
+        for arr in (mask, on_disk):
+            ours = label_components(binary(arr), connectivity).data
+            assert np.array_equal(ours, expected)
 
 
 def test_instances_partition_foreground():
@@ -121,11 +124,8 @@ def test_center_of_cube_rounds_half_up():
 
 
 def test_center_snaps_with_lexicographic_tie_break():
-    from ulsforge.lesions import ClickPoint
     voxels = np.array([[1, 1, 1], [3, 1, 1]])  # centroid (2,1,1) is background
-    inst = LesionInstance(label=1, voxels=voxels, bbox=((1, 1, 1), (3, 1, 1)),
-                          size_vox=2, center=ClickPoint((1, 1, 1)))
-    assert lesion_center(inst).pos == (1, 1, 1)
+    assert _instance_from_voxels(1, voxels).center.pos == (1, 1, 1)
 
 
 def test_center_snaps_into_non_convex_shape():
@@ -146,7 +146,7 @@ def test_center_always_inside_mask():
         for inst in extract_instances(label_components(binary(mask), 26)):
             voxels = set(map(tuple, inst.voxels.tolist()))
             assert inst.center.pos in voxels
-            assert lesion_center(inst).pos == inst.center.pos
+            assert _instance_from_voxels(inst.label, inst.voxels).center.pos == inst.center.pos
 
 
 def test_empty_instance_rejected():
@@ -155,7 +155,7 @@ def test_empty_instance_rejected():
                            bbox=((0, 0, 0), (0, 0, 0)), size_vox=0,
                            center=ClickPoint((0, 0, 0)))
     with pytest.raises(EmptyInstanceError):
-        lesion_center(empty)
+        build_click_plan(empty, seed_root=0, lesion_id="empty")
 
 
 def test_bad_connectivity_rejected():

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from oracles import dice_count
-from ulsforge import RobustnessTriple, Volume3D, VolumeKind, dice, robustness
+from ulsforge import Volume3D, VolumeKind, dice, mean_pairwise_dice
 from ulsforge.errors import DimsMismatchError
 
 from synth import ball
@@ -63,7 +63,7 @@ def test_robustness_of_identical_triple():
     arr = np.zeros((6, 6, 6))
     arr[2:5, 2:5, 2:5] = 1
     m = binary(arr)
-    assert robustness(RobustnessTriple(m, m, m)) == 1.0
+    assert mean_pairwise_dice([m, m, m]) == 1.0
 
 
 def test_robustness_hand_computed_two_thirds():
@@ -72,10 +72,10 @@ def test_robustness_hand_computed_two_thirds():
     a = np.zeros((6, 1, 1))
     n[0:2, 0, 0] = 1
     a[1:3, 0, 0] = 1
-    t = RobustnessTriple(binary(n), binary(a), binary(a))
-    assert dice(t.p_normal, t.p_aug1) == 0.5
-    assert dice(t.p_aug1, t.p_aug2) == 1.0
-    assert robustness(t) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    t = [binary(n), binary(a), binary(a)]
+    assert dice(t[0], t[1]) == 0.5
+    assert dice(t[1], t[2]) == 1.0
+    assert mean_pairwise_dice(t) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_robustness_permutation_invariant():
@@ -83,7 +83,7 @@ def test_robustness_permutation_invariant():
     from itertools import permutations
     for _ in range(10):
         masks = [binary(rng.random((5, 5, 5)) < 0.4) for _ in range(3)]
-        scores = {robustness(RobustnessTriple(*perm)) for perm in permutations(masks)}
+        scores = {mean_pairwise_dice(list(perm)) for perm in permutations(masks)}
         assert len(scores) == 1
 
 
@@ -91,11 +91,10 @@ def test_robustness_one_iff_pairwise_identical_overlap():
     rng = np.random.default_rng(41)
     for _ in range(20):
         masks = [binary(rng.random((4, 4, 4)) < 0.5) for _ in range(3)]
-        t = RobustnessTriple(*masks)
         pairwise_one = (dice(masks[0], masks[1]) == 1.0
                         and dice(masks[0], masks[2]) == 1.0
                         and dice(masks[1], masks[2]) == 1.0)
-        assert (robustness(t) == 1.0) == pairwise_one
+        assert (mean_pairwise_dice(masks) == 1.0) == pairwise_one
 
 
 def test_eroding_one_prediction_strictly_lowers_robustness():
@@ -104,5 +103,5 @@ def test_eroding_one_prediction_strictly_lowers_robustness():
     eroded = ndimage.binary_erosion(sphere).astype(np.uint8)
     assert 0 < eroded.sum() < sphere.sum()
     full = binary(sphere)
-    score = robustness(RobustnessTriple(full, full, binary(eroded)))
+    score = mean_pairwise_dice([full, full, binary(eroded)])
     assert score < 1.0

@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from adapters import (
     BAD_VALUES,
     CLICK_DOT,
     COPY_MASK,
+    FORKS_SLEEPER,
     SLEEPER,
     WRONG_DIMS,
     write_adapter,
@@ -168,3 +173,34 @@ def test_external_failure_modes(tmp_path):
         segment_external(image, click,
                          SegmenterRef.external(write_adapter(tmp_path, SLEEPER),
                                                timeout_s=1.0))
+
+
+def _process_state(pid):
+    """The State letter from /proc/<pid>/status, or None once the pid is gone."""
+    try:
+        with open("/proc/%d/status" % pid) as f:
+            for line in f:
+                if line.startswith("State:"):
+                    return line.split()[1]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_external_timeout_kills_forked_workers(tmp_path):
+    image, _ = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
+    pidfile = tmp_path / "worker.pid"
+    command = write_adapter(tmp_path, FORKS_SLEEPER) + " " + str(pidfile)
+    with pytest.raises(SegmenterTimeoutError):
+        segment_external(image, (4, 4, 2), SegmenterRef.external(command, timeout_s=1.0))
+    pid = int(pidfile.read_text())
+    try:
+        deadline = time.monotonic() + 5.0
+        while _process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _process_state(pid) in (None, "Z")
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
