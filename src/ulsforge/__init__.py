@@ -35,6 +35,7 @@ from .pipeline import (
     load_manifest,
     read_records_csv,
     read_report,
+    resolve_lesion,
     run_dice_eval,
     run_metadata,
     run_robustness_eval,
@@ -68,7 +69,7 @@ __all__ = [
     "GrowParams", "SegmenterRef", "SegmentationResult",
     "segment", "segment_region_grow", "segment_external",
     "Manifest", "ManifestEntry", "EvalRecord", "StratumStats", "StratifiedReport",
-    "load_manifest", "save_manifest", "split_patients",
+    "load_manifest", "save_manifest", "split_patients", "resolve_lesion",
     "run_dice_eval", "run_robustness_eval", "run_metadata",
     "aggregate_by_location", "compare_models", "emit_report", "read_report",
     "write_records_csv", "read_records_csv",

@@ -15,10 +15,12 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .clicks import build_click_plan
+from .clicks import build_click_plan, generate_shifted_samples
 from .errors import UlsforgeError
+from .lesions import CONNECTIVITIES
 from .segmenter import GrowParams, SegmenterRef
-from .voi import VOICfg, crop_voi, isolate_central_lesion
+# crop_voi, isolate_central_lesion: unused here, kept for tools that wrap them by name on cli
+from .voi import VOICfg, crop_voi, isolate_central_lesion  # noqa: F401
 from .volume import write_volume
 
 RECORDS_NAME = "records.csv"
@@ -62,7 +64,7 @@ def _add_common_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--voi", type=_parse_voi, default=(128, 128, 64),
                      help="VOI size, default 128x128x64")
-    sub.add_argument("--connectivity", type=int, default=26, choices=(6, 18, 26))
+    sub.add_argument("--connectivity", type=int, default=26, choices=CONNECTIVITIES)
     sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--out", required=True, help="output run directory")
 
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("extract", help="persist click-centered VOI pairs")
     p.add_argument("--manifest", required=True)
     p.add_argument("--voi", type=_parse_voi, default=(128, 128, 64))
-    p.add_argument("--connectivity", type=int, default=26, choices=(6, 18, 26))
+    p.add_argument("--connectivity", type=int, default=26, choices=CONNECTIVITIES)
     p.add_argument("--out", required=True)
     p.add_argument("--augment", type=int, default=0,
                    help="additional sampled-click VOIs per lesion")
@@ -155,24 +157,23 @@ def _cmd_extract(args) -> int:
     n_written = 0
     for entry in manifest.entries:
         try:
-            image, mask, instance = pipeline._resolve_lesion(entry, args.connectivity)
-            plan = build_click_plan(instance, args.seed, entry.lesion_id,
-                                    k=max(0, args.augment))
+            image, mask, instance = pipeline.resolve_lesion(entry, args.connectivity)
+            samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
+                                               k=max(0, args.augment), lesion_id=entry.lesion_id,
+                                               connectivity=args.connectivity)
             if args.augment > 0:
-                plans.append(plan.to_record())
-            for i, click in enumerate(plan.all_clicks()):
-                sample = crop_voi(image, mask, click, cfg)
-                voi_mask = isolate_central_lesion(sample.mask, sample.local_click,
-                                                  args.connectivity)
+                plans.append(build_click_plan(instance, args.seed, entry.lesion_id,
+                                              k=args.augment).to_record())
+            for i, sample in enumerate(samples):
                 stem = entry.lesion_id if i == 0 else "%s_aug%d" % (entry.lesion_id, i)
                 img_path = out / ("%s_img.nii.gz" % stem)
                 mask_path = out / ("%s_mask.nii.gz" % stem)
                 write_volume(sample.image, img_path)
-                write_volume(voi_mask, mask_path)
+                write_volume(sample.mask, mask_path)
                 index.append({
                     "lesion_id": entry.lesion_id,
                     "sample": "normal" if i == 0 else "aug%d" % i,
-                    "click": list(click.pos),
+                    "click": list(sample.click.pos),
                     "offset": list(sample.offset),
                     "seed_root": args.seed if args.augment > 0 else None,
                     "image": img_path.name,

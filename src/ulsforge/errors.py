@@ -59,6 +59,10 @@ class ClickNotOnMaskError(UlsforgeError):
     """Click point is a background voxel (strict isolation mode)."""
 
 
+class AmbiguousLesionError(UlsforgeError):
+    """Mask holds several lesions and nothing says which one is meant."""
+
+
 # segmenters -----------------------------------------------------------------
 
 class ClickOutsideWindowError(UlsforgeError):

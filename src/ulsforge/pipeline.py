@@ -26,7 +26,12 @@ import numpy as np
 from ._rng import shuffle_key
 from .clicks import DEFAULT_AUGMENT_COUNT, build_click_plan
 from .errors import (
+    AmbiguousLesionError,
+    ClickNotOnMaskError,
+    ClickOutOfVolumeError,
+    DimsMismatchError,
     DuplicateLesionIdError,
+    EmptyInstanceError,
     EmptyRecordsError,
     ManifestParseError,
     MissingFileError,
@@ -119,13 +124,10 @@ class Manifest:
 
 
 def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
-    try:
-        lesion_id = str(rec["lesion_id"])
-        patient_id = str(rec["patient_id"])
-        image_path = str(rec["image_path"])
-        mask_path = str(rec["mask_path"])
-    except KeyError as e:
-        raise ManifestParseError("manifest entry missing required field %s" % e)
+    lesion_id = str(rec["lesion_id"])
+    patient_id = str(rec["patient_id"])
+    image_path = str(rec["image_path"])
+    mask_path = str(rec["mask_path"])
     location = str(rec.get("location") or UNDEFINED_LOCATION).strip() or UNDEFINED_LOCATION
     comp = rec.get("component_label")
     click = rec.get("click")
@@ -168,10 +170,18 @@ def load_manifest(path: str | Path) -> Manifest:
         else:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
-            records = doc["entries"] if isinstance(doc, dict) else doc
-    except (json.JSONDecodeError, csv.Error, KeyError, ValueError) as e:
+            records = list(doc["entries"] if isinstance(doc, dict) else doc)
+    except (json.JSONDecodeError, csv.Error, KeyError, TypeError, ValueError) as e:
         raise ManifestParseError("cannot parse manifest %s: %s" % (path, e))
-    manifest = Manifest([_entry_from_record(r, base) for r in records])
+    entries = []
+    for i, rec in enumerate(records):
+        try:
+            entries.append(_entry_from_record(rec, base))
+        except KeyError as e:
+            raise ManifestParseError("manifest entry %d missing required field %s" % (i, e))
+        except (TypeError, ValueError) as e:
+            raise ManifestParseError("cannot parse manifest %s, entry %d: %s" % (path, i, e))
+    manifest = Manifest(entries)
     manifest.validate_files()
     return manifest
 
@@ -287,7 +297,7 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
+def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
     """Load one entry's volumes and identify its lesion instance.
 
     Returns (image, binary mask, instance). With a component_label the
@@ -299,31 +309,31 @@ def _resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, 
     image = read_volume(entry.image_path)
     mask_raw = read_volume(entry.mask_path)
     if image.dims != mask_raw.dims:
-        raise UlsforgeError("image dims %s != mask dims %s" % (image.dims, mask_raw.dims))
+        raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask_raw.dims))
     if entry.component_label is not None:
         selected = mask_raw.data == entry.component_label
         voxels = np.argwhere(selected)
         if voxels.shape[0] == 0:
-            raise UlsforgeError("component_label %d not present in %s"
-                                % (entry.component_label, entry.mask_path))
+            raise EmptyInstanceError("component_label %d not present in %s"
+                                     % (entry.component_label, entry.mask_path))
         binary = mask_raw.with_data(selected.astype(np.uint8), VolumeKind.BINARY_MASK)
         return image, binary, _instance_from_voxels(entry.component_label, voxels)
     binary = mask_raw.as_binary_mask()
     labeled = label_components(binary, connectivity)
     if entry.click is not None:
         if any(c < 0 or c >= n for c, n in zip(entry.click, labeled.dims)):
-            raise UlsforgeError("recorded click %s outside volume dims %s"
-                                % (entry.click, labeled.dims))
+            raise ClickOutOfVolumeError("recorded click %s outside volume dims %s"
+                                        % (entry.click, labeled.dims))
         comp_id = int(labeled.data[tuple(entry.click)])
         if comp_id == 0:
-            raise UlsforgeError("recorded click %s is background in %s"
-                                % (entry.click, entry.mask_path))
+            raise ClickNotOnMaskError("recorded click %s is background in %s"
+                                      % (entry.click, entry.mask_path))
     else:
         n_comp = int(labeled.data.max())
         if n_comp == 0:
-            raise UlsforgeError("mask %s is empty" % entry.mask_path)
+            raise EmptyInstanceError("mask %s is empty" % entry.mask_path)
         if n_comp > 1:
-            raise UlsforgeError(
+            raise AmbiguousLesionError(
                 "mask %s has %d components; set component_label or click to disambiguate"
                 % (entry.mask_path, n_comp))
         comp_id = 1
@@ -351,7 +361,7 @@ def _eval_one(entry: ManifestEntry, seg: SegmenterRef, cfg: VOICfg, connectivity
     predictions and exists only for k >= 1. The Dice protocol is k = 0.
     """
     try:
-        image, mask, instance = _resolve_lesion(entry, connectivity)
+        image, mask, instance = resolve_lesion(entry, connectivity)
         plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
         flags: set[str] = set()
         preds = []

@@ -15,7 +15,6 @@ import subprocess
 import tempfile
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +105,9 @@ class SegmentationResult:
 
 
 def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
-    max_l1 = {6: 1, 18: 2, 26: 3}[connectivity]
-    offsets = [
-        (dx, dy, dz)
-        for dx, dy, dz in product((-1, 0, 1), repeat=3)
-        if (dx, dy, dz) != (0, 0, 0) and abs(dx) + abs(dy) + abs(dz) <= max_l1
-    ]
-    return sorted(offsets)
+    """The labeling's own neighbourhood minus its center, in lexicographic order."""
+    offsets = np.argwhere(_structure(connectivity)) - 1
+    return [tuple(int(d) for d in o) for o in offsets if o.any()]
 
 
 def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],

@@ -60,18 +60,17 @@ class VOISample:
         return tuple(int(c - o) for c, o in zip(self.click.pos, self.offset))
 
 
-def _crop_array(data: np.ndarray, start: tuple[int, ...], size: tuple[int, ...], pad_value) -> np.ndarray:
-    out = np.full(size, pad_value, dtype=data.dtype)
-    src = []
-    dst = []
-    for n, st, s in zip(data.shape, start, size):
-        lo, hi = max(0, st), min(n, st + s)
-        if lo >= hi:
-            return out  # window entirely outside the volume
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - st, hi - st))
-    out[tuple(dst)] = data[tuple(src)]
-    return out
+def _overlap(shape: tuple[int, ...], start: tuple[int, ...], size: tuple[int, ...]):
+    """(global, local) slices of the window [start, start + size) that lie
+    inside ``shape``; an axis the window misses gets empty slices."""
+    glob = []
+    local = []
+    for n, st, s in zip(shape, start, size):
+        lo = max(0, st)
+        hi = max(lo, min(n, st + s))
+        glob.append(slice(lo, hi))
+        local.append(slice(lo - st, hi - st))
+    return tuple(glob), tuple(local)
 
 
 def crop_voi(image: Volume3D, mask: Volume3D, click: ClickPoint, cfg: VOICfg = VOICfg()) -> VOISample:
@@ -86,8 +85,11 @@ def crop_voi(image: Volume3D, mask: Volume3D, click: ClickPoint, cfg: VOICfg = V
     if any(c < 0 or c >= n for c, n in zip(click.pos, image.dims)):
         raise ClickOutOfVolumeError("click %s outside volume dims %s" % (click.pos, image.dims))
     offset = tuple(int(c - s // 2) for c, s in zip(click.pos, cfg.size))
-    img_crop = _crop_array(image.data, offset, cfg.size, cfg.pad_value_image)
-    mask_crop = _crop_array(mask.data, offset, cfg.size, cfg.pad_value_mask)
+    glob, local = _overlap(image.dims, offset, cfg.size)
+    img_crop = np.full(cfg.size, cfg.pad_value_image, dtype=image.data.dtype)
+    img_crop[local] = image.data[glob]
+    mask_crop = np.full(cfg.size, cfg.pad_value_mask, dtype=mask.data.dtype)
+    mask_crop[local] = mask.data[glob]
     return VOISample(
         image=Volume3D(img_crop, spacing=image.spacing, kind=VolumeKind.INTENSITY),
         mask=Volume3D(mask_crop, spacing=mask.spacing, kind=VolumeKind.BINARY_MASK),
@@ -123,16 +125,6 @@ def place_back(voi_mask: Volume3D, global_dims: tuple[int, int, int],
     falling outside the global bounds is discarded.
     """
     out = np.zeros(global_dims, dtype=voi_mask.data.dtype)
-    src = []
-    dst = []
-    inside = True
-    for n_glob, n_loc, off in zip(global_dims, voi_mask.dims, offset):
-        g_lo, g_hi = max(0, off), min(n_glob, off + n_loc)
-        if g_lo >= g_hi:
-            inside = False
-            break
-        dst.append(slice(g_lo, g_hi))
-        src.append(slice(g_lo - off, g_hi - off))
-    if inside:
-        out[tuple(dst)] = voi_mask.data[tuple(src)]
+    glob, local = _overlap(global_dims, offset, voi_mask.dims)
+    out[glob] = voi_mask.data[local]
     return Volume3D(out, spacing=voi_mask.spacing, kind=voi_mask.kind)

@@ -167,14 +167,6 @@ class Volume3D:
             return self
         return self.with_data((self.data != 0).astype(np.uint8), VolumeKind.BINARY_MASK)
 
-    def as_labeled_mask(self) -> Volume3D:
-        """Reinterpret integer voxels as component ids."""
-        if self.kind is VolumeKind.LABELED_MASK:
-            return self
-        if not np.issubdtype(self.data.dtype, np.integer):
-            raise WrongKindError("labeled masks require an integer dtype, got %s" % self.data.dtype)
-        return self.with_data(self.data.astype(np.int32), VolumeKind.LABELED_MASK)
-
 
 # ---------------------------------------------------------------------------
 # reading
@@ -187,8 +179,8 @@ def read_volume(path: str | Path) -> Volume3D:
     Compression is detected from the leading two bytes, not the file
     name. Dims and spacing come from the header; the raw 348 header
     bytes are retained on the volume for round-tripping. The returned
-    kind is always INTENSITY; use :meth:`Volume3D.as_binary_mask` or
-    :meth:`Volume3D.as_labeled_mask` when the file holds a mask.
+    kind is always INTENSITY; use :meth:`Volume3D.as_binary_mask` when
+    the file holds a mask.
 
     Raises
     ------
@@ -234,8 +226,11 @@ def read_volume(path: str | Path) -> Volume3D:
     spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
     if any(s <= 0 for s in spacing):
         raise BadHeaderError("%s: non-positive pixdim %s" % (path, spacing))
+    vox_offset = float(hdr["vox_offset"])
+    if not all(math.isfinite(v) for v in (*spacing, vox_offset)):
+        raise BadHeaderError("%s: non-finite pixdim %s or vox_offset %g" % (path, spacing, vox_offset))
 
-    offset = int(hdr["vox_offset"])
+    offset = int(vox_offset)
     if offset < HEADER_SIZE:
         offset = HEADER_SIZE
     nbytes = int(np.prod(dims)) * dtype.itemsize

@@ -260,7 +260,7 @@ def test_criterion_9_external_adapter_contract(tmp_path):
 
         # ground-truth echo: copy the isolated central-lesion VOI mask
         for entry in manifest.entries:
-            image, mask, instance = pl._resolve_lesion(entry, 26)
+            image, mask, instance = pl.resolve_lesion(entry, 26)
             voi = crop_voi(image, mask, instance.center, cfg)
             from ulsforge import isolate_central_lesion
             gt_local = isolate_central_lesion(voi.mask, voi.local_click, 26)

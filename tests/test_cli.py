@@ -1,6 +1,7 @@
 import json
 
-from synth import make_manifest
+from oracles import flood_fill_components
+from synth import LESION_HU, make_case, make_manifest
 from ulsforge import load_manifest, read_records_csv, read_report, read_volume
 from ulsforge.cli import main
 
@@ -143,3 +144,23 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["validate", "--manifest", str(tmp_path / "missing.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_extract_writes_isolated_masks(tmp_path):
+    # at any click in either lesion, a 16x24x8 VOI holds both; they do not touch
+    image_path, mask_path = make_case(tmp_path, "pair", centers=((24, 20, 16), (24, 28, 16)))
+    entries = [{"lesion_id": name, "patient_id": "p", "image_path": image_path.name,
+                "mask_path": mask_path.name, "click": [24, y, 16]}
+               for name, y in (("near", 20), ("far", 28))]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": entries}))
+    out = tmp_path / "vois"
+    rc = main(["extract", "--manifest", str(path), "--voi", "16x24x8",
+               "--out", str(out), "--augment", "2", "--seed", "4"])
+    assert rc == 0
+    masks = sorted(out.glob("*_mask.nii.gz"))
+    assert len(masks) == 6
+    for mask in masks:
+        image = read_volume(str(mask).replace("_mask", "_img")).data
+        assert flood_fill_components(image == LESION_HU, 26).max() == 2
+        assert flood_fill_components(read_volume(mask).data, 26).max() == 1

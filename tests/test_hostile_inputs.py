@@ -16,6 +16,7 @@ from ulsforge import (
     VOICfg,
     Volume3D,
     VolumeKind,
+    load_manifest,
     read_records_csv,
     read_volume,
     run_dice_eval,
@@ -23,7 +24,13 @@ from ulsforge import (
     write_volume,
 )
 from ulsforge.cli import main
-from ulsforge.errors import BadMagicError, TruncatedDataError, UnsupportedScalingError
+from ulsforge.errors import (
+    BadHeaderError,
+    BadMagicError,
+    ManifestParseError,
+    TruncatedDataError,
+    UnsupportedScalingError,
+)
 
 BUILTIN = SegmenterRef.builtin(GrowParams(hu_window=GROW_WINDOW))
 
@@ -139,7 +146,7 @@ def touching_labels_case(tmp_path):
 
 def test_touching_labels_do_not_merge(tmp_path):
     manifest, n_one = touching_labels_case(tmp_path)
-    image, mask, instance = pl._resolve_lesion(manifest.entries[0], 26)
+    image, mask, instance = pl.resolve_lesion(manifest.entries[0], 26)
     assert int(mask.data.sum()) == instance.size_vox == n_one
     cfg = VOICfg(size=(32, 32, 16))
     record = run_dice_eval(manifest, BUILTIN, cfg)[0]
@@ -147,3 +154,53 @@ def test_touching_labels_do_not_merge(tmp_path):
     assert record.dice == 1.0
     record = run_robustness_eval(manifest, BUILTIN, cfg, seed_root=3)[0]
     assert (record.dice, record.robustness) == (1.0, 1.0)
+
+
+def set_f4(path, pos, value):
+    """Rewrite a NIfTI-1 file uncompressed with the float32 header field at ``pos`` set."""
+    raw = path.read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
+    path.write_bytes(raw[:pos] + np.array(value, dtype="<f4").tobytes() + raw[pos + 4:])
+
+
+# NIfTI-1 byte offsets: pixdim[1] at 80, vox_offset at 108
+@pytest.mark.parametrize("pos", [80, 108], ids=["pixdim", "vox_offset"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "+inf", "-inf"])
+def test_non_finite_header_floats_rejected(tmp_path, pos, value):
+    path = tmp_path / "vol.nii"
+    write_volume(Volume3D(np.arange(512, dtype=np.int16).reshape(8, 8, 8)), path)
+    set_f4(path, pos, value)
+    with pytest.raises(BadHeaderError):
+        read_volume(path)
+
+
+def test_eval_survives_non_finite_vox_offset(tmp_path):
+    path = make_manifest(tmp_path, 3)
+    entries = json.loads(path.read_text())["entries"]
+    set_f4(tmp_path / entries[1]["image_path"], 108, float("nan"))
+    out = tmp_path / "run"
+    rc = main(["eval", "--manifest", str(path), "--voi", "32x32x16",
+               "--segmenter", "builtin", "--hu-window", "50:150", "--out", str(out)])
+    assert rc == 0
+    records = read_records_csv(out / "records.csv")
+    assert [r.flags for r in records] == [frozenset(), frozenset({pl.FLAG_ERROR}), frozenset()]
+    assert "vox_offset" in records[1].error
+
+
+@pytest.mark.parametrize("entries", [
+    lambda e: [e["lesion_id"]],
+    lambda e: [dict(e, click=5)],
+    lambda e: [dict(e, click=[1, 2, None])],
+    lambda e: [dict(e, component_label=[1])],
+    lambda e: 5,
+], ids=["string-entry", "int-click", "null-in-click", "list-component-label", "int-entries"])
+def test_malformed_manifest_values_rejected(tmp_path, capsys, entries):
+    path = make_manifest(tmp_path, 1)
+    valid = json.loads(path.read_text())["entries"][0]
+    path.write_text(json.dumps({"entries": entries(valid)}))
+    with pytest.raises(ManifestParseError):
+        load_manifest(path)
+    assert main(["validate", "--manifest", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -27,7 +27,12 @@ from ulsforge import (
     write_records_csv,
 )
 from ulsforge.errors import (
+    AmbiguousLesionError,
+    ClickNotOnMaskError,
+    ClickOutOfVolumeError,
+    DimsMismatchError,
     DuplicateLesionIdError,
+    EmptyInstanceError,
     EmptyRecordsError,
     MissingFileError,
     NoPatientsError,
@@ -188,12 +193,35 @@ def test_builtin_dice_run_is_perfect(tmp_path):
         assert r.robustness is None
 
 
+@pytest.mark.parametrize("case, error, message", [
+    ("dims", DimsMismatchError, r"image dims \(40, 48, 32\) != mask dims \(48, 48, 32\)"),
+    ("absent-label", EmptyInstanceError, "component_label 5 not present in "),
+    ("empty-mask", EmptyInstanceError, "empty_mask.nii.gz is empty"),
+    ("click-outside", ClickOutOfVolumeError, r"recorded click \(48, 0, 0\) outside volume dims"),
+    ("click-background", ClickNotOnMaskError, r"recorded click \(0, 0, 0\) is background in "),
+    ("ambiguous", AmbiguousLesionError,
+     "has 2 components; set component_label or click to disambiguate"),
+])
+def test_resolve_lesion_error_classes(tmp_path, case, error, message):
+    two = [str(p) for p in make_case(tmp_path, "two", centers=((12, 12, 8), (36, 36, 24)))]
+    empty = [str(p) for p in make_case(tmp_path, "empty", centers=())]
+    small_image = str(make_case(tmp_path, "small", shape=(40, 48, 32))[0])
+    paths = {"dims": (small_image, two[1]), "empty-mask": tuple(empty)}.get(case, tuple(two))
+    extra = {"absent-label": {"component_label": 5}, "click-outside": {"click": (48, 0, 0)},
+             "click-background": {"click": (0, 0, 0)}}.get(case, {})
+    entry = ManifestEntry(lesion_id="x", patient_id="p", image_path=paths[0],
+                          mask_path=paths[1], **extra)
+    with pytest.raises(error, match=message) as info:
+        pl.resolve_lesion(entry, 26)
+    assert type(info.value) is error
+
+
 def test_copy_adapter_echoes_ground_truth(tmp_path):
     # adapter copies its own input VOI mask: crop the GT with the same click
     manifest = load_manifest(make_manifest(tmp_path, 2))
     records = {}
     for entry in manifest.entries:
-        image, mask, instance = pl._resolve_lesion(entry, 26)
+        image, mask, instance = pl.resolve_lesion(entry, 26)
         from ulsforge import crop_voi, isolate_central_lesion, write_volume
         voi = crop_voi(image, mask, instance.center, SMALL_CFG)
         gt_local = isolate_central_lesion(voi.mask, voi.local_click, 26)

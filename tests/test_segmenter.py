@@ -15,7 +15,7 @@ from adapters import (
     WRONG_DIMS,
     write_adapter,
 )
-from oracles import component_voxel_sets
+from oracles import component_voxel_sets, oracle_offsets
 from synth import BACKGROUND_HU, LESION_HU, ball
 from ulsforge import (
     GrowParams,
@@ -35,6 +35,7 @@ from ulsforge.errors import (
     ProcessFailedError,
     SegmenterTimeoutError,
 )
+from ulsforge.segmenter import _neighbor_offsets
 
 WINDOW = (50, 150)
 
@@ -97,6 +98,12 @@ def test_truncation_follows_lexicographic_bfs_order():
     res = segment_region_grow(image, (5, 1, 1), GrowParams(hu_window=WINDOW, max_voxels=2))
     kept = {tuple(v) for v in np.argwhere(res.mask.data).tolist()}
     assert kept == {(4, 1, 1), (5, 1, 1)}
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_grow_neighbourhood_is_the_labeling_neighbourhood(connectivity):
+    # the truncated BFS visits exactly the labeling's neighbours, lexicographically
+    assert _neighbor_offsets(connectivity) == sorted(oracle_offsets(connectivity))
 
 
 def test_translation_equivariance_on_interior_content():

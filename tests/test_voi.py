@@ -153,6 +153,14 @@ def test_place_back_discards_out_of_bounds():
     assert not out.data.any()
 
 
+def test_place_back_discards_window_before_the_volume():
+    # the window ends 16 voxels before x = 0; nothing of it may land inside
+    voi = binary(np.ones((4, 4, 4)))
+    out = place_back(voi, (30, 6, 6), (-20, 0, 0))
+    assert out.dims == (30, 6, 6)
+    assert not out.data.any()
+
+
 def test_boundary_lesion_roundtrip():
     mask = np.zeros((8, 8, 8))
     mask[0:2, 0:2, 0:2] = 1
