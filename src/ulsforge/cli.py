@@ -155,12 +155,14 @@ def _cmd_extract(args) -> int:
     index = []
     plans = []
     n_written = 0
+    loader = pipeline._ScanLoader(manifest.entries, args.connectivity)
     for entry in manifest.entries:
         try:
-            image, mask, instance = pipeline.resolve_lesion(entry, args.connectivity)
-            samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
-                                               k=max(0, args.augment), lesion_id=entry.lesion_id,
-                                               connectivity=args.connectivity)
+            with loader.lesion(entry) as (image, mask, instance):
+                samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
+                                                   k=max(0, args.augment),
+                                                   lesion_id=entry.lesion_id,
+                                                   connectivity=args.connectivity)
             if args.augment > 0:
                 plans.append(build_click_plan(instance, args.seed, entry.lesion_id,
                                               k=args.augment).to_record())

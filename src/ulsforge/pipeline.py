@@ -1,10 +1,11 @@
 """End-to-end evaluation runs over a lesion manifest.
 
 A manifest row binds one lesion (image file, mask file, patient,
-dataset, location) to a unique lesion id. Runs crop a click-centered
-VOI per lesion, segment it, place the prediction back into the global
-frame, and score Dice and click-shift robustness. Per-lesion failures
-become flagged records; a run only aborts on manifest-level problems.
+dataset, location) to a unique lesion id. Runs read each scan once,
+however many lesions it holds, crop a click-centered VOI per lesion,
+segment it, and score Dice and click-shift robustness over the part of
+the volume that the lesion's VOIs cover. Per-lesion failures become
+flagged records; a run only aborts on manifest-level problems.
 
 All randomness is keyed per lesion id, and records are sorted by
 lesion id before anything is written, so a run's per-lesion CSV is
@@ -17,7 +18,9 @@ import csv
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,6 +126,14 @@ class Manifest:
             raise MissingFileError(missing)
 
 
+def _int_field(value, lesion_id: str, name: str) -> int:
+    """An int, or an integer string (CSV cells); a bool or a float is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ManifestParseError("entry %r: %s must be an integer, got %r"
+                                 % (lesion_id, name, value))
+    return int(value)
+
+
 def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
     lesion_id = str(rec["lesion_id"])
     patient_id = str(rec["patient_id"])
@@ -131,7 +142,7 @@ def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
     location = str(rec.get("location") or UNDEFINED_LOCATION).strip() or UNDEFINED_LOCATION
     comp = rec.get("component_label")
     click = rec.get("click")
-    if click not in (None, "") and len(click) != 3:
+    if click not in (None, "") and (not isinstance(click, (list, tuple)) or len(click) != 3):
         raise ManifestParseError("entry %r: click must have 3 components, got %r"
                                  % (lesion_id, click))
     return ManifestEntry(
@@ -141,8 +152,10 @@ def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
         mask_path=str((base / mask_path)) if not os.path.isabs(mask_path) else mask_path,
         dataset=str(rec.get("dataset") or "default"),
         location=location,
-        component_label=None if comp in (None, "") else int(comp),
-        click=None if click in (None, "") else tuple(int(c) for c in click),
+        component_label=None if comp in (None, "") else _int_field(comp, lesion_id,
+                                                                   "component_label"),
+        click=None if click in (None, "") else tuple(_int_field(c, lesion_id, "click")
+                                                     for c in click),
     )
 
 
@@ -297,29 +310,38 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 # ---------------------------------------------------------------------------
 
 
-def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
-    """Load one entry's volumes and identify its lesion instance.
+@dataclass
+class _Scan:
+    """One image/mask pair as loaded for the manifest entries that share it.
 
-    Returns (image, binary mask, instance). With a component_label the
-    binary mask holds that label's voxels only, so a touching lesion with
-    another label never joins it; the instance is that label. Otherwise
-    the mask holds every labeled voxel and the instance is the component
-    containing the entry's recorded click, else the mask's single one.
+    ``binary`` holds every labeled voxel and ``found`` maps each entry
+    without a component_label to its instance or its resolve error; both
+    exist only if the scan has such an entry. The labeled volume they
+    come from is not kept.
     """
-    image = read_volume(entry.image_path)
-    mask_raw = read_volume(entry.mask_path)
-    if image.dims != mask_raw.dims:
-        raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask_raw.dims))
-    if entry.component_label is not None:
-        selected = mask_raw.data == entry.component_label
-        voxels = np.argwhere(selected)
-        if voxels.shape[0] == 0:
-            raise EmptyInstanceError("component_label %d not present in %s"
-                                     % (entry.component_label, entry.mask_path))
-        binary = mask_raw.with_data(selected.astype(np.uint8), VolumeKind.BINARY_MASK)
-        return image, binary, _instance_from_voxels(entry.component_label, voxels)
-    binary = mask_raw.as_binary_mask()
-    labeled = label_components(binary, connectivity)
+
+    image: Volume3D
+    mask: Volume3D
+    binary: Volume3D | None
+    found: dict[str, LesionInstance | UlsforgeError]
+
+    def lesion(self, entry: ManifestEntry) -> tuple[Volume3D, Volume3D, LesionInstance]:
+        if entry.component_label is not None:
+            selected = self.mask.data == entry.component_label
+            voxels = np.argwhere(selected)
+            if voxels.shape[0] == 0:
+                raise EmptyInstanceError("component_label %d not present in %s"
+                                         % (entry.component_label, entry.mask_path))
+            binary = self.mask.with_data(selected.astype(np.uint8), VolumeKind.BINARY_MASK)
+            return self.image, binary, _instance_from_voxels(entry.component_label, voxels)
+        found = self.found[entry.lesion_id]
+        if isinstance(found, UlsforgeError):
+            raise found
+        return self.image, self.binary, found
+
+
+def _clicked_instance(entry: ManifestEntry, labeled: Volume3D) -> LesionInstance:
+    """The component holding the entry's click, else the mask's single one."""
     if entry.click is not None:
         if any(c < 0 or c >= n for c, n in zip(entry.click, labeled.dims)):
             raise ClickOutOfVolumeError("recorded click %s outside volume dims %s"
@@ -337,8 +359,74 @@ def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, V
                 "mask %s has %d components; set component_label or click to disambiguate"
                 % (entry.mask_path, n_comp))
         comp_id = 1
-    voxels = np.argwhere(labeled.data == comp_id)
-    return image, binary, _instance_from_voxels(comp_id, voxels)
+    return _instance_from_voxels(comp_id, np.argwhere(labeled.data == comp_id))
+
+
+def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
+    """Read the entries' shared image and mask; label once if any entry is clicked."""
+    image = read_volume(entries[0].image_path)
+    mask = read_volume(entries[0].mask_path)
+    if image.dims != mask.dims:
+        raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
+    clicked = [e for e in entries if e.component_label is None]
+    if not clicked:
+        return _Scan(image, mask, None, {})
+    binary = mask.as_binary_mask()
+    labeled = label_components(binary, connectivity)
+    found: dict[str, LesionInstance | UlsforgeError] = {}
+    for e in clicked:
+        try:
+            found[e.lesion_id] = _clicked_instance(e, labeled)
+        except UlsforgeError as exc:
+            found[e.lesion_id] = exc
+    return _Scan(image, mask, binary, found)
+
+
+def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
+    """Load one entry's volumes and identify its lesion instance.
+
+    Returns (image, binary mask, instance). With a component_label the
+    binary mask holds that label's voxels only, so a touching lesion with
+    another label never joins it; the instance is that label. Otherwise
+    the mask holds every labeled voxel and the instance is the component
+    containing the entry's recorded click, else the mask's single one.
+    """
+    return _load_scan([entry], connectivity).lesion(entry)
+
+
+class _ScanLoader:
+    """Loads each (image, mask) pair of a run once, for all its lesions.
+
+    The first lesion of a scan to run loads it while the scan's other
+    lesions wait on its lock; the scan is dropped after its last lesion.
+    A load that fails is not kept, so every lesion of that scan retries
+    it and gets the same error.
+    """
+
+    def __init__(self, entries: list[ManifestEntry], connectivity: int):
+        self._connectivity = connectivity
+        self._groups: dict[tuple[str, str], list[ManifestEntry]] = {}
+        for e in entries:
+            self._groups.setdefault((e.image_path, e.mask_path), []).append(e)
+        self._left = {key: len(group) for key, group in self._groups.items()}
+        self._locks = {key: threading.Lock() for key in self._groups}
+        self._scans: dict[tuple[str, str], _Scan] = {}
+
+    @contextmanager
+    def lesion(self, entry: ManifestEntry):
+        """(image, binary mask, instance) of ``entry``, as resolve_lesion gives them."""
+        key = (entry.image_path, entry.mask_path)
+        try:
+            with self._locks[key]:
+                if key not in self._scans:
+                    self._scans[key] = _load_scan(self._groups[key], self._connectivity)
+                scan = self._scans[key]
+            yield scan.lesion(entry)
+        finally:
+            with self._locks[key]:
+                self._left[key] -= 1
+                if not self._left[key]:
+                    self._scans.pop(key, None)
 
 
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
@@ -351,32 +439,45 @@ def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
     )
 
 
-def _eval_one(entry: ManifestEntry, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
-              model_id: str, seed_root: int | None, k: int) -> EvalRecord:
+def _score_box(dims: tuple[int, int, int], offsets: list[tuple[int, int, int]],
+               size: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(corner, dims) of the union of the windows at ``offsets``, clipped to ``dims``."""
+    lo = tuple(max(0, min(o[a] for o in offsets)) for a in range(3))
+    hi = tuple(min(dims[a], max(o[a] for o in offsets) + size[a]) for a in range(3))
+    return lo, tuple(h - l for h, l in zip(hi, lo))
+
+
+def _eval_one(entry: ManifestEntry, loader: _ScanLoader, seg: SegmenterRef, cfg: VOICfg,
+              connectivity: int, model_id: str, seed_root: int | None, k: int) -> EvalRecord:
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
-    Each click is cropped, segmented and placed back into the global
-    frame. Dice compares the centroid prediction with the central lesion
-    of the centroid VOI; robustness is the mean pairwise Dice of all
-    predictions and exists only for k >= 1. The Dice protocol is k = 0.
+    Each click is cropped and segmented. Dice compares the centroid
+    prediction with the central lesion of the centroid VOI; robustness is
+    the mean pairwise Dice of all predictions and exists only for k >= 1.
+    The Dice protocol is k = 0. Masks are placed back into the part of
+    the volume that the plan's windows cover, so every score counts the
+    same voxels as in the global frame.
     """
     try:
-        image, mask, instance = resolve_lesion(entry, connectivity)
-        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
-        flags: set[str] = set()
-        preds = []
-        for click in plan.all_clicks():
-            voi = crop_voi(image, mask, click, cfg)
-            if not preds:
-                gt_local = isolate_central_lesion(voi.mask, voi.local_click, connectivity)
-                gt_global = place_back(gt_local, image.dims, voi.offset)
-            result = segment(voi.image, voi.local_click, seg, strict=False)
-            if result.truncated:
-                flags.add(FLAG_TRUNCATED)
-            if not result.mask.data.any():
-                flags.add(FLAG_EMPTY_PREDICTION)
-            preds.append(place_back(result.mask, image.dims, voi.offset))
-        score = dice(preds[0], gt_global)
+        with loader.lesion(entry) as (image, mask, instance):
+            plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
+            flags: set[str] = set()
+            placed = []  # (offset, VOI mask): the ground truth, then every prediction
+            for click in plan.all_clicks():
+                voi = crop_voi(image, mask, click, cfg)
+                if not placed:
+                    placed.append((voi.offset, isolate_central_lesion(
+                        voi.mask, voi.local_click, connectivity)))
+                result = segment(voi.image, voi.local_click, seg, strict=False)
+                if result.truncated:
+                    flags.add(FLAG_TRUNCATED)
+                if not result.mask.data.any():
+                    flags.add(FLAG_EMPTY_PREDICTION)
+                placed.append((voi.offset, result.mask))
+            lo, box = _score_box(image.dims, [o for o, _ in placed], cfg.size)
+        gt, *preds = [place_back(m, box, tuple(o - l for o, l in zip(offset, lo)))
+                      for offset, m in placed]
+        score = dice(preds[0], gt)
         robust = mean_pairwise_dice(preds) if len(preds) >= 2 else None
         return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=score,
                           robustness=robust, location=entry.location,
@@ -411,11 +512,13 @@ def run_dice_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(),
 
     Per lesion: crop at the lesion center, isolate the central lesion
     as ground truth, segment, place the prediction back, and score Dice
-    in the global frame. Failures yield flagged records.
+    over the VOI's part of the volume, the voxels the global frame
+    counts. Failures yield flagged records.
     """
     model = model_id or seg.model_id
+    loader = _ScanLoader(manifest.entries, connectivity)
     return _run(manifest.entries,
-                lambda e: _eval_one(e, seg, cfg, connectivity, model, None, 0),
+                lambda e: _eval_one(e, loader, seg, cfg, connectivity, model, None, 0),
                 workers)
 
 
@@ -427,12 +530,14 @@ def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOI
 
     Per lesion: one centroid click plus k sampled in-lesion clicks
     (default 2, giving three segmentations), predictions placed back
-    into the global frame, robustness = mean pairwise Dice among them.
-    The centered-click Dice is recorded alongside.
+    into the windows' part of the volume, robustness = mean pairwise
+    Dice among them: the scores of the global frame. The centered-click
+    Dice is recorded alongside.
     """
     model = model_id or seg.model_id
+    loader = _ScanLoader(manifest.entries, connectivity)
     return _run(manifest.entries,
-                lambda e: _eval_one(e, seg, cfg, connectivity, model, seed_root, k),
+                lambda e: _eval_one(e, loader, seg, cfg, connectivity, model, seed_root, k),
                 workers)
 
 

@@ -121,8 +121,9 @@ class Volume3D:
                 % (data.dtype, ", ".join(str(d) for d in _DTYPE_TO_CODE))
             )
         spacing = tuple(float(np.float32(s)) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise BadHeaderError("spacing must be three positive values, got %s" % (self.spacing,))
+        if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+            raise BadHeaderError("spacing must be three positive finite values, got %s"
+                                 % (self.spacing,))
         if self.kind is VolumeKind.BINARY_MASK:
             if not np.issubdtype(data.dtype, np.integer) or not bool(((data == 0) | (data == 1)).all()):
                 raise WrongKindError("binary mask must contain only integer {0, 1}")
@@ -130,7 +131,8 @@ class Volume3D:
             if not np.issubdtype(data.dtype, np.integer) or (data.size and int(data.min()) < 0):
                 raise WrongKindError("labeled mask must contain non-negative integers")
         if data.flags.writeable:
-            data = data.copy()  # callers keep their array mutable; ours is frozen
+            # callers keep their array mutable; ours is frozen, in the caller's layout
+            data = data.copy(order="K")
             data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)

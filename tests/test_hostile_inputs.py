@@ -195,7 +195,12 @@ def test_eval_survives_non_finite_vox_offset(tmp_path):
     lambda e: [dict(e, click=[1, 2, None])],
     lambda e: [dict(e, component_label=[1])],
     lambda e: 5,
-], ids=["string-entry", "int-click", "null-in-click", "list-component-label", "int-entries"])
+    lambda e: [dict(e, click="123")],
+    lambda e: [dict(e, click=[1.7, 2, 3])],
+    lambda e: [dict(e, component_label=1.7)],
+    lambda e: [dict(e, component_label=True)],
+], ids=["string-entry", "int-click", "null-in-click", "list-component-label", "int-entries",
+        "string-click", "float-in-click", "float-component-label", "bool-component-label"])
 def test_malformed_manifest_values_rejected(tmp_path, capsys, entries):
     path = make_manifest(tmp_path, 1)
     valid = json.loads(path.read_text())["entries"][0]
@@ -204,3 +209,14 @@ def test_malformed_manifest_values_rejected(tmp_path, capsys, entries):
         load_manifest(path)
     assert main(["validate", "--manifest", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_csv_integer_strings_still_load(tmp_path):
+    path = make_manifest(tmp_path, 1)
+    e = json.loads(path.read_text())["entries"][0]
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("lesion_id,patient_id,image_path,mask_path,component_label,"
+                        "click_x,click_y,click_z\n%s,%s,%s,%s,1,3,4,5\n"
+                        % (e["lesion_id"], e["patient_id"], e["image_path"], e["mask_path"]))
+    entry = load_manifest(csv_path).entries[0]
+    assert (entry.component_label, entry.click) == (1, (3, 4, 5))

@@ -1,11 +1,14 @@
 import json
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import ulsforge.pipeline as pl
 from adapters import COPY_MASK, EMPTY_MASK, WRONG_DIMS, write_adapter
-from synth import GROW_WINDOW, make_case, make_manifest
+from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, ball, make_case, make_manifest
 from ulsforge import (
     EvalRecord,
     GrowParams,
@@ -13,18 +16,27 @@ from ulsforge import (
     ManifestEntry,
     SegmenterRef,
     VOICfg,
+    Volume3D,
     aggregate_by_location,
+    build_click_plan,
     compare_models,
+    crop_voi,
+    dice,
     emit_report,
+    isolate_central_lesion,
     load_manifest,
+    mean_pairwise_dice,
+    place_back,
     read_records_csv,
     read_report,
     run_dice_eval,
     run_metadata,
     run_robustness_eval,
     save_manifest,
+    segment,
     split_patients,
     write_records_csv,
+    write_volume,
 )
 from ulsforge.errors import (
     AmbiguousLesionError,
@@ -306,6 +318,95 @@ def test_worker_env_cap(tmp_path, monkeypatch):
     assert pl._effective_workers(8) == 1
     monkeypatch.delenv("ULSFORGE_WORKERS")
     assert pl._effective_workers(3) == 3
+
+
+def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
+    shape = (48, 48, 32)
+    image = np.full(shape, BACKGROUND_HU, dtype=np.int16)
+    labels = np.zeros(shape, dtype=np.uint8)
+    for label, (center, radius) in enumerate([((12, 12, 8), 4), ((19, 12, 8), 3),
+                                              ((34, 34, 22), 4)], 1):  # labels 1 and 2 touch
+        blob = ball(shape, center, radius)
+        image[blob] = LESION_HU
+        labels[blob] = label
+    scan = (str(tmp_path / "labeled_image.nii.gz"), str(tmp_path / "labeled_mask.nii.gz"))
+    write_volume(Volume3D(image), scan[0])
+    write_volume(Volume3D(labels), scan[1])
+    single = tuple(str(p) for p in make_case(tmp_path, "single"))
+    broken = make_case(tmp_path, "broken")
+    raw = broken[0].read_bytes()
+    broken[0].write_bytes(raw[:len(raw) // 2])
+    broken = tuple(str(p) for p in broken)
+    cases = [
+        ("l-click", scan, {"click": (12, 12, 8)}, True),
+        ("l-label1", scan, {"component_label": 1}, True),
+        ("l-background", scan, {"click": (0, 0, 0)}, False),
+        ("l-label3", scan, {"component_label": 3}, True),
+        ("l-absent", scan, {"component_label": 7}, False),
+        ("l-ambiguous", scan, {}, False),
+        ("l-click3", scan, {"click": (34, 34, 22)}, True),
+        ("s-only", single, {}, True),
+        ("s-label", single, {"component_label": 1}, True),
+        ("t-a", broken, {"click": (24, 24, 16)}, False),
+        ("t-b", broken, {}, False),
+    ]
+    manifest = Manifest([ManifestEntry(lesion_id=lid, patient_id="p", image_path=paths[0],
+                                       mask_path=paths[1], **extra)
+                         for lid, paths, extra, _ in cases])
+    reads, labeled = Counter(), []
+    real_read, real_label = pl.read_volume, pl.label_components
+    monkeypatch.setattr(pl, "read_volume", lambda path: reads.update([path]) or real_read(path))
+    monkeypatch.setattr(pl, "label_components",
+                        lambda mask, c: labeled.append(mask.dims) or real_label(mask, c))
+    csv_bytes = []
+    interval = sys.getswitchinterval()
+    for workers in (1, 4):
+        reads.clear()
+        labeled.clear()
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                records = pool.submit(run_robustness_eval, manifest, BUILTIN, SMALL_CFG,
+                                      seed_root=3, workers=workers).result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        # the broken image is read again by each of its lesions, its mask never
+        assert reads == Counter({**{p: 1 for p in scan + single}, broken[0]: 2})
+        assert len(labeled) == 2  # one full-volume labeling per scan with a clicked entry
+        ok = {lid: good for lid, _, _, good in cases}
+        assert {r.lesion_id: pl.FLAG_ERROR not in r.flags for r in records} == ok
+        path = tmp_path / ("records_%d.csv" % workers)
+        write_records_csv(records, path)
+        csv_bytes.append(path.read_bytes())
+    assert csv_bytes[0] == csv_bytes[1]
+
+
+def test_voi_box_scores_equal_global_frame_scores(tmp_path):
+    # the window holds the -1024 pad, so every prediction covers padded voxels
+    seg = SegmenterRef.builtin(GrowParams(hu_window=(-1100, 200)))
+    centers = ((2, 3, 2), (45, 44, 30), (24, 1, 16))
+    img, msk = (str(p) for p in make_case(tmp_path, "edges", centers=centers))
+    entries = [ManifestEntry(lesion_id="e%d" % i, patient_id="p", image_path=img,
+                             mask_path=msk, click=c) for i, c in enumerate(centers)]
+
+    def global_frame(entry, seed_root, k):
+        image, mask, instance = pl.resolve_lesion(entry, 26)
+        preds = []
+        for click in build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks():
+            voi = crop_voi(image, mask, click, SMALL_CFG)
+            if not preds:
+                gt = place_back(isolate_central_lesion(voi.mask, voi.local_click, 26),
+                                image.dims, voi.offset)
+            pred = segment(voi.image, voi.local_click, seg, strict=False).mask
+            preds.append(place_back(pred, image.dims, voi.offset))
+        return dice(preds[0], gt), mean_pairwise_dice(preds) if k else None
+
+    runs = [(run_dice_eval(Manifest(entries), seg, SMALL_CFG), None, 0),
+            (run_robustness_eval(Manifest(entries), seg, SMALL_CFG, seed_root=5), 5, 2)]
+    for records, seed_root, k in runs:
+        assert all(not r.flags for r in records)
+        assert [(r.dice, r.robustness) for r in records] == \
+            [global_frame(e, seed_root, k) for e in entries]
 
 
 def test_multi_component_mask_needs_disambiguation(tmp_path):

@@ -154,13 +154,23 @@ def test_constructor_validation():
         Volume3D(np.full((2, 2, 2), -1, dtype=np.int32), kind=VolumeKind.LABELED_MASK)
 
 
-def test_volume_is_immutable_and_caller_array_untouched():
-    arr = np.zeros((3, 3, 3), dtype=np.int16)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_volume_is_immutable_and_caller_array_untouched(order):
+    arr = np.zeros((3, 4, 5), dtype=np.int16, order=order)
     vol = Volume3D(arr)
+    assert vol.data.strides == arr.strides  # the frozen copy keeps the caller's layout
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1
     arr[0, 0, 0] = 5  # caller's array stays writable
     assert vol.data[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "+inf", "-inf"])
+def test_non_finite_spacing_rejected(bad):
+    # every volume that constructs must survive its own write/read round trip
+    with pytest.raises(BadHeaderError):
+        Volume3D(np.zeros((2, 2, 2), dtype=np.int16), spacing=(bad, 1.0, 1.0))
 
 
 def test_spacing_stored_at_float32_precision():
