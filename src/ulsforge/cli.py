@@ -152,27 +152,28 @@ def _cmd_extract(args) -> int:
     cfg = VOICfg(size=args.voi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    index = []
-    plans = []
+    rows: dict[str, list[dict]] = {}
+    plans: dict[str, dict] = {}
     n_written = 0
-    loader = pipeline._ScanLoader(manifest.entries, args.connectivity)
-    for entry in manifest.entries:
+    loader = pipeline.ScanLoader(manifest.entries, args.connectivity)
+    for entry in loader.entries:
+        entry_rows = rows[entry.lesion_id] = []
         try:
-            with loader.lesion(entry) as (image, mask, instance):
-                samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
-                                                   k=max(0, args.augment),
-                                                   lesion_id=entry.lesion_id,
-                                                   connectivity=args.connectivity)
+            image, mask, instance = loader.lesion(entry)
+            samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
+                                               k=max(0, args.augment),
+                                               lesion_id=entry.lesion_id,
+                                               connectivity=args.connectivity)
             if args.augment > 0:
-                plans.append(build_click_plan(instance, args.seed, entry.lesion_id,
-                                              k=args.augment).to_record())
+                plans[entry.lesion_id] = build_click_plan(instance, args.seed, entry.lesion_id,
+                                                          k=args.augment).to_record()
             for i, sample in enumerate(samples):
                 stem = entry.lesion_id if i == 0 else "%s_aug%d" % (entry.lesion_id, i)
                 img_path = out / ("%s_img.nii.gz" % stem)
                 mask_path = out / ("%s_mask.nii.gz" % stem)
                 write_volume(sample.image, img_path)
                 write_volume(sample.mask, mask_path)
-                index.append({
+                entry_rows.append({
                     "lesion_id": entry.lesion_id,
                     "sample": "normal" if i == 0 else "aug%d" % i,
                     "click": list(sample.click.pos),
@@ -183,11 +184,13 @@ def _cmd_extract(args) -> int:
                 })
                 n_written += 1
         except (UlsforgeError, OSError) as e:
-            index.append({"lesion_id": entry.lesion_id,
-                          "error": " ".join(str(e).split())})
-    doc = {"samples": index}
+            entry_rows.append({"lesion_id": entry.lesion_id,
+                               "error": " ".join(str(e).split())})
+    # the index lists lesions in manifest order, whatever order the scans loaded in
+    order = [e.lesion_id for e in manifest.entries]
+    doc = {"samples": [row for lid in order for row in rows[lid]]}
     if plans:
-        doc["plans"] = plans
+        doc["plans"] = [plans[lid] for lid in order if lid in plans]
     (out / INDEX_NAME).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print("wrote %d VOI pairs for %d lesions -> %s"
           % (n_written, len(manifest.entries), out))

@@ -14,13 +14,13 @@ byte-identical across repeats and worker counts.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,8 +127,8 @@ class Manifest:
 
 
 def _int_field(value, lesion_id: str, name: str) -> int:
-    """An int, or an integer string (CSV cells); a bool or a float is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An int; a bool, a float or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ManifestParseError("entry %r: %s must be an integer, got %r"
                                  % (lesion_id, name, value))
     return int(value)
@@ -141,6 +141,8 @@ def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
     mask_path = str(rec["mask_path"])
     location = str(rec.get("location") or UNDEFINED_LOCATION).strip() or UNDEFINED_LOCATION
     comp = rec.get("component_label")
+    if isinstance(comp, str) and comp:
+        comp = int(comp)  # a CSV cell
     click = rec.get("click")
     if click not in (None, "") and (not isinstance(click, (list, tuple)) or len(click) != 3):
         raise ManifestParseError("entry %r: click must have 3 components, got %r"
@@ -336,7 +338,7 @@ class _Scan:
             return self.image, binary, _instance_from_voxels(entry.component_label, voxels)
         found = self.found[entry.lesion_id]
         if isinstance(found, UlsforgeError):
-            raise found
+            raise copy.copy(found)  # fresh: a traceback on the kept error would hold frames
         return self.image, self.binary, found
 
 
@@ -378,7 +380,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
         try:
             found[e.lesion_id] = _clicked_instance(e, labeled)
         except UlsforgeError as exc:
-            found[e.lesion_id] = exc
+            found[e.lesion_id] = exc.with_traceback(None)
     return _Scan(image, mask, binary, found)
 
 
@@ -394,13 +396,16 @@ def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, V
     return _load_scan([entry], connectivity).lesion(entry)
 
 
-class _ScanLoader:
+class ScanLoader:
     """Loads each (image, mask) pair of a run once, for all its lesions.
 
-    The first lesion of a scan to run loads it while the scan's other
-    lesions wait on its lock; the scan is dropped after its last lesion.
-    A load that fails is not kept, so every lesion of that scan retries
-    it and gets the same error.
+    ``entries`` lists the run's entries grouped by scan, scans in the
+    order they first appear; going through them in that order holds
+    about one scan per worker, however the manifest is sorted. The
+    first lesion of a scan to run loads it while the scan's other
+    lesions wait on its lock; the scan is dropped when its last lesion
+    takes it. A load that fails is not kept, so every lesion of that
+    scan retries it and gets the same error.
     """
 
     def __init__(self, entries: list[ManifestEntry], connectivity: int):
@@ -408,25 +413,22 @@ class _ScanLoader:
         self._groups: dict[tuple[str, str], list[ManifestEntry]] = {}
         for e in entries:
             self._groups.setdefault((e.image_path, e.mask_path), []).append(e)
+        self.entries = [e for group in self._groups.values() for e in group]
         self._left = {key: len(group) for key, group in self._groups.items()}
         self._locks = {key: threading.Lock() for key in self._groups}
         self._scans: dict[tuple[str, str], _Scan] = {}
 
-    @contextmanager
-    def lesion(self, entry: ManifestEntry):
+    def lesion(self, entry: ManifestEntry) -> tuple[Volume3D, Volume3D, LesionInstance]:
         """(image, binary mask, instance) of ``entry``, as resolve_lesion gives them."""
         key = (entry.image_path, entry.mask_path)
-        try:
-            with self._locks[key]:
-                if key not in self._scans:
-                    self._scans[key] = _load_scan(self._groups[key], self._connectivity)
-                scan = self._scans[key]
-            yield scan.lesion(entry)
-        finally:
-            with self._locks[key]:
-                self._left[key] -= 1
-                if not self._left[key]:
-                    self._scans.pop(key, None)
+        with self._locks[key]:
+            self._left[key] -= 1
+            scan = self._scans.pop(key, None)
+            if scan is None:
+                scan = _load_scan(self._groups[key], self._connectivity)
+            if self._left[key]:
+                self._scans[key] = scan
+        return scan.lesion(entry)
 
 
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
@@ -447,7 +449,7 @@ def _score_box(dims: tuple[int, int, int], offsets: list[tuple[int, int, int]],
     return lo, tuple(h - l for h, l in zip(hi, lo))
 
 
-def _eval_one(entry: ManifestEntry, loader: _ScanLoader, seg: SegmenterRef, cfg: VOICfg,
+def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: VOICfg,
               connectivity: int, model_id: str, seed_root: int | None, k: int) -> EvalRecord:
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
@@ -459,22 +461,22 @@ def _eval_one(entry: ManifestEntry, loader: _ScanLoader, seg: SegmenterRef, cfg:
     same voxels as in the global frame.
     """
     try:
-        with loader.lesion(entry) as (image, mask, instance):
-            plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
-            flags: set[str] = set()
-            placed = []  # (offset, VOI mask): the ground truth, then every prediction
-            for click in plan.all_clicks():
-                voi = crop_voi(image, mask, click, cfg)
-                if not placed:
-                    placed.append((voi.offset, isolate_central_lesion(
-                        voi.mask, voi.local_click, connectivity)))
-                result = segment(voi.image, voi.local_click, seg, strict=False)
-                if result.truncated:
-                    flags.add(FLAG_TRUNCATED)
-                if not result.mask.data.any():
-                    flags.add(FLAG_EMPTY_PREDICTION)
-                placed.append((voi.offset, result.mask))
-            lo, box = _score_box(image.dims, [o for o, _ in placed], cfg.size)
+        image, mask, instance = loader.lesion(entry)
+        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
+        flags: set[str] = set()
+        placed = []  # (offset, VOI mask): the ground truth, then every prediction
+        for click in plan.all_clicks():
+            voi = crop_voi(image, mask, click, cfg)
+            if not placed:
+                placed.append((voi.offset, isolate_central_lesion(
+                    voi.mask, voi.local_click, connectivity)))
+            result = segment(voi.image, voi.local_click, seg, strict=False)
+            if result.truncated:
+                flags.add(FLAG_TRUNCATED)
+            if not result.mask.data.any():
+                flags.add(FLAG_EMPTY_PREDICTION)
+            placed.append((voi.offset, result.mask))
+        lo, box = _score_box(image.dims, [o for o, _ in placed], cfg.size)
         gt, *preds = [place_back(m, box, tuple(o - l for o, l in zip(offset, lo)))
                       for offset, m in placed]
         score = dice(preds[0], gt)
@@ -516,8 +518,8 @@ def run_dice_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(),
     counts. Failures yield flagged records.
     """
     model = model_id or seg.model_id
-    loader = _ScanLoader(manifest.entries, connectivity)
-    return _run(manifest.entries,
+    loader = ScanLoader(manifest.entries, connectivity)
+    return _run(loader.entries,
                 lambda e: _eval_one(e, loader, seg, cfg, connectivity, model, None, 0),
                 workers)
 
@@ -535,8 +537,8 @@ def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOI
     Dice is recorded alongside.
     """
     model = model_id or seg.model_id
-    loader = _ScanLoader(manifest.entries, connectivity)
-    return _run(manifest.entries,
+    loader = ScanLoader(manifest.entries, connectivity)
+    return _run(loader.entries,
                 lambda e: _eval_one(e, loader, seg, cfg, connectivity, model, seed_root, k),
                 workers)
 

@@ -199,8 +199,10 @@ def test_eval_survives_non_finite_vox_offset(tmp_path):
     lambda e: [dict(e, click=[1.7, 2, 3])],
     lambda e: [dict(e, component_label=1.7)],
     lambda e: [dict(e, component_label=True)],
+    lambda e: [dict(e, click=["1", "2", "3"])],
 ], ids=["string-entry", "int-click", "null-in-click", "list-component-label", "int-entries",
-        "string-click", "float-in-click", "float-component-label", "bool-component-label"])
+        "string-click", "float-in-click", "float-component-label", "bool-component-label",
+        "strings-in-click"])
 def test_malformed_manifest_values_rejected(tmp_path, capsys, entries):
     path = make_manifest(tmp_path, 1)
     valid = json.loads(path.read_text())["entries"][0]

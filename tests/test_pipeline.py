@@ -1,5 +1,7 @@
+import gc
 import json
 import sys
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,6 +40,7 @@ from ulsforge import (
     write_records_csv,
     write_volume,
 )
+from ulsforge.cli import main
 from ulsforge.errors import (
     AmbiguousLesionError,
     ClickNotOnMaskError,
@@ -379,6 +382,50 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
         write_records_csv(records, path)
         csv_bytes.append(path.read_bytes())
     assert csv_bytes[0] == csv_bytes[1]
+
+
+def test_interleaved_manifest_holds_about_one_scan_per_worker(tmp_path, monkeypatch):
+    # six scans of three lesions each, listed round-robin: no two lesions of a scan are adjacent
+    centers = ((10, 10, 8), (30, 30, 20))
+    scans = [tuple(str(p) for p in make_case(tmp_path, "s%d" % s, centers=centers))
+             for s in range(6)]
+    entries = [ManifestEntry(lesion_id="s%d-%d" % (s, i), patient_id="p", image_path=img,
+                             mask_path=msk, click=click)
+               for i, click in enumerate(centers + ((0, 0, 0),))  # a background click fails
+               for s, (img, msk) in enumerate(scans)]
+    images = {img for img, _ in scans}
+    held, peak = [], []  # weak references to every image read; live images after each read
+    real_read = pl.read_volume
+
+    def read(path):
+        vol = real_read(path)
+        if path in images:
+            held.append(weakref.ref(vol.data))
+            peak.append(sum(ref() is not None for ref in held))
+        return vol
+
+    monkeypatch.setattr(pl, "read_volume", read)
+    manifest_path = tmp_path / "interleaved.json"
+    save_manifest(Manifest(entries), manifest_path)
+    gc.disable()  # a scan must be freed by reference counting, not by a later collection
+    try:
+        for workers in (1, 3):
+            held.clear()
+            peak.clear()
+            records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=1,
+                                          workers=workers)
+            assert len(peak) == len(scans) and max(peak) <= workers + 1
+            assert sum(pl.FLAG_ERROR in r.flags for r in records) == len(scans)
+        held.clear()
+        peak.clear()
+        out = tmp_path / "voi"
+        assert main(["extract", "--manifest", str(manifest_path), "--voi", "32x32x16",
+                     "--out", str(out)]) == 0
+        assert len(peak) == len(scans) and max(peak) <= 2
+    finally:
+        gc.enable()
+    index = json.loads((out / "index.json").read_text())
+    assert [row["lesion_id"] for row in index["samples"]] == [e.lesion_id for e in entries]
 
 
 def test_voi_box_scores_equal_global_frame_scores(tmp_path):
