@@ -14,7 +14,6 @@ byte-identical across repeats and worker counts.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
@@ -316,34 +315,32 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 class _Scan:
     """One image/mask pair as loaded for the manifest entries that share it.
 
-    ``binary`` holds every labeled voxel and ``found`` maps each entry
-    without a component_label to its instance or its resolve error; both
-    exist only if the scan has such an entry. The labeled volume they
-    come from is not kept.
+    A lesion is the voxels of one value in one label map: the mask and the
+    entry's component_label, or ``labeled`` (kept only if some entry has no
+    component_label) and the id of the clicked or single component.
     """
 
     image: Volume3D
     mask: Volume3D
-    binary: Volume3D | None
-    found: dict[str, LesionInstance | UlsforgeError]
+    labeled: Volume3D | None
 
     def lesion(self, entry: ManifestEntry) -> tuple[Volume3D, Volume3D, LesionInstance]:
         if entry.component_label is not None:
-            selected = self.mask.data == entry.component_label
-            voxels = np.argwhere(selected)
-            if voxels.shape[0] == 0:
-                raise EmptyInstanceError("component_label %d not present in %s"
-                                         % (entry.component_label, entry.mask_path))
-            binary = self.mask.with_data(selected.astype(np.uint8), VolumeKind.BINARY_MASK)
-            return self.image, binary, _instance_from_voxels(entry.component_label, voxels)
-        found = self.found[entry.lesion_id]
-        if isinstance(found, UlsforgeError):
-            raise copy.copy(found)  # fresh: a traceback on the kept error would hold frames
-        return self.image, self.binary, found
+            labels, value = self.mask, entry.component_label
+        else:
+            labels, value = self.labeled, _clicked_component(entry, self.labeled)
+        selected = labels.data == value
+        selected.setflags(write=False)  # read-only: with_data keeps it without a copy
+        voxels = np.argwhere(selected)
+        if voxels.shape[0] == 0:
+            raise EmptyInstanceError("component_label %d not present in %s"
+                                     % (value, entry.mask_path))
+        binary = self.mask.with_data(selected.view(np.uint8), VolumeKind.BINARY_MASK)
+        return self.image, binary, _instance_from_voxels(value, voxels)
 
 
-def _clicked_instance(entry: ManifestEntry, labeled: Volume3D) -> LesionInstance:
-    """The component holding the entry's click, else the mask's single one."""
+def _clicked_component(entry: ManifestEntry, labeled: Volume3D) -> int:
+    """The id of the component holding the entry's click, else of the mask's single one."""
     if entry.click is not None:
         if any(c < 0 or c >= n for c, n in zip(entry.click, labeled.dims)):
             raise ClickOutOfVolumeError("recorded click %s outside volume dims %s"
@@ -352,16 +349,15 @@ def _clicked_instance(entry: ManifestEntry, labeled: Volume3D) -> LesionInstance
         if comp_id == 0:
             raise ClickNotOnMaskError("recorded click %s is background in %s"
                                       % (entry.click, entry.mask_path))
-    else:
-        n_comp = int(labeled.data.max())
-        if n_comp == 0:
-            raise EmptyInstanceError("mask %s is empty" % entry.mask_path)
-        if n_comp > 1:
-            raise AmbiguousLesionError(
-                "mask %s has %d components; set component_label or click to disambiguate"
-                % (entry.mask_path, n_comp))
-        comp_id = 1
-    return _instance_from_voxels(comp_id, np.argwhere(labeled.data == comp_id))
+        return comp_id
+    n_comp = int(labeled.data.max())
+    if n_comp == 0:
+        raise EmptyInstanceError("mask %s is empty" % entry.mask_path)
+    if n_comp > 1:
+        raise AmbiguousLesionError(
+            "mask %s has %d components; set component_label or click to disambiguate"
+            % (entry.mask_path, n_comp))
+    return 1
 
 
 def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
@@ -370,28 +366,19 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
     mask = read_volume(entries[0].mask_path)
     if image.dims != mask.dims:
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
-    clicked = [e for e in entries if e.component_label is None]
-    if not clicked:
-        return _Scan(image, mask, None, {})
-    binary = mask.as_binary_mask()
-    labeled = label_components(binary, connectivity)
-    found: dict[str, LesionInstance | UlsforgeError] = {}
-    for e in clicked:
-        try:
-            found[e.lesion_id] = _clicked_instance(e, labeled)
-        except UlsforgeError as exc:
-            found[e.lesion_id] = exc.with_traceback(None)
-    return _Scan(image, mask, binary, found)
+    labeled = None
+    if any(e.component_label is None for e in entries):
+        labeled = label_components(mask.as_binary_mask(), connectivity)
+    return _Scan(image, mask, labeled)
 
 
 def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
     """Load one entry's volumes and identify its lesion instance.
 
-    Returns (image, binary mask, instance). With a component_label the
-    binary mask holds that label's voxels only, so a touching lesion with
-    another label never joins it; the instance is that label. Otherwise
-    the mask holds every labeled voxel and the instance is the component
-    containing the entry's recorded click, else the mask's single one.
+    Returns (image, binary mask, instance); the mask holds the lesion's own
+    voxels. With a component_label the lesion is that label, so a touching
+    lesion with another label never joins it. Otherwise it is the component
+    holding the entry's recorded click, else the mask's single one.
     """
     return _load_scan([entry], connectivity).lesion(entry)
 
