@@ -468,6 +468,8 @@ def test_multi_component_mask_needs_disambiguation(tmp_path):
                              mask_path=str(msk), click=(10, 10, 10))]
     records = run_dice_eval(Manifest(entries), BUILTIN, SMALL_CFG)
     assert records[0].dice == 1.0
+    _, mask, instance = pl.resolve_lesion(entries[0], 26)
+    assert int(mask.data.sum()) == instance.size_vox
 
 
 def test_component_label_selects_lesion(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import component_voxel_sets, window_indicator
 from ulsforge import (
@@ -9,6 +11,7 @@ from ulsforge import (
     VolumeKind,
     crop_voi,
     isolate_central_lesion,
+    label_components,
     place_back,
 )
 from ulsforge.errors import (
@@ -16,6 +19,8 @@ from ulsforge.errors import (
     ClickOutOfVolumeError,
     DimsMismatchError,
 )
+from ulsforge.lesions import CONNECTIVITIES
+from ulsforge.voi import _overlap
 
 
 def binary(arr):
@@ -130,6 +135,36 @@ def test_isolate_background_click():
     assert not out.data.any()
     with pytest.raises(ClickOutOfVolumeError):
         isolate_central_lesion(vol, (4, 0, 0))
+
+
+def _window(mask, offset, size):
+    out = np.zeros(size, dtype=np.uint8)
+    glob, local = _overlap(mask.shape, offset, size)
+    out[local] = mask[glob]
+    return binary(out)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.tuples(*[st.integers(1, 12)] * 3),
+       seed=st.integers(0, 2 ** 16), fill=st.sampled_from([0.15, 0.3, 0.5, 0.7]),
+       connectivity=st.sampled_from(CONNECTIVITIES))
+def test_isolating_in_the_whole_mask_equals_isolating_in_the_clicked_component(
+        data, shape, seed, fill, connectivity):
+    """A component is maximal in the volume, so the click's piece of any
+    window holds no voxel of another component: cropping the whole mask or
+    only the clicked component isolates the same voxels."""
+    mask = (np.random.default_rng(seed).random(shape) < fill).astype(np.uint8)
+    mask[tuple(n // 2 for n in shape)] = 1
+    voxels = np.argwhere(mask)
+    click = tuple(int(v) for v in voxels[data.draw(st.integers(0, len(voxels) - 1))])
+    size = data.draw(st.tuples(*[st.integers(1, 7).map(lambda n: 2 * n)] * 3))
+    local = tuple(data.draw(st.integers(0, s - 1)) for s in size)
+    offset = tuple(c - l for c, l in zip(click, local))  # may start or end outside
+    labeled = label_components(binary(mask), connectivity).data
+    own = (labeled == labeled[click]).astype(np.uint8)
+    whole = isolate_central_lesion(_window(mask, offset, size), local, connectivity)
+    alone = isolate_central_lesion(_window(own, offset, size), local, connectivity)
+    assert whole == alone
 
 
 def test_place_back_restores_window_content():
