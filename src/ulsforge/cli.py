@@ -155,11 +155,19 @@ def _cmd_extract(args) -> int:
     rows: dict[str, list[dict]] = {}
     plans: dict[str, dict] = {}
     n_written = 0
+    written: set[str] = set()  # file stems, so no lesion overwrites another's files
     loader = pipeline.ScanLoader(manifest.entries, args.connectivity)
     for entry in loader.entries:
         entry_rows = rows[entry.lesion_id] = []
         try:
             image, mask, instance = loader.lesion(entry)
+            stems = [entry.lesion_id] + ["%s_aug%d" % (entry.lesion_id, i)
+                                         for i in range(1, args.augment + 1)]
+            if Path(entry.lesion_id).name != entry.lesion_id:
+                raise UlsforgeError("lesion id %r is not a plain file name" % entry.lesion_id)
+            if written.intersection(stems):
+                raise UlsforgeError("lesion %r would overwrite files written in this run"
+                                    % entry.lesion_id)
             samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
                                                k=max(0, args.augment),
                                                lesion_id=entry.lesion_id,
@@ -167,8 +175,8 @@ def _cmd_extract(args) -> int:
             if args.augment > 0:
                 plans[entry.lesion_id] = build_click_plan(instance, args.seed, entry.lesion_id,
                                                           k=args.augment).to_record()
-            for i, sample in enumerate(samples):
-                stem = entry.lesion_id if i == 0 else "%s_aug%d" % (entry.lesion_id, i)
+            written.update(stems)
+            for i, (stem, sample) in enumerate(zip(stems, samples)):
                 img_path = out / ("%s_img.nii.gz" % stem)
                 mask_path = out / ("%s_mask.nii.gz" % stem)
                 write_volume(sample.image, img_path)

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
-from ulsforge import load_manifest, read_records_csv, read_report, read_volume
+from ulsforge import cli, load_manifest, read_records_csv, read_report, read_volume
 from ulsforge.cli import main
 
 GROW_ARGS = ["--segmenter", "builtin", "--hu-window", "50:150"]
@@ -75,6 +76,35 @@ def test_extract_with_augmentation(tmp_path):
     # the recorded plan matches the clicks the samples were cropped at
     sample_clicks = [s["click"] for s in index["samples"] if s["lesion_id"] == "les000"]
     assert sample_clicks == [plans["les000"]["normal"], *plans["les000"]["augmented"]]
+
+
+def test_extract_writes_only_inside_out_and_each_file_once(tmp_path, monkeypatch):
+    cases = tmp_path / "cases"
+    path = make_manifest(cases, 4)
+    doc = json.loads(path.read_text())
+    (tmp_path / "abs").mkdir()
+    ids = ["../escaped", str(tmp_path / "abs" / "x"), "a", "a_aug1"]
+    for entry, lesion_id in zip(doc["entries"], ids):
+        entry["lesion_id"] = lesion_id
+    path.write_text(json.dumps(doc))
+    written = []
+    real_write = cli.write_volume
+    monkeypatch.setattr(cli, "write_volume",
+                        lambda vol, p: (written.append(Path(p)), real_write(vol, p)))
+    before = set(tmp_path.rglob("*"))
+    out = tmp_path / "run" / "vois"
+    assert main(["extract", "--manifest", str(path), "--voi", "16x16x8",
+                 "--out", str(out), "--augment", "1"]) == 0
+    assert all(p.parent == out for p in set(tmp_path.rglob("*")) - before - {out, out.parent})
+    assert sorted(p.name for p in written) == sorted({p.name for p in written})
+    assert sorted(p.name for p in out.glob("*.nii.gz")) == [
+        "a_aug1_img.nii.gz", "a_aug1_mask.nii.gz", "a_img.nii.gz", "a_mask.nii.gz"]
+    index = json.loads((out / "index.json").read_text())
+    errors = {r["lesion_id"]: r["error"] for r in index["samples"] if "error" in r}
+    assert set(errors) == {"../escaped", ids[1], "a_aug1"}
+    assert "not a plain file name" in errors["../escaped"]
+    assert "would overwrite" in errors["a_aug1"]
+    assert [p["lesion_id"] for p in index["plans"]] == ["a"]
 
 
 def test_eval_and_report(tmp_path, capsys):
