@@ -176,10 +176,9 @@ def load_manifest(path: str | Path) -> Manifest:
             records = []
             for row in rows:
                 rec = {k: v for k, v in row.items() if v not in (None, "")}
-                cx, cy, cz = (rec.pop("click_x", None), rec.pop("click_y", None),
-                              rec.pop("click_z", None))
-                if cx is not None and cy is not None and cz is not None:
-                    rec["click"] = (int(cx), int(cy), int(cz))
+                click = [rec.pop(k, None) for k in ("click_x", "click_y", "click_z")]
+                if click != [None] * 3:  # a missing component fails in _entry_from_record
+                    rec["click"] = [c if c is None else int(c) for c in click]
                 records.append(rec)
         else:
             with open(path, encoding="utf-8") as f:

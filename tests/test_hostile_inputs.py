@@ -222,3 +222,14 @@ def test_csv_integer_strings_still_load(tmp_path):
                         % (e["lesion_id"], e["patient_id"], e["image_path"], e["mask_path"]))
     entry = load_manifest(csv_path).entries[0]
     assert (entry.component_label, entry.click) == (1, (3, 4, 5))
+
+
+def test_csv_partial_click_rejected(tmp_path):
+    path = make_manifest(tmp_path, 1)
+    e = json.loads(path.read_text())["entries"][0]
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("lesion_id,patient_id,image_path,mask_path,click_x,click_y,click_z\n"
+                        "%s,%s,%s,%s,3,4,\n"
+                        % (e["lesion_id"], e["patient_id"], e["image_path"], e["mask_path"]))
+    with pytest.raises(ManifestParseError, match=e["lesion_id"]):
+        load_manifest(csv_path)
