@@ -38,6 +38,12 @@ def _parse_voi(text: str) -> tuple[int, int, int]:
     return parts
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _parse_segmenter(text: str, hu_window: str | None, timeout_s: float) -> SegmenterRef:
     if text == "builtin":
         params = GrowParams()
@@ -91,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voi", type=_parse_voi, default=(128, 128, 64))
     p.add_argument("--connectivity", type=int, default=26, choices=CONNECTIVITIES)
     p.add_argument("--out", required=True)
-    p.add_argument("--augment", type=int, default=0,
+    p.add_argument("--augment", type=_count, default=0,
                    help="additional sampled-click VOIs per lesion")
     p.add_argument("--seed", type=int, default=0)
 
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_args(p)
     _add_segmenter_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=2, help="sampled clicks per lesion")
+    p.add_argument("--k", type=_count, default=2, help="sampled clicks per lesion")
 
     p = subs.add_parser("compare", help="paired t-tests between two runs")
     p.add_argument("--run-a", required=True)
@@ -169,7 +175,7 @@ def _cmd_extract(args) -> int:
                 raise UlsforgeError("lesion %r would overwrite files written in this run"
                                     % entry.lesion_id)
             samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
-                                               k=max(0, args.augment),
+                                               k=args.augment,
                                                lesion_id=entry.lesion_id,
                                                connectivity=args.connectivity)
             if args.augment > 0:

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
-from ulsforge import cli, load_manifest, read_records_csv, read_report, read_volume
+from ulsforge import cli, load_manifest, pipeline, read_records_csv, read_report, read_volume
 from ulsforge.cli import main
 
 GROW_ARGS = ["--segmenter", "builtin", "--hu-window", "50:150"]
@@ -105,6 +107,22 @@ def test_extract_writes_only_inside_out_and_each_file_once(tmp_path, monkeypatch
     assert "not a plain file name" in errors["../escaped"]
     assert "would overwrite" in errors["a_aug1"]
     assert [p["lesion_id"] for p in index["plans"]] == ["a"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["robustness", "--segmenter", "builtin", "--k", "-1"],
+    ["extract", "--augment", "-2"],
+    ["extract", "--augment", "two"],
+])
+def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv):
+    path = make_manifest(tmp_path, 1)
+    monkeypatch.setattr(pipeline, "read_volume", lambda p: pytest.fail("read %s" % p))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--manifest", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_and_report(tmp_path, capsys):
