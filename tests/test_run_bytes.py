@@ -1,4 +1,4 @@
-"""Pin the bytes of `eval`, `robustness` and `extract` outputs.
+"""Pin the bytes of every command's outputs.
 
 One fixture, built in tmp_path, holds every kind of manifest entry the
 loader resolves, interleaved across scans: clicked lesions on a binary
@@ -9,9 +9,15 @@ int16 (negative label) masks addressed by component_label, and failing
 entries sharing scans with good ones. Each command's output directory
 and stdout are digested with `.nii.gz` files decompressed and tmp_path
 replaced by a fixed token, and compared with recorded digests.
+
+`report`, `compare`, `split` and `validate` run on the same fixture:
+reports and comparisons read run directories written by `eval` and
+`robustness`, and `split` and `validate` read the JSON manifest and a CSV
+copy of it with `click_x/y/z` and `component_label` columns.
 """
 
 import contextlib
+import csv
 import gzip
 import hashlib
 import io
@@ -161,3 +167,88 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_bytes_are_pinned(digests, name):
     assert digests[name] == EXPECTED[name]
+
+
+RUNS = {  # run directories the read-side commands read
+    "eval": ["eval", *FLOOD],
+    "eval_grow": ["eval", *GROW],
+    "rob2": ["robustness", *GROW, "--k", "2", "--seed", "3"],
+    "rob2_seed4": ["robustness", *GROW, "--k", "2", "--seed", "4"],
+}
+
+READ_COMMANDS = {  # "{name}" is a run directory, a manifest, or this command's --out
+    "report-eval-csv": ["report", "--run", "{eval}", "--format", "csv",
+                        "--out", "{out}/agg.csv"],
+    "report-eval-json": ["report", "--run", "{eval}", "--format", "json",
+                         "--out", "{out}/agg.json"],
+    "report-rob2-csv": ["report", "--run", "{rob2}", "--format", "csv",
+                        "--out", "{out}/agg.csv"],
+    "report-rob2-json": ["report", "--run", "{rob2}", "--by", "location", "--format", "json",
+                         "--out", "{out}/agg.json"],
+    "compare-dice": ["compare", "--run-a", "{eval}", "--run-b", "{eval_grow}",
+                     "--out", "{out}/compare.json"],
+    "compare-dice-m": ["compare", "--run-a", "{eval}", "--run-b", "{eval_grow}",
+                       "--bonferroni-m", "5", "--alpha", "0.2", "--out", "{out}/compare.json"],
+    "compare-seeds-m": ["compare", "--run-a", "{rob2}", "--run-b", "{rob2_seed4}",
+                        "--bonferroni-m", "3", "--alpha", "0.5", "--out", "{out}/compare.json"],
+    "split-json": ["split", "--manifest", "{json}",
+                   "--out-train", "{out}/train.json", "--out-test", "{out}/test.json"],
+    "split-csv": ["split", "--manifest", "{csv}", "--test-fraction", "0.5", "--seed", "2",
+                  "--out-train", "{out}/train.json", "--out-test", "{out}/test.json"],
+    "validate-json": ["validate", "--manifest", "{json}"],
+    "validate-csv": ["validate", "--manifest", "{csv}"],
+}
+
+READ_EXPECTED = {
+    "report-eval-csv": "b4e91362dd5f8749",
+    "report-eval-json": "d4c0a5601f723eff",
+    "report-rob2-csv": "c9deaa86f353ed2b",
+    "report-rob2-json": "ab8c054a20af3745",
+    "compare-dice": "53c9c3978dae72b4",
+    "compare-dice-m": "0c44f5ef351206ae",
+    "compare-seeds-m": "4a51f4c061863721",
+    "split-json": "bbcd5ac76f9c7131",
+    "split-csv": "a7bfe8a3e99e65a5",
+    "validate-json": "acf83c57f5045514",
+    "validate-csv": "acf83c57f5045514",
+}
+
+
+def _csv_copy(manifest):
+    """The JSON manifest as CSV, clicks split into click_x/y/z columns."""
+    columns = ["lesion_id", "patient_id", "dataset", "location", "image_path", "mask_path",
+               "component_label", "click_x", "click_y", "click_z"]
+    path = manifest.with_suffix(".csv")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, columns, lineterminator="\n")
+        writer.writeheader()
+        for entry in json.loads(manifest.read_text())["entries"]:
+            click = entry.pop("click", None) or ["", "", ""]
+            writer.writerow(dict(entry, click_x=click[0], click_y=click[1], click_z=click[2]))
+    return path
+
+
+@pytest.fixture(scope="module")
+def read_digests(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("read_bytes")
+    manifest = _fixture(tmp_path)
+    paths = {"json": str(manifest), "csv": str(_csv_copy(manifest))}
+    for name, argv in RUNS.items():
+        paths[name] = str(tmp_path / name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--manifest", str(manifest), *VOI, "--workers", "1",
+                         "--out", paths[name]]) == 0
+    found = {}
+    for name, argv in READ_COMMANDS.items():
+        out = tmp_path / name
+        out.mkdir()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([a.format(out=out, **paths) for a in argv]) == 0
+        found[name] = _digest(out, stdout.getvalue(), tmp_path)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(READ_COMMANDS))
+def test_read_command_bytes_are_pinned(read_digests, name):
+    assert read_digests[name] == READ_EXPECTED[name]
