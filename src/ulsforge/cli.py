@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import pipeline
@@ -263,7 +264,7 @@ def _cmd_compare(args) -> int:
             "bonferroni_m": m if m is not None else max(1, len(results)),
             "pairing": "per-lesion within dataset",
         },
-        "comparisons": [pipeline._test_result_record(t) for t in results],
+        "comparisons": [asdict(t) for t in results],
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

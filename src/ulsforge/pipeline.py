@@ -20,7 +20,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,31 +65,21 @@ FLAG_ERROR = "error"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ManifestEntry:
+    """One manifest lesion; field order is the saved manifest's key order."""
+
     lesion_id: str
     patient_id: str
-    image_path: str
-    mask_path: str
     dataset: str = "default"
     location: str = UNDEFINED_LOCATION
+    image_path: str
+    mask_path: str
     component_label: int | None = None
     click: tuple[int, int, int] | None = None
 
     def to_record(self) -> dict:
-        rec = {
-            "lesion_id": self.lesion_id,
-            "patient_id": self.patient_id,
-            "dataset": self.dataset,
-            "location": self.location,
-            "image_path": self.image_path,
-            "mask_path": self.mask_path,
-        }
-        if self.component_label is not None:
-            rec["component_label"] = self.component_label
-        if self.click is not None:
-            rec["click"] = list(self.click)
-        return rec
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -232,30 +222,24 @@ def split_patients(manifest: Manifest, test_fraction: float = DEFAULT_TEST_FRACT
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalRecord:
+    """One lesion's scores; field order is the records.csv column order."""
+
     lesion_id: str
     model_id: str
+    dataset: str = "default"
+    location: str = UNDEFINED_LOCATION
     dice: float
     robustness: float | None = None
-    location: str = UNDEFINED_LOCATION
-    dataset: str = "default"
     flags: frozenset[str] = frozenset()
     seed_root: int | None = None
     error: str | None = None
 
-    def to_row(self) -> list[str]:
-        return [
-            self.lesion_id,
-            self.model_id,
-            self.dataset,
-            self.location,
-            repr(float(self.dice)),
-            "" if self.robustness is None else repr(float(self.robustness)),
-            ";".join(sorted(self.flags)),
-            "" if self.seed_root is None else str(self.seed_root),
-            self.error or "",
-        ]
+    def to_row(self) -> list:
+        """The records.csv cells: flags joined by ';', None as an empty cell."""
+        rec = dict(self.to_record(), flags=";".join(sorted(self.flags)))
+        return ["" if v is None else v for v in rec.values()]
 
     @classmethod
     def from_row(cls, row: dict) -> EvalRecord:
@@ -272,21 +256,10 @@ class EvalRecord:
         )
 
     def to_record(self) -> dict:
-        return {
-            "lesion_id": self.lesion_id,
-            "model_id": self.model_id,
-            "dataset": self.dataset,
-            "location": self.location,
-            "dice": self.dice,
-            "robustness": self.robustness,
-            "flags": sorted(self.flags),
-            "seed_root": self.seed_root,
-            "error": self.error,
-        }
+        return dict(asdict(self), flags=sorted(self.flags))
 
 
-CSV_COLUMN_ORDER = ("lesion_id", "model_id", "dataset", "location",
-                    "dice", "robustness", "flags", "seed_root", "error")
+CSV_COLUMN_ORDER = tuple(f.name for f in fields(EvalRecord))
 
 
 def write_records_csv(records: list[EvalRecord], path: str | Path) -> None:
@@ -662,12 +635,7 @@ def compare_models(a: list[EvalRecord], b: list[EvalRecord],
             x = [p[0] for p in pairs]
             y = [p[1] for p in pairs]
             try:
-                result = paired_ttest(x, y)
-                result = TestResult(t_stat=result.t_stat, df=result.df,
-                                    p_two_tailed=result.p_two_tailed,
-                                    p_adjusted=result.p_adjusted,
-                                    n_pairs=result.n_pairs,
-                                    comparison_id=comparison_id)
+                result = replace(paired_ttest(x, y), comparison_id=comparison_id)
             except (ZeroVarianceError, TooFewPairsError):
                 result = degenerate_result(len(pairs), comparison_id)
             raw.append(result)
@@ -698,14 +666,6 @@ def run_metadata(seg: SegmenterRef, cfg: VOICfg, connectivity: int,
     }
 
 
-def _test_result_record(t: TestResult) -> dict:
-    return {
-        "comparison_id": t.comparison_id, "n_pairs": t.n_pairs, "t_stat": t.t_stat,
-        "df": t.df, "p_two_tailed": t.p_two_tailed, "p_adjusted": t.p_adjusted,
-        "significant": t.significant, "degenerate": t.degenerate,
-    }
-
-
 def _write_table(writer, rows: list[dict]) -> None:
     """Header from the first record's keys, then every record's values (None -> "")."""
     if rows:
@@ -726,7 +686,7 @@ def emit_report(report: StratifiedReport, format: str, path: str | Path) -> None
             "metadata": report.metadata,
             "groups": [g.to_record() for g in report.groups],
             "summary": [s.to_record() for s in report.summary],
-            "comparisons": [_test_result_record(t) for t in report.comparisons],
+            "comparisons": [asdict(t) for t in report.comparisons],
             "records": [r.to_record() for r in report.records],
         }
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -741,7 +701,7 @@ def emit_report(report: StratifiedReport, format: str, path: str | Path) -> None
                 _write_table(writer, [s.to_record() for s in report.summary])
             if report.comparisons:
                 f.write("# comparisons\n")
-                _write_table(writer, [_test_result_record(t) for t in report.comparisons])
+                _write_table(writer, [asdict(t) for t in report.comparisons])
     else:
         raise ValueError("format must be 'csv' or 'json', got %r" % format)
     if report.records:

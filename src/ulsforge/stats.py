@@ -12,21 +12,21 @@ from scipy import special
 from .errors import LengthMismatchError, TooFewPairsError, ZeroVarianceError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TestResult:
-    """Outcome of one paired comparison.
+    """Outcome of one paired comparison; field order is the reports' key order.
 
     Degenerate comparisons (all differences equal) carry None p values:
     the t statistic is undefined there and is never silently reported
     as p = 0.
     """
 
+    comparison_id: str = ""
+    n_pairs: int
     t_stat: float | None
     df: int
     p_two_tailed: float | None
     p_adjusted: float | None
-    n_pairs: int
-    comparison_id: str = ""
     significant: bool = False
     degenerate: bool = False
 
