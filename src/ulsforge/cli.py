@@ -213,11 +213,11 @@ def _cmd_extract(args) -> int:
 
 
 def _write_run(records, metadata, out_dir: str) -> None:
+    report = pipeline.aggregate_by_location(records, metadata)  # fails before any file is written
+    report.records = []  # records live in records.csv, not the aggregate
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_records_csv(records, out / RECORDS_NAME)
-    report = pipeline.aggregate_by_location(records, metadata)
-    report.records = []  # records live in records.csv, not the aggregate
     pipeline.emit_report(report, "json", out / REPORT_NAME)
 
 

@@ -125,6 +125,17 @@ def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["eval"], ["robustness", "--k", "1"]])
+def test_empty_manifest_writes_no_run_directory(tmp_path, capsys, command):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": []}))
+    out = tmp_path / "run"
+    rc = main([*command, "--segmenter", "builtin", "--manifest", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "no records to aggregate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_and_report(tmp_path, capsys):
     path = make_manifest(tmp_path, 3)
     run_dir = tmp_path / "run"
