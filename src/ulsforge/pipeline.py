@@ -88,7 +88,9 @@ class Manifest:
 
     def __post_init__(self):
         seen = set()
-        for e in self.entries:
+        for i, e in enumerate(self.entries):
+            if not e.lesion_id:
+                raise ManifestParseError("entry %d has empty lesion_id" % i)
             if e.lesion_id in seen:
                 raise DuplicateLesionIdError("duplicate lesion_id %r" % e.lesion_id)
             seen.add(e.lesion_id)
@@ -123,12 +125,26 @@ def _int_field(value, lesion_id: str, name: str) -> int:
     return int(value)
 
 
+def _text_field(rec: dict, name: str, absent: str | None = None) -> str:
+    """A string; an integer is taken as its decimal text, as a CSV cell holds it.
+
+    With ``absent``, a missing, null or empty field reads as ``absent``;
+    without it the field is required.
+    """
+    value = rec[name] if absent is None else rec.get(name)
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = str(value)
+    if absent is not None and value in (None, ""):
+        return absent
+    if not isinstance(value, str):
+        raise TypeError("%s must be a string, got %r" % (name, value))
+    return value
+
+
 def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
-    lesion_id = str(rec["lesion_id"])
-    patient_id = str(rec["patient_id"])
-    image_path = str(rec["image_path"])
-    mask_path = str(rec["mask_path"])
-    location = str(rec.get("location") or UNDEFINED_LOCATION).strip() or UNDEFINED_LOCATION
+    lesion_id, patient_id, image_path, mask_path = (
+        _text_field(rec, name) for name in ("lesion_id", "patient_id", "image_path", "mask_path"))
+    location = _text_field(rec, "location", UNDEFINED_LOCATION).strip() or UNDEFINED_LOCATION
     comp = rec.get("component_label")
     if isinstance(comp, str) and comp:
         comp = int(comp)  # a CSV cell
@@ -141,7 +157,7 @@ def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
         patient_id=patient_id,
         image_path=str((base / image_path)) if not os.path.isabs(image_path) else image_path,
         mask_path=str((base / mask_path)) if not os.path.isabs(mask_path) else mask_path,
-        dataset=str(rec.get("dataset") or "default"),
+        dataset=_text_field(rec, "dataset", "default"),
         location=location,
         component_label=None if comp in (None, "") else _int_field(comp, lesion_id,
                                                                    "component_label"),

@@ -200,9 +200,24 @@ def test_eval_survives_non_finite_vox_offset(tmp_path):
     lambda e: [dict(e, component_label=1.7)],
     lambda e: [dict(e, component_label=True)],
     lambda e: [dict(e, click=["1", "2", "3"])],
+    lambda e: [dict(e, lesion_id=None)],
+    lambda e: [dict(e, lesion_id=True)],
+    lambda e: [dict(e, lesion_id=[1])],
+    lambda e: [dict(e, lesion_id="")],
+    lambda e: [dict(e, patient_id=None)],
+    lambda e: [dict(e, patient_id=False)],
+    lambda e: [dict(e, patient_id=1.5)],
+    lambda e: [dict(e, patient_id={"id": 1})],
+    lambda e: [dict(e, image_path=None)],
+    lambda e: [dict(e, mask_path=["m.nii.gz"])],
+    lambda e: [dict(e, dataset=True)],
+    lambda e: [dict(e, location=[1])],
 ], ids=["string-entry", "int-click", "null-in-click", "list-component-label", "int-entries",
         "string-click", "float-in-click", "float-component-label", "bool-component-label",
-        "strings-in-click"])
+        "strings-in-click", "null-lesion-id", "bool-lesion-id", "list-lesion-id",
+        "empty-lesion-id", "null-patient-id", "bool-patient-id", "float-patient-id",
+        "object-patient-id", "null-image-path", "list-mask-path", "bool-dataset",
+        "list-location"])
 def test_malformed_manifest_values_rejected(tmp_path, capsys, entries):
     path = make_manifest(tmp_path, 1)
     valid = json.loads(path.read_text())["entries"][0]
