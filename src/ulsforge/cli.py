@@ -31,18 +31,27 @@ INDEX_NAME = "index.json"
 
 def _parse_voi(text: str) -> tuple[int, int, int]:
     try:
-        parts = tuple(int(p) for p in text.lower().split("x"))
-        if len(parts) != 3:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError("VOI size must look like 128x128x64, got %r" % text)
-    return parts
+        return VOICfg(size=tuple(int(p) for p in text.lower().split("x"))).size
+    except ValueError as e:
+        raise argparse.ArgumentTypeError("VOI size must look like 128x128x64, got %r: %s"
+                                         % (text, e))
 
 
 def _count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
     return int(text)
+
+
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
+def _bonferroni_m(text: str) -> int | None:
+    """None for AUTO, the number of comparisons made; else a positive integer."""
+    return None if text.upper() == "AUTO" else _positive(text)
 
 
 def _parse_segmenter(text: str, hu_window: str | None, timeout_s: float) -> SegmenterRef:
@@ -72,7 +81,7 @@ def _add_common_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--voi", type=_parse_voi, default=(128, 128, 64),
                      help="VOI size, default 128x128x64")
     sub.add_argument("--connectivity", type=int, default=26, choices=CONNECTIVITIES)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=_positive, default=None)
     sub.add_argument("--out", required=True, help="output run directory")
 
 
@@ -116,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-a", required=True)
     p.add_argument("--run-b", required=True)
     p.add_argument("--alpha", type=float, default=pipeline.DEFAULT_SIGNIFICANCE_ALPHA)
-    p.add_argument("--bonferroni-m", default="AUTO",
+    p.add_argument("--bonferroni-m", type=_bonferroni_m, default="AUTO",
                    help="correction factor, or AUTO for the number of comparisons")
     p.add_argument("--out", required=True)
 
@@ -255,7 +264,7 @@ def _cmd_robustness(args) -> int:
 def _cmd_compare(args) -> int:
     rec_a = pipeline.read_records_csv(Path(args.run_a) / RECORDS_NAME)
     rec_b = pipeline.read_records_csv(Path(args.run_b) / RECORDS_NAME)
-    m = None if str(args.bonferroni_m).upper() == "AUTO" else int(args.bonferroni_m)
+    m = args.bonferroni_m
     results = pipeline.compare_models(rec_a, rec_b, m_comparisons=m, alpha=args.alpha)
     doc = {
         "metadata": {

@@ -125,6 +125,28 @@ def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--segmenter", "builtin", "--workers", "-4"],
+    ["robustness", "--segmenter", "builtin", "--workers", "0"],
+    ["eval", "--segmenter", "builtin", "--voi", "7x8x8"],
+    ["extract", "--voi", "16x16x0"],
+    ["compare", "--bonferroni-m", "0"],
+    ["compare", "--bonferroni-m", "-3"],
+])
+def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, argv):
+    path = make_manifest(tmp_path, 1)
+    for name in ("load_manifest", "read_volume", "read_records_csv"):
+        monkeypatch.setattr(pipeline, name, lambda p, name=name: pytest.fail("%s %s" % (name, p)))
+    inputs = (["--run-a", str(tmp_path), "--run-b", str(tmp_path)] if argv[0] == "compare"
+              else ["--manifest", str(path)])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *inputs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument %s" % argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["eval"], ["robustness", "--k", "1"]])
 def test_empty_manifest_writes_no_run_directory(tmp_path, capsys, command):
     path = tmp_path / "manifest.json"
