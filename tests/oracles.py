@@ -26,6 +26,31 @@ def oracle_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     return offsets
 
 
+def bfs_grow_oracle(in_window: np.ndarray, seed, connectivity: int,
+                    max_voxels: int) -> np.ndarray:
+    """First max_voxels voxels in breadth-first discovery order, one deque step at a time."""
+    offsets = sorted(oracle_offsets(connectivity))
+    shape = in_window.shape
+    accepted = np.zeros(shape, dtype=np.uint8)
+    accepted[seed] = 1
+    count = 1
+    queue = deque([seed])
+    while queue and count < max_voxels:
+        x, y, z = queue.popleft()
+        for dx, dy, dz in offsets:
+            nx, ny, nz = x + dx, y + dy, z + dz
+            if not (0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]):
+                continue
+            if accepted[nx, ny, nz] or not in_window[nx, ny, nz]:
+                continue
+            accepted[nx, ny, nz] = 1
+            count += 1
+            if count >= max_voxels:
+                return accepted
+            queue.append((nx, ny, nz))
+    return accepted
+
+
 def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Brute-force connected components, ids in x-fastest scan order."""
     nx, ny, nz = mask.shape

@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from adapters import (
     ALWAYS_FAIL,
@@ -15,7 +18,7 @@ from adapters import (
     WRONG_DIMS,
     write_adapter,
 )
-from oracles import component_voxel_sets, oracle_offsets
+from oracles import bfs_grow_oracle, component_voxel_sets, oracle_offsets
 from synth import BACKGROUND_HU, LESION_HU, ball
 from ulsforge import (
     GrowParams,
@@ -35,7 +38,8 @@ from ulsforge.errors import (
     ProcessFailedError,
     SegmenterTimeoutError,
 )
-from ulsforge.segmenter import _neighbor_offsets
+from ulsforge.lesions import CONNECTIVITIES
+from ulsforge.segmenter import _grow_bfs, _neighbor_offsets
 
 WINDOW = (50, 150)
 
@@ -104,6 +108,138 @@ def test_truncation_follows_lexicographic_bfs_order():
 def test_grow_neighbourhood_is_the_labeling_neighbourhood(connectivity):
     # the truncated BFS visits exactly the labeling's neighbours, lexicographically
     assert _neighbor_offsets(connectivity) == sorted(oracle_offsets(connectivity))
+
+
+def grow_both(in_window, seed, connectivity, max_voxels):
+    """The grower's and the deque oracle's truncated grow, checked equal."""
+    grown = _grow_bfs(in_window, seed, GrowParams(connectivity=connectivity,
+                                                  max_voxels=max_voxels))
+    expected = bfs_grow_oracle(in_window, seed, connectivity, max_voxels)
+    assert grown.dtype == np.uint8 and grown.shape == in_window.shape
+    assert np.array_equal(grown, expected)
+    return grown
+
+
+def random_window(shape, fill, rng_seed):
+    return np.random.default_rng(rng_seed).random(shape) < fill
+
+
+def structure(connectivity):
+    return ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+
+
+def seed_component(in_window, seed, connectivity):
+    labeled, _ = ndimage.label(in_window, structure(connectivity))
+    return labeled == labeled[seed]
+
+
+def serpentine(shape=(9, 9, 3)):
+    """A one-voxel-wide path: rows along x joined at alternating ends, in one z slice."""
+    path = np.zeros(shape, dtype=bool)
+    nx, ny, _ = shape
+    for y in range(0, ny, 2):
+        path[:, y, 1] = True
+        if y + 1 < ny:
+            path[nx - 1 if y % 4 == 0 else 0, y + 1, 1] = True
+    return path
+
+
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+@pytest.mark.parametrize("shape, fill, seed, max_voxels", [
+    ((40, 40, 40), 0.9, (20, 20, 20), 1500),
+    ((40, 12, 10), 0.6, (20, 6, 5), 4800),
+    ((24, 20, 16), 1.0, (11, 10, 8), 2000),
+    ((10, 9, 8), 1.0, (0, 0, 0), 720),
+])
+def test_truncated_grow_equals_the_deque_oracle(connectivity, shape, fill, seed, max_voxels):
+    in_window = random_window(shape, fill, rng_seed=sum(shape))
+    in_window[seed] = True
+    grown = grow_both(in_window, seed, connectivity, max_voxels)
+    assert grown.sum() <= max_voxels
+
+
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+def test_truncated_grow_from_each_face_and_a_corner(connectivity):
+    shape = (10, 9, 8)
+    in_window = random_window(shape, 0.9, rng_seed=connectivity)
+    seeds = [(0, 4, 4), (9, 4, 4), (5, 0, 4), (5, 8, 4), (5, 4, 0), (5, 4, 7), (9, 8, 7)]
+    for seed in seeds:
+        in_window[seed] = True
+    for seed in seeds:
+        grow_both(in_window, seed, connectivity, max_voxels=300)
+        grow_both(in_window, seed, connectivity, max_voxels=in_window.size)
+
+
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+def test_truncated_grow_cuts_a_layer_in_its_discovery_order(connectivity):
+    in_window = np.ones((12, 11, 10), dtype=bool)
+    seed = (6, 5, 5)
+    reached = np.zeros_like(in_window)
+    reached[seed] = True
+    sizes = [1]
+    for _ in range(2):
+        reached = ndimage.binary_dilation(reached, structure(connectivity)) & in_window
+        sizes.append(int(reached.sum()))
+    cap = (sizes[1] + sizes[2]) // 2
+    assert sizes[1] < cap < sizes[2]  # the cap lands inside the second layer
+    grown = grow_both(in_window, seed, connectivity, cap)
+    assert int(grown.sum()) == cap
+    assert grow_both(in_window, seed, connectivity, 1).sum() == 1
+    assert np.argwhere(grow_both(in_window, seed, connectivity, 1)).tolist() == [list(seed)]
+
+
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+def test_cap_equal_to_the_component_is_not_truncated(connectivity):
+    in_window = random_window((14, 12, 10), 0.6, rng_seed=connectivity)
+    seed = (7, 6, 5)
+    in_window[seed] = True
+    image = Volume3D(np.where(in_window, LESION_HU, BACKGROUND_HU).astype(np.int16))
+    component = seed_component(in_window, seed, connectivity)
+    size = int(component.sum())
+    exact = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW,
+                                                        connectivity=connectivity,
+                                                        max_voxels=size))
+    assert not exact.truncated
+    assert np.array_equal(exact.mask.data, component)
+    assert np.array_equal(grow_both(in_window, seed, connectivity, size), component)
+    if size > 1:
+        cut = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW,
+                                                          connectivity=connectivity,
+                                                          max_voxels=size - 1))
+        assert cut.truncated
+        assert np.array_equal(cut.mask.data,
+                              bfs_grow_oracle(in_window, seed, connectivity, size - 1))
+
+
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+def test_truncated_grow_along_a_serpentine_path(connectivity):
+    path = serpentine()
+    length = int(path.sum())
+    for seed, cap in [((0, 0, 1), length), ((4, 4, 1), length), ((4, 4, 1), 11),
+                      ((8, 8, 1), 2)]:
+        grown = grow_both(path, seed, connectivity, cap)
+        assert int(grown.sum()) == cap
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), shape=st.tuples(*[st.integers(1, 12)] * 3),
+       rng_seed=st.integers(0, 2 ** 16), fill=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+       connectivity=st.sampled_from(CONNECTIVITIES))
+def test_truncated_grow_property(data, shape, rng_seed, fill, connectivity):
+    """Any window, seed and cap: the grow is the deque's; uncapped, it is the component."""
+    in_window = random_window(shape, fill, rng_seed)
+    seed = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+    in_window[seed] = True
+    grow_both(in_window, seed, connectivity, data.draw(st.integers(1, in_window.size)))
+
+    component = seed_component(in_window, seed, connectivity)
+    assert np.array_equal(grow_both(in_window, seed, connectivity, in_window.size), component)
+    image = Volume3D(np.where(in_window, LESION_HU, BACKGROUND_HU).astype(np.int16))
+    res = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW,
+                                                      connectivity=connectivity,
+                                                      max_voxels=in_window.size))
+    assert not res.truncated
+    assert np.array_equal(res.mask.data, component)
 
 
 def test_translation_equivariance_on_interior_content():
