@@ -13,7 +13,6 @@ import shlex
 import signal
 import subprocess
 import tempfile
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,27 +151,33 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
 
 
 def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowParams) -> np.ndarray:
-    """First max_voxels voxels in breadth-first discovery order."""
-    offsets = _neighbor_offsets(params.connectivity)
-    shape = in_window.shape
-    accepted = np.zeros(shape, dtype=np.uint8)
-    accepted[seed] = 1
+    """First max_voxels voxels in breadth-first discovery order.
+
+    Grows one layer at a time, parent by parent in discovery order and
+    offset by offset, keeping each voxel's first hit. A False border one
+    voxel wide keeps every flat neighbour index inside the array.
+    """
+    padded = np.pad(in_window, 1)
+    shape = padded.shape
+    flat_off = np.array(_neighbor_offsets(params.connectivity)) @ (shape[1] * shape[2], shape[2], 1)
+    is_open = padded.ravel()  # in the window and not yet accepted
+    frontier = np.array([np.ravel_multi_index(tuple(c + 1 for c in seed), shape)])
+    is_open[frontier] = False
+    layers = [frontier]
     count = 1
-    queue = deque([seed])
-    while queue and count < params.max_voxels:
-        x, y, z = queue.popleft()
-        for dx, dy, dz in offsets:
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if not (0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]):
-                continue
-            if accepted[nx, ny, nz] or not in_window[nx, ny, nz]:
-                continue
-            accepted[nx, ny, nz] = 1
-            count += 1
-            if count >= params.max_voxels:
-                return accepted
-            queue.append((nx, ny, nz))
-    return accepted
+    while frontier.size and count < params.max_voxels:
+        cand = (frontier[:, None] + flat_off).ravel()
+        cand = cand[is_open[cand]]
+        if frontier.size > 1:  # one parent's neighbours are distinct already
+            _, first = np.unique(cand, return_index=True)
+            cand = cand[np.sort(first)]
+        frontier = cand[:params.max_voxels - count]
+        is_open[frontier] = False
+        layers.append(frontier)
+        count += frontier.size
+    accepted = np.zeros(shape, dtype=np.uint8)
+    np.put(accepted, np.concatenate(layers), 1)
+    return np.ascontiguousarray(accepted[1:-1, 1:-1, 1:-1])
 
 
 def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
