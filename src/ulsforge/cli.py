@@ -19,7 +19,7 @@ from . import pipeline
 from .clicks import build_click_plan, generate_shifted_samples
 from .errors import UlsforgeError
 from .lesions import CONNECTIVITIES
-from .segmenter import GrowParams, SegmenterRef
+from .segmenter import BUILTIN, GrowParams, SegmenterRef
 # crop_voi, isolate_central_lesion: unused here, kept for tools that wrap them by name on cli
 from .voi import VOICfg, crop_voi, isolate_central_lesion  # noqa: F401
 from .volume import write_volume
@@ -54,12 +54,33 @@ def _bonferroni_m(text: str) -> int | None:
     return None if text.upper() == "AUTO" else _positive(text)
 
 
-def _parse_segmenter(text: str, hu_window: str | None, timeout_s: float) -> SegmenterRef:
+def _grow_params(text: str) -> GrowParams:
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+        return GrowParams(hu_window=(lo, hi))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError("HU window must look like LO:HI, got %r: %s" % (text, e))
+
+
+def _timeout(text: str) -> float:
+    try:
+        return SegmenterRef(kind=BUILTIN, timeout_s=float(text)).timeout_s
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a positive number of seconds, got %r" % text)
+
+
+def _alpha(text: str) -> float:
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = float("nan")
+    if not 0 < alpha < 1:
+        raise argparse.ArgumentTypeError("expected a number in (0, 1), got %r" % text)
+    return alpha
+
+
+def _parse_segmenter(text: str, params: GrowParams | None, timeout_s: float) -> SegmenterRef:
     if text == "builtin":
-        params = GrowParams()
-        if hu_window:
-            lo, hi = (float(v) for v in hu_window.split(":"))
-            params = GrowParams(hu_window=(lo, hi))
         return SegmenterRef.builtin(params)
     if text.startswith("exec:"):
         return SegmenterRef.external(text[len("exec:"):], timeout_s=timeout_s)
@@ -70,9 +91,10 @@ def _parse_segmenter(text: str, hu_window: str | None, timeout_s: float) -> Segm
 def _add_segmenter_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--segmenter", required=True,
                      help="'builtin' or 'exec:\"CMD {image} {x} {y} {z} {output}\"'")
-    sub.add_argument("--hu-window", default=None,
-                     help="builtin growth window as LO:HI (HU)")
-    sub.add_argument("--timeout", type=float, default=60.0,
+    sub.add_argument("--hu-window", type=_grow_params, default=None,
+                     help="builtin growth window as LO:HI (HU); write --hu-window=LO:HI "
+                          "when LO is negative")
+    sub.add_argument("--timeout", type=_timeout, default=60.0,
                      help="external segmenter timeout in seconds")
 
 
@@ -124,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compare", help="paired t-tests between two runs")
     p.add_argument("--run-a", required=True)
     p.add_argument("--run-b", required=True)
-    p.add_argument("--alpha", type=float, default=pipeline.DEFAULT_SIGNIFICANCE_ALPHA)
+    p.add_argument("--alpha", type=_alpha, default=pipeline.DEFAULT_SIGNIFICANCE_ALPHA)
     p.add_argument("--bonferroni-m", type=_bonferroni_m, default="AUTO",
                    help="correction factor, or AUTO for the number of comparisons")
     p.add_argument("--out", required=True)

@@ -49,8 +49,8 @@ class GrowParams:
 
     def __post_init__(self):
         lo, hi = self.hu_window
-        if lo > hi:
-            raise ValueError("hu_window lo %r > hi %r" % (lo, hi))
+        if not lo <= hi:  # also false for a NaN bound
+            raise ValueError("hu_window needs lo <= hi and no NaN, got (%r, %r)" % (lo, hi))
         if self.max_voxels < 1:
             raise ValueError("max_voxels must be >= 1")
         if self.connectivity not in CONNECTIVITIES:
@@ -67,6 +67,8 @@ class SegmenterRef:
     timeout_s: float = 60.0
 
     def __post_init__(self):
+        if not self.timeout_s > 0:  # also false for NaN
+            raise ValueError("timeout_s must be positive")
         if self.kind == BUILTIN:
             if self.grow_params is None:
                 object.__setattr__(self, "grow_params", GrowParams())
@@ -76,8 +78,6 @@ class SegmenterRef:
             missing = [p for p in PLACEHOLDERS if p not in self.command]
             if missing:
                 raise ValueError("command template missing placeholder(s): %s" % ", ".join(missing))
-            if self.timeout_s <= 0:
-                raise ValueError("timeout_s must be positive")
         else:
             raise ValueError("kind must be %r or %r" % (BUILTIN, EXTERNAL))
 

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
-from ulsforge import cli, load_manifest, pipeline, read_records_csv, read_report, read_volume
-from ulsforge.cli import main
+from ulsforge import GrowParams, cli, load_manifest, pipeline, read_records_csv, read_report, read_volume
+from ulsforge.cli import build_parser, main
 
 GROW_ARGS = ["--segmenter", "builtin", "--hu-window", "50:150"]
 
@@ -132,6 +132,17 @@ def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv
     ["extract", "--voi", "16x16x0"],
     ["compare", "--bonferroni-m", "0"],
     ["compare", "--bonferroni-m", "-3"],
+    ["eval", "--segmenter", "builtin", "--hu-window", "nan:nan"],
+    ["eval", "--segmenter", "builtin", "--hu-window", "0:nan"],
+    ["eval", "--segmenter", "builtin", "--hu-window", "5"],
+    ["robustness", "--segmenter", "builtin", "--hu-window", "200:100"],
+    ["eval", "--segmenter", "exec:cp {image} {x} {y} {z} {output}", "--timeout", "nan"],
+    ["eval", "--segmenter", "exec:cp {image} {x} {y} {z} {output}", "--timeout", "0"],
+    ["robustness", "--segmenter", "builtin", "--timeout", "-1"],
+    ["compare", "--alpha", "7"],
+    ["compare", "--alpha", "nan"],
+    ["compare", "--alpha", "0"],
+    ["compare", "--alpha", "1"],
 ])
 def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, argv):
     path = make_manifest(tmp_path, 1)
@@ -145,6 +156,17 @@ def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, 
     assert exc.value.code == 2
     assert "argument %s" % argv[-2] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_option_ranges_include_infinite_bounds():
+    args = build_parser().parse_args(["eval", "--manifest", "m.json", "--out", "run",
+                                      "--segmenter", "builtin", "--hu-window=-inf:inf",
+                                      "--timeout", "inf"])
+    assert args.hu_window == GrowParams(hu_window=(float("-inf"), float("inf")))
+    assert args.timeout == float("inf")
+    args = build_parser().parse_args(["compare", "--run-a", "a", "--run-b", "b",
+                                      "--alpha", "0.05", "--out", "c.json"])
+    assert args.alpha == 0.05
 
 
 @pytest.mark.parametrize("command", [["eval"], ["robustness", "--k", "1"]])

@@ -265,6 +265,8 @@ def test_grow_params_validation():
     with pytest.raises(ValueError):
         GrowParams(hu_window=(10, -10))
     with pytest.raises(ValueError):
+        GrowParams(hu_window=(float("nan"), 10))
+    with pytest.raises(ValueError):
         GrowParams(max_voxels=0)
     with pytest.raises(ValueError):
         GrowParams(connectivity=4)
@@ -278,6 +280,14 @@ def test_segmenter_ref_validation():
     ref = SegmenterRef.builtin()
     assert ref.grow_params is not None
     assert ref.model_id.startswith("builtin-grow")
+
+
+@pytest.mark.parametrize("timeout_s", [float("nan"), 0.0, -1.0])
+def test_segmenter_ref_rejects_a_timeout_that_is_not_positive(timeout_s):
+    with pytest.raises(ValueError):
+        SegmenterRef.external("cmd {image} {x} {y} {z} {output}", timeout_s=timeout_s)
+    assert SegmenterRef.external("cmd {image} {x} {y} {z} {output}",
+                                 timeout_s=float("inf")).timeout_s == float("inf")
 
 
 def test_external_copy_adapter_returns_reference_mask(tmp_path):
