@@ -77,6 +77,11 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
     return labels
 
 
+def label_voxels(labels: np.ndarray, value) -> np.ndarray:
+    """Voxels holding ``value``, lexicographically sorted, by one full-volume comparison."""
+    return np.argwhere(labels == value)
+
+
 def component_voxel_sets(mask: np.ndarray, connectivity: int) -> list[set]:
     labels = flood_fill_components(mask, connectivity)
     return [

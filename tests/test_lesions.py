@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import component_voxel_sets, flood_fill_components
 from ulsforge import (
@@ -77,6 +79,32 @@ def test_matches_flood_fill_oracle(connectivity):
         for arr in (mask, on_disk):
             ours = label_components(binary(arr), connectivity).data
             assert np.array_equal(ours, expected)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), seed=st.integers(0, 2 ** 16),
+       fill=st.sampled_from([0.0, 0.05, 0.2, 0.5]), faces=st.booleans(),
+       connectivity=st.sampled_from((6, 18, 26)))
+def test_labeling_the_foreground_box_equals_labeling_the_volume(shape, seed, fill, faces,
+                                                                 connectivity):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random(shape) < fill).astype(np.uint8)
+    if faces:  # one voxel on each of the six faces
+        for axis in range(3):
+            for end in (0, shape[axis] - 1):
+                pos = [int(rng.integers(n)) for n in shape]
+                pos[axis] = end
+                mask[tuple(pos)] = 1
+    whole = label_components(binary(mask), connectivity).data
+    # the box spanned by the per-axis projections of the foreground
+    spans = [np.flatnonzero(mask.any(axis=tuple(b for b in range(3) if b != a)))
+             for a in range(3)]
+    boxed = np.zeros_like(whole)
+    if spans[0].size:
+        box = tuple(slice(s[0], s[-1] + 1) for s in spans)
+        boxed[box] = label_components(binary(mask[box]), connectivity).data
+    assert np.array_equal(boxed, whole)
+    assert boxed.any() == bool(mask.any())
 
 
 def test_instances_partition_foreground():

@@ -1,15 +1,19 @@
 import gc
 import json
 import sys
+import tempfile
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ulsforge.pipeline as pl
 from adapters import COPY_MASK, EMPTY_MASK, WRONG_DIMS, write_adapter
+from oracles import flood_fill_components, label_voxels
 from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, ball, make_case, make_manifest
 from ulsforge import (
     EvalRecord,
@@ -31,6 +35,7 @@ from ulsforge import (
     place_back,
     read_records_csv,
     read_report,
+    read_volume,
     run_dice_eval,
     run_metadata,
     run_robustness_eval,
@@ -480,6 +485,63 @@ def test_component_label_selects_lesion(tmp_path):
     # binary mask has ids {0,1} only; label 2 is absent -> flagged
     records = run_dice_eval(Manifest(entries), BUILTIN, SMALL_CFG)
     assert pl.FLAG_ERROR in records[0].flags
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), seed=st.integers(0, 2 ** 16),
+       values=st.sampled_from([("uint8", (1, 2, 7)), ("int16", (-3, 5, -200)),
+                               ("float32", (1.0, 2.0, 2.5))]),
+       fill=st.sampled_from([0.0, 0.1, 0.4, 0.9]), connectivity=st.sampled_from((6, 18, 26)))
+def test_each_entry_gets_the_voxels_of_its_value(shape, seed, values, fill, connectivity):
+    # random label maps: dense ones put touching labels next to each other
+    dtype, labels_used = values
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(shape) < fill, rng.choice(labels_used, size=shape), 0)
+    labels = labels.astype(dtype)
+    components = flood_fill_components(labels != 0, connectivity)
+    foreground = label_voxels(labels != 0, True)
+    clicks = [tuple(int(v) for v in foreground[i])
+              for i in rng.permutation(len(foreground))[:3]] + [(0, 0, 0)]
+    with tempfile.TemporaryDirectory() as tmp:
+        img, msk = "%s/img.nii" % tmp, "%s/mask.nii" % tmp
+        write_volume(Volume3D(np.zeros(shape, np.int16)), img)
+        write_volume(Volume3D(labels), msk)
+        entries = [ManifestEntry(lesion_id="v%d" % i, patient_id="p", image_path=img,
+                                 mask_path=msk, **extra)
+                   for i, extra in enumerate([{"component_label": int(v)} for v in (1, 2, -3, 5, 9)]
+                                             + [{"click": c} for c in clicks] + [{}])]
+        loader = pl.ScanLoader(entries, connectivity)
+        for entry in entries:
+            if entry.component_label is not None:
+                expected = label_voxels(labels, entry.component_label)
+            elif entry.click is not None:
+                expected = label_voxels(components, components[entry.click] or -1)
+            else:
+                expected = label_voxels(components, 1 if components.max() == 1 else -1)
+            try:
+                instance = loader.lesion(entry)[-1]
+            except (EmptyInstanceError, ClickNotOnMaskError, AmbiguousLesionError):
+                assert expected.shape[0] == 0
+            else:
+                assert instance.voxels.dtype == expected.dtype
+                assert np.array_equal(instance.voxels, expected)
+
+
+def test_lesion_masks_keep_the_mask_files_spacing(tmp_path):
+    img, _ = make_case(tmp_path, "img", spacing=(1.0, 1.0, 1.0))
+    _, msk = make_case(tmp_path, "msk", spacing=(0.8, 0.7, 2.5))
+    entry = ManifestEntry(lesion_id="x", patient_id="p", image_path=str(img),
+                          mask_path=str(msk), click=(24, 24, 16))
+    on_disk = read_volume(msk)
+    image, mask, _ = pl.resolve_lesion(entry, 26)
+    assert image.spacing == (1.0, 1.0, 1.0)
+    assert (mask.spacing, mask.header_meta) == (on_disk.spacing, on_disk.header_meta)
+    manifest = tmp_path / "manifest.json"
+    save_manifest(Manifest([entry]), manifest)
+    assert main(["extract", "--manifest", str(manifest), "--voi", "16x16x8",
+                 "--out", str(tmp_path / "voi")]) == 0
+    assert read_volume(tmp_path / "voi" / "x_img.nii.gz").spacing == (1.0, 1.0, 1.0)
+    assert read_volume(tmp_path / "voi" / "x_mask.nii.gz").spacing == on_disk.spacing
 
 
 # ---------------------------------------------------------------------------
