@@ -67,6 +67,7 @@ def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
     # scipy numbers components in its C-order scan; on the [z, y, x]
     # transpose that scan is the x-fastest scan of our [x, y, z] array.
     raw, _ = ndimage.label(np.ascontiguousarray(mask.data.T), structure=_structure(connectivity))
+    raw.setflags(write=False)  # read-only: with_data keeps it without a copy
     return mask.with_data(raw.T, VolumeKind.LABELED_MASK)
 
 

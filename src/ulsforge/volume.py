@@ -167,7 +167,9 @@ class Volume3D:
         """Reinterpret as a binary mask; any nonzero voxel becomes 1."""
         if self.kind is VolumeKind.BINARY_MASK:
             return self
-        return self.with_data((self.data != 0).astype(np.uint8), VolumeKind.BINARY_MASK)
+        nonzero = self.data != 0
+        nonzero.setflags(write=False)  # read-only: with_data keeps the uint8 view without a copy
+        return self.with_data(nonzero.view(np.uint8), VolumeKind.BINARY_MASK)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +237,12 @@ def read_volume(path: str | Path) -> Volume3D:
     offset = int(vox_offset)
     if offset < HEADER_SIZE:
         offset = HEADER_SIZE
-    nbytes = int(np.prod(dims)) * dtype.itemsize
-    payload = raw[offset:offset + nbytes]
-    if len(payload) < nbytes:
-        raise TruncatedDataError(
-            "%s: expected %d data bytes, found %d" % (path, nbytes, len(payload))
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
+    count = int(np.prod(dims))
+    nbytes, found = count * dtype.itemsize, max(0, len(raw) - offset)
+    if found < nbytes:
+        raise TruncatedDataError("%s: expected %d data bytes, found %d" % (path, nbytes, found))
+    # a read-only view into the file's bytes, which Volume3D keeps without a copy
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(dims, order="F")
     return Volume3D(data=data, spacing=spacing, kind=VolumeKind.INTENSITY,
                     header_meta=raw[:HEADER_SIZE])
 
