@@ -148,6 +148,10 @@ def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
     comp = rec.get("component_label")
     if isinstance(comp, str) and comp:
         comp = int(comp)  # a CSV cell
+    comp = None if comp in (None, "") else _int_field(comp, lesion_id, "component_label")
+    if comp == 0:
+        raise ManifestParseError("entry %r: component_label 0 is the background, not a lesion"
+                                 % lesion_id)
     click = rec.get("click")
     if click not in (None, "") and (not isinstance(click, (list, tuple)) or len(click) != 3):
         raise ManifestParseError("entry %r: click must have 3 components, got %r"
@@ -159,8 +163,7 @@ def _entry_from_record(rec: dict, base: Path) -> ManifestEntry:
         mask_path=str((base / mask_path)) if not os.path.isabs(mask_path) else mask_path,
         dataset=_text_field(rec, "dataset", "default"),
         location=location,
-        component_label=None if comp in (None, "") else _int_field(comp, lesion_id,
-                                                                   "component_label"),
+        component_label=comp,
         click=None if click in (None, "") else tuple(_int_field(c, lesion_id, "click")
                                                      for c in click),
     )

@@ -199,6 +199,7 @@ def test_eval_survives_non_finite_vox_offset(tmp_path):
     lambda e: [dict(e, click=[1.7, 2, 3])],
     lambda e: [dict(e, component_label=1.7)],
     lambda e: [dict(e, component_label=True)],
+    lambda e: [dict(e, component_label=0)],
     lambda e: [dict(e, click=["1", "2", "3"])],
     lambda e: [dict(e, lesion_id=None)],
     lambda e: [dict(e, lesion_id=True)],
@@ -214,6 +215,7 @@ def test_eval_survives_non_finite_vox_offset(tmp_path):
     lambda e: [dict(e, location=[1])],
 ], ids=["string-entry", "int-click", "null-in-click", "list-component-label", "int-entries",
         "string-click", "float-in-click", "float-component-label", "bool-component-label",
+        "zero-component-label",
         "strings-in-click", "null-lesion-id", "bool-lesion-id", "list-lesion-id",
         "empty-lesion-id", "null-patient-id", "bool-patient-id", "float-patient-id",
         "object-patient-id", "null-image-path", "list-mask-path", "bool-dataset",
