@@ -198,7 +198,8 @@ def _cmd_extract(args) -> int:
     for entry in loader.entries:
         entry_rows = rows[entry.lesion_id] = []
         try:
-            image, mask, instance = loader.lesion(entry)
+            scan, instance = loader.lesion(entry)
+            image, mask = scan.image, scan.mask(instance)
             stems = [entry.lesion_id] + ["%s_aug%d" % (entry.lesion_id, i)
                                          for i in range(1, args.augment + 1)]
             if Path(entry.lesion_id).name != entry.lesion_id:

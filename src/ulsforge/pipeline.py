@@ -307,41 +307,46 @@ class _Scan:
     """One image/mask pair as loaded for the manifest entries that share it.
 
     A lesion is the voxels of one value in one label map: the mask and the
-    entry's component_label, or ``labeled`` (kept only if some entry has no
-    component_label) and the id of the clicked or single component.
+    entry's component_label, or the mask's components and the clicked or
+    single one's id. ``lesions`` holds each entry's instance or the error
+    class and arguments of its failure; of the mask only spacing and header.
     """
 
     image: Volume3D
-    mask: Volume3D
-    labeled: Volume3D | None
+    mask_spacing: tuple[float, float, float]
+    mask_header: bytes | None
+    lesions: dict[str, LesionInstance | tuple[type, tuple]]
 
-    def lesion(self, entry: ManifestEntry) -> tuple[Volume3D, Volume3D, LesionInstance]:
-        if entry.component_label is not None:
-            labels, value = self.mask, entry.component_label
-        else:
-            labels, value = self.labeled, _clicked_component(entry, self.labeled)
-        selected = labels.data == value
-        selected.setflags(write=False)  # read-only: with_data keeps it without a copy
-        voxels = np.argwhere(selected)
-        if voxels.shape[0] == 0:
-            raise EmptyInstanceError("component_label %d not present in %s"
-                                     % (value, entry.mask_path))
-        binary = self.mask.with_data(selected.view(np.uint8), VolumeKind.BINARY_MASK)
-        return self.image, binary, _instance_from_voxels(value, voxels)
+    def lesion(self, entry: ManifestEntry) -> LesionInstance:
+        found = self.lesions[entry.lesion_id]
+        if isinstance(found, tuple):
+            raise found[0](*found[1])  # a fresh error, with no traceback into the load
+        return found
+
+    def mask(self, instance: LesionInstance, lo: tuple[int, int, int] = (0, 0, 0),
+             dims: tuple[int, int, int] | None = None) -> Volume3D:
+        """The instance's binary mask in the box of ``dims`` at ``lo``, by default the volume."""
+        local = instance.voxels - lo
+        data = np.zeros(dims or self.image.dims, dtype=np.uint8)
+        data[tuple(local[((local >= 0) & (local < data.shape)).all(axis=1)].T)] = 1
+        data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+        return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, self.mask_header)
 
 
-def _clicked_component(entry: ManifestEntry, labeled: Volume3D) -> int:
+def _clicked_component(entry: ManifestEntry, labeled: np.ndarray, lo: tuple[int, ...],
+                       dims: tuple[int, int, int]) -> int:
     """The id of the component holding the entry's click, else of the mask's single one."""
     if entry.click is not None:
-        if any(c < 0 or c >= n for c, n in zip(entry.click, labeled.dims)):
+        if any(c < 0 or c >= n for c, n in zip(entry.click, dims)):
             raise ClickOutOfVolumeError("recorded click %s outside volume dims %s"
-                                        % (entry.click, labeled.dims))
-        comp_id = int(labeled.data[tuple(entry.click)])
+                                        % (entry.click, dims))
+        local = tuple(c - l for c, l in zip(entry.click, lo))  # labeled is the box at lo
+        comp_id = int(labeled[local]) if all(0 <= c < n for c, n in zip(local, labeled.shape)) else 0
         if comp_id == 0:
             raise ClickNotOnMaskError("recorded click %s is background in %s"
                                       % (entry.click, entry.mask_path))
         return comp_id
-    n_comp = int(labeled.data.max())
+    n_comp = int(labeled.max())
     if n_comp == 0:
         raise EmptyInstanceError("mask %s is empty" % entry.mask_path)
     if n_comp > 1:
@@ -352,15 +357,41 @@ def _clicked_component(entry: ManifestEntry, labeled: Volume3D) -> int:
 
 
 def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
-    """Read the entries' shared image and mask; label once if any entry is clicked."""
+    """Read the entries' shared image and mask and find each entry's lesion.
+
+    Only the box that holds the mask's foreground is searched, and labeled
+    once if some entry is clicked: its x-fastest scan meets the components
+    in the whole volume's order, so their ids are the same.
+    """
     image = read_volume(entries[0].image_path)
     mask = read_volume(entries[0].mask_path)
     if image.dims != mask.dims:
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
-    labeled = None
+    spans = [np.flatnonzero(mask.data.any(axis=a)) for a in ((1, 2), (0, 2), (0, 1))]
+    box = tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, None) for s in spans)
+    lo = tuple(b.start for b in box)
+    binary = mask.with_data(mask.data[box]).as_binary_mask()
+    inside = np.nonzero(binary.data)  # in lexicographic order
+    voxels = np.stack(inside, axis=1) + lo
+    values = mask.data[box][inside]  # each foreground voxel's label
     if any(e.component_label is None for e in entries):
-        labeled = label_components(mask.as_binary_mask(), connectivity)
-    return _Scan(image, mask, labeled)
+        labeled = label_components(binary, connectivity).data
+        ids = labeled[inside]  # each foreground voxel's component
+    lesions = {}
+    for e in entries:
+        try:
+            if e.component_label is not None:
+                labels, value = values, e.component_label
+            else:
+                labels, value = ids, _clicked_component(e, labeled, lo, mask.dims)
+            selected = voxels[labels == value]
+            if selected.shape[0] == 0:
+                raise EmptyInstanceError("component_label %d not present in %s"
+                                         % (value, e.mask_path))
+            lesions[e.lesion_id] = _instance_from_voxels(value, selected)
+        except UlsforgeError as exc:  # kept as data: an exception would pin the scan
+            lesions[e.lesion_id] = (type(exc), exc.args)
+    return _Scan(image, mask.spacing, mask.header_meta, lesions)
 
 
 def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
@@ -371,33 +402,38 @@ def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, V
     lesion with another label never joins it. Otherwise it is the component
     holding the entry's recorded click, else the mask's single one.
     """
-    return _load_scan([entry], connectivity).lesion(entry)
+    scan = _load_scan([entry], connectivity)
+    instance = scan.lesion(entry)
+    return scan.image, scan.mask(instance), instance
 
 
 class ScanLoader:
     """Loads each (image, mask) pair of a run once, for all its lesions.
 
-    ``entries`` lists the run's entries grouped by scan, scans in the
-    order they first appear; going through them in that order holds
-    about one scan per worker, however the manifest is sorted. The
-    first lesion of a scan to run loads it while the scan's other
-    lesions wait on its lock; the scan is dropped when its last lesion
-    takes it. A load that fails is not kept, so every lesion of that
-    scan retries it and gets the same error.
+    ``entries`` lists the run's entries by scan, scans in the order they
+    first appear, and round-robin within each window of ``workers`` scans,
+    so the workers load different scans at once. That order holds about
+    one scan per worker, however the manifest is sorted. The first lesion
+    of a scan to run loads it while the scan's other lesions wait on its
+    lock; the scan is dropped when its last lesion takes it. A load that
+    fails is not kept, so every lesion of that scan retries it and gets
+    the same error.
     """
 
-    def __init__(self, entries: list[ManifestEntry], connectivity: int):
+    def __init__(self, entries: list[ManifestEntry], connectivity: int, workers: int = 1):
         self._connectivity = connectivity
         self._groups: dict[tuple[str, str], list[ManifestEntry]] = {}
         for e in entries:
             self._groups.setdefault((e.image_path, e.mask_path), []).append(e)
-        self.entries = [e for group in self._groups.values() for e in group]
+        turns = [(i // workers, j, i, e) for i, group in enumerate(self._groups.values())
+                 for j, e in enumerate(group)]  # (window, turn, scan, entry)
+        self.entries = [e for *_, e in sorted(turns, key=lambda t: t[:3])]
         self._left = {key: len(group) for key, group in self._groups.items()}
         self._locks = {key: threading.Lock() for key in self._groups}
         self._scans: dict[tuple[str, str], _Scan] = {}
 
-    def lesion(self, entry: ManifestEntry) -> tuple[Volume3D, Volume3D, LesionInstance]:
-        """(image, binary mask, instance) of ``entry``, as resolve_lesion gives them."""
+    def lesion(self, entry: ManifestEntry) -> tuple[_Scan, LesionInstance]:
+        """The scan of ``entry`` and its lesion instance, as resolve_lesion finds it."""
         key = (entry.image_path, entry.mask_path)
         with self._locks[key]:
             self._left[key] -= 1
@@ -406,7 +442,7 @@ class ScanLoader:
                 scan = _load_scan(self._groups[key], self._connectivity)
             if self._left[key]:
                 self._scans[key] = scan
-        return scan.lesion(entry)
+        return scan, scan.lesion(entry)
 
 
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
@@ -419,9 +455,10 @@ def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
     )
 
 
-def _score_box(dims: tuple[int, int, int], offsets: list[tuple[int, int, int]],
+def _score_box(dims: tuple[int, int, int], clicks: list[tuple[int, int, int]],
                size: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(corner, dims) of the union of the windows at ``offsets``, clipped to ``dims``."""
+    """(corner, dims) of the union of the VOI windows around ``clicks``, clipped to ``dims``."""
+    offsets = [tuple(c - s // 2 for c, s in zip(click, size)) for click in clicks]  # as crop_voi
     lo = tuple(max(0, min(o[a] for o in offsets)) for a in range(3))
     hi = tuple(min(dims[a], max(o[a] for o in offsets) + size[a]) for a in range(3))
     return lo, tuple(h - l for h, l in zip(hi, lo))
@@ -434,16 +471,20 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     Each click is cropped and segmented. Dice compares the centroid
     prediction with the central lesion of the centroid VOI; robustness is
     the mean pairwise Dice of all predictions and exists only for k >= 1.
-    The Dice protocol is k = 0. Masks are placed back into the part of
-    the volume that the plan's windows cover, so every score counts the
-    same voxels as in the global frame.
+    The Dice protocol is k = 0. All of it runs in the box of the volume
+    that the plan's windows cover: every window's part inside the volume
+    lies in the box, so crops and scores count the same voxels as in the
+    global frame.
     """
     try:
-        image, mask, instance = loader.lesion(entry)
-        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
+        scan, instance = loader.lesion(entry)
+        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks()
+        lo, box = _score_box(scan.image.dims, [c.pos for c in plan], cfg.size)
+        image = scan.image.with_data(scan.image.data[tuple(slice(l, l + n) for l, n in zip(lo, box))])
+        mask = scan.mask(instance, lo, box)
         flags: set[str] = set()
         placed = []  # (offset, VOI mask): the ground truth, then every prediction
-        for click in plan.all_clicks():
+        for click in (replace(c, pos=tuple(p - l for p, l in zip(c.pos, lo))) for c in plan):
             voi = crop_voi(image, mask, click, cfg)
             if not placed:
                 placed.append((voi.offset, isolate_central_lesion(
@@ -454,9 +495,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
             if not result.mask.data.any():
                 flags.add(FLAG_EMPTY_PREDICTION)
             placed.append((voi.offset, result.mask))
-        lo, box = _score_box(image.dims, [o for o, _ in placed], cfg.size)
-        gt, *preds = [place_back(m, box, tuple(o - l for o, l in zip(offset, lo)))
-                      for offset, m in placed]
+        gt, *preds = [place_back(m, box, offset) for offset, m in placed]
         score = dice(preds[0], gt)
         robust = mean_pairwise_dice(preds) if len(preds) >= 2 else None
         return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=score,
@@ -475,13 +514,21 @@ def _effective_workers(requested: int | None) -> int:
     return max(1, n)
 
 
-def _run(entries, fn, workers: int | None):
+def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
+         workers: int | None, model_id: str | None, seed_root: int | None,
+         k: int) -> list[EvalRecord]:
     n = _effective_workers(workers)
-    if n <= 1 or len(entries) <= 1:
-        records = [fn(e) for e in entries]
+    loader = ScanLoader(manifest.entries, connectivity, n)
+    model = model_id or seg.model_id
+
+    def one(e: ManifestEntry) -> EvalRecord:
+        return _eval_one(e, loader, seg, cfg, connectivity, model, seed_root, k)
+
+    if n <= 1 or len(loader.entries) <= 1:
+        records = [one(e) for e in loader.entries]
     else:
         with ThreadPoolExecutor(max_workers=n) as pool:
-            records = list(pool.map(fn, entries))
+            records = list(pool.map(one, loader.entries))
     return sorted(records, key=lambda r: r.lesion_id)
 
 
@@ -495,11 +542,7 @@ def run_dice_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(),
     over the VOI's part of the volume, the voxels the global frame
     counts. Failures yield flagged records.
     """
-    model = model_id or seg.model_id
-    loader = ScanLoader(manifest.entries, connectivity)
-    return _run(loader.entries,
-                lambda e: _eval_one(e, loader, seg, cfg, connectivity, model, None, 0),
-                workers)
+    return _run(manifest, seg, cfg, connectivity, workers, model_id, None, 0)
 
 
 def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(),
@@ -514,11 +557,7 @@ def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOI
     Dice among them: the scores of the global frame. The centered-click
     Dice is recorded alongside.
     """
-    model = model_id or seg.model_id
-    loader = ScanLoader(manifest.entries, connectivity)
-    return _run(loader.entries,
-                lambda e: _eval_one(e, loader, seg, cfg, connectivity, model, seed_root, k),
-                workers)
+    return _run(manifest, seg, cfg, connectivity, workers, model_id, seed_root, k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import json
 import sys
 import tempfile
+import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -431,6 +432,29 @@ def test_interleaved_manifest_holds_about_one_scan_per_worker(tmp_path, monkeypa
         gc.enable()
     index = json.loads((out / "index.json").read_text())
     assert [row["lesion_id"] for row in index["samples"]] == [e.lesion_id for e in entries]
+
+
+def test_two_workers_read_two_scans_at_once(tmp_path, monkeypatch):
+    # two lesions per scan, listed scan by scan: the second worker must not wait on the first scan
+    monkeypatch.delenv("ULSFORGE_WORKERS", raising=False)
+    centers = ((10, 10, 8), (30, 30, 20))
+    scans = [tuple(str(p) for p in make_case(tmp_path, "s%d" % s, centers=centers))
+             for s in range(2)]
+    entries = [ManifestEntry(lesion_id="s%d-%d" % (s, i), patient_id="p", image_path=img,
+                             mask_path=msk, click=click)
+               for s, (img, msk) in enumerate(scans) for i, click in enumerate(centers)]
+    both_reading = threading.Barrier(2, timeout=20)
+    real_read = pl.read_volume
+
+    def read(path):
+        if path in {img for img, _ in scans}:
+            both_reading.wait()  # raises BrokenBarrierError unless the other image is being read
+        return real_read(path)
+
+    monkeypatch.setattr(pl, "read_volume", read)
+    records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=2, workers=2)
+    assert [(r.lesion_id, r.dice, r.robustness) for r in records] == \
+        [(e.lesion_id, 1.0, 1.0) for e in entries]
 
 
 def test_voi_box_scores_equal_global_frame_scores(tmp_path):
