@@ -8,6 +8,7 @@ compression is detected from the file content, never the name.
 """
 
 import gzip
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -56,3 +57,5 @@ try:
     read_volume(junk)
 except BadMagicError as e:
     print("rejected junk file:", e)
+
+shutil.rmtree(workdir)  # the demo leaves nothing behind
