@@ -478,13 +478,13 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     """
     try:
         scan, instance = loader.lesion(entry)
-        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks()
-        lo, box = _score_box(scan.image.dims, [c.pos for c in plan], cfg.size)
+        clicks = build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks()
+        lo, box = _score_box(scan.image.dims, [c.pos for c in clicks], cfg.size)
         image = scan.image.with_data(scan.image.data[tuple(slice(l, l + n) for l, n in zip(lo, box))])
         mask = scan.mask(instance, lo, box)
         flags: set[str] = set()
         placed = []  # (offset, VOI mask): the ground truth, then every prediction
-        for click in (replace(c, pos=tuple(p - l for p, l in zip(c.pos, lo))) for c in plan):
+        for click in (replace(c, pos=tuple(p - l for p, l in zip(c.pos, lo))) for c in clicks):
             voi = crop_voi(image, mask, click, cfg)
             if not placed:
                 placed.append((voi.offset, isolate_central_lesion(
