@@ -69,14 +69,14 @@ def _timeout(text: str) -> float:
         raise argparse.ArgumentTypeError("expected a positive number of seconds, got %r" % text)
 
 
-def _alpha(text: str) -> float:
+def _unit_fraction(text: str) -> float:
     try:
-        alpha = float(text)
+        value = float(text)
     except ValueError:
-        alpha = float("nan")
-    if not 0 < alpha < 1:
+        value = float("nan")
+    if not 0 < value < 1:
         raise argparse.ArgumentTypeError("expected a number in (0, 1), got %r" % text)
-    return alpha
+    return value
 
 
 def _parse_segmenter(text: str, params: GrowParams | None, timeout_s: float) -> SegmenterRef:
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("split", help="patient-level train/test split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--test-fraction", type=float, default=pipeline.DEFAULT_TEST_FRACTION)
+    p.add_argument("--test-fraction", type=_unit_fraction, default=pipeline.DEFAULT_TEST_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compare", help="paired t-tests between two runs")
     p.add_argument("--run-a", required=True)
     p.add_argument("--run-b", required=True)
-    p.add_argument("--alpha", type=_alpha, default=pipeline.DEFAULT_SIGNIFICANCE_ALPHA)
+    p.add_argument("--alpha", type=_unit_fraction, default=pipeline.DEFAULT_SIGNIFICANCE_ALPHA)
     p.add_argument("--bonferroni-m", type=_bonferroni_m, default="AUTO",
                    help="correction factor, or AUTO for the number of comparisons")
     p.add_argument("--out", required=True)

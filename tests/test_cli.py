@@ -158,6 +158,19 @@ def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5"])
+def test_bad_test_fraction_exits_before_reading(tmp_path, monkeypatch, capsys, fraction):
+    path = make_manifest(tmp_path, 1)
+    monkeypatch.setattr(pipeline, "load_manifest", lambda p: pytest.fail("load_manifest %s" % p))
+    train, test = tmp_path / "train.json", tmp_path / "test.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--manifest", str(path), "--test-fraction", fraction,
+              "--out-train", str(train), "--out-test", str(test)])
+    assert exc.value.code == 2
+    assert "argument --test-fraction" in capsys.readouterr().err
+    assert not train.exists() and not test.exists()
+
+
 def test_option_ranges_include_infinite_bounds():
     args = build_parser().parse_args(["eval", "--manifest", "m.json", "--out", "run",
                                       "--segmenter", "builtin", "--hu-window=-inf:inf",
