@@ -288,6 +288,7 @@ def write_volume(vol: Volume3D, path: str | Path, compress: bool | None = None) 
         compress = path.suffix == ".gz"
     blob = _build_header(vol) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + vol.data.tobytes(order="F")
     if compress:
+        # fastest level: about 5 % larger than level 9 at a fraction of its time;
         # mtime fixed so identical volumes produce identical bytes
-        blob = gzip.compress(blob, mtime=0)
+        blob = gzip.compress(blob, compresslevel=1, mtime=0)
     path.write_bytes(blob)

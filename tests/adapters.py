@@ -30,6 +30,18 @@ out = np.zeros(voi.dims, dtype=np.uint8)
 write_volume(Volume3D(out, spacing=voi.spacing, kind=VolumeKind.BINARY_MASK), sys.argv[5])
 """
 
+# copies its input VOI file aside, then writes an all-zero mask
+COPY_IMAGE_ASIDE = """
+import shutil, sys
+import numpy as np
+from ulsforge import Volume3D, VolumeKind, read_volume, write_volume
+# args: image x y z output copy
+shutil.copyfile(sys.argv[1], sys.argv[6])
+voi = read_volume(sys.argv[1])
+out = np.zeros(voi.dims, dtype=np.uint8)
+write_volume(Volume3D(out, spacing=voi.spacing, kind=VolumeKind.BINARY_MASK), sys.argv[5])
+"""
+
 # writes a mask with wrong dims
 WRONG_DIMS = """
 import sys

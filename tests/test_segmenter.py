@@ -12,6 +12,7 @@ from adapters import (
     ALWAYS_FAIL,
     BAD_VALUES,
     CLICK_DOT,
+    COPY_IMAGE_ASIDE,
     COPY_MASK,
     FORKS_SLEEPER,
     SLEEPER,
@@ -21,10 +22,14 @@ from adapters import (
 from oracles import bfs_grow_oracle, component_voxel_sets, oracle_offsets
 from synth import BACKGROUND_HU, LESION_HU, ball
 from ulsforge import (
+    ClickPoint,
     GrowParams,
     SegmenterRef,
+    VOICfg,
     Volume3D,
     VolumeKind,
+    crop_voi,
+    read_volume,
     segment,
     segment_external,
     segment_region_grow,
@@ -298,6 +303,17 @@ def test_external_copy_adapter_returns_reference_mask(tmp_path):
     res = segment_external(image, (5, 5, 3), SegmenterRef.external(command))
     assert np.array_equal(res.mask.data, gt.data)
     assert res.mask.kind is VolumeKind.BINARY_MASK
+
+
+def test_external_model_reads_the_voi_crop_as_gzip_nifti(tmp_path):
+    image, blob = lesion_image(shape=(20, 18, 10), center=(12, 7, 4), radius=3)
+    mask = Volume3D(blob.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
+    voi = crop_voi(image, mask, ClickPoint((12, 7, 4)), VOICfg(size=(16, 16, 8)))
+    copy = tmp_path / "input-copy.nii.gz"
+    command = write_adapter(tmp_path, COPY_IMAGE_ASIDE) + " " + str(copy)
+    segment_external(voi.image, (8, 8, 4), SegmenterRef.external(command))
+    assert copy.read_bytes()[:2] == b"\x1f\x8b"
+    assert read_volume(copy) == voi.image
 
 
 def test_external_click_passed_as_decimal_indices(tmp_path):

@@ -120,6 +120,17 @@ def test_compressed_output_has_gzip_magic(tmp_path):
     assert path.read_bytes()[:2] == b"\x1f\x8b"
 
 
+def test_gzip_writes_are_repeatable_and_at_the_fastest_level(tmp_path):
+    vol = random_volume(np.random.default_rng(11), np.int16, shape=(9, 7, 5))
+    first, second, plain = tmp_path / "a.nii.gz", tmp_path / "b.nii.gz", tmp_path / "v.nii"
+    for path in (first, second, plain):
+        write_volume(vol, path)
+    packed = first.read_bytes()
+    assert second.read_bytes() == packed
+    assert gzip.decompress(packed) == plain.read_bytes()
+    assert packed[8] == 4  # gzip header XFL: 4 = fastest, 2 = maximum compression
+
+
 def test_gzip_detected_by_content_not_name(tmp_path):
     vol = Volume3D(np.ones((3, 3, 3), dtype=np.uint8))
     path = tmp_path / "misnamed.nii"  # gzipped bytes behind a plain name
@@ -150,6 +161,15 @@ def test_constructor_validation():
         Volume3D(np.zeros((4, 4, 4), dtype=np.float64))
     with pytest.raises(WrongKindError):
         Volume3D(np.full((2, 2, 2), 2, dtype=np.uint8), kind=VolumeKind.BINARY_MASK)
+    with pytest.raises(WrongKindError):
+        Volume3D(np.array([0, 1, -1, 0]).astype(np.int16).reshape(1, 2, 2),
+                 kind=VolumeKind.BINARY_MASK)
+    with pytest.raises(WrongKindError):
+        Volume3D(np.array([0, 1, 2, 1]).astype(np.uint8).reshape(2, 1, 2),
+                 kind=VolumeKind.BINARY_MASK)
+    mask = Volume3D(np.array([0, 1, 1, 0]).astype(np.int32).reshape(2, 2, 1),
+                    kind=VolumeKind.BINARY_MASK)
+    assert mask.data.dtype == np.int32 and mask.data.tolist() == [[[0], [1]], [[1], [0]]]
     with pytest.raises(WrongKindError):
         Volume3D(np.full((2, 2, 2), -1, dtype=np.int32), kind=VolumeKind.LABELED_MASK)
 
