@@ -125,7 +125,7 @@ class Volume3D:
             raise BadHeaderError("spacing must be three positive finite values, got %s"
                                  % (self.spacing,))
         if self.kind is VolumeKind.BINARY_MASK:
-            if not np.issubdtype(data.dtype, np.integer) or not bool(((data == 0) | (data == 1)).all()):
+            if not np.issubdtype(data.dtype, np.integer) or data.min() < 0 or data.max() > 1:
                 raise WrongKindError("binary mask must contain only integer {0, 1}")
         elif self.kind is VolumeKind.LABELED_MASK:
             if not np.issubdtype(data.dtype, np.integer) or (data.size and int(data.min()) < 0):
