@@ -77,6 +77,27 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
     return labels
 
 
+def whole_voi_isolation_oracle(mask: np.ndarray, click, connectivity: int) -> np.ndarray:
+    """The component holding ``click`` with the whole VOI labeled; all zero on background."""
+    labels = flood_fill_components(mask, connectivity)
+    if labels[click] == 0:
+        return np.zeros(mask.shape, dtype=np.uint8)
+    return (labels == labels[click]).astype(np.uint8)
+
+
+def whole_voi_grow_oracle(in_window: np.ndarray, seed, connectivity: int,
+                          max_voxels: int) -> tuple[np.ndarray, bool]:
+    """The builtin grow with the whole VOI labeled: (mask, truncated).
+
+    The seed's in-window component if it has at most max_voxels voxels,
+    else the deque's first max_voxels voxels; all zero off the window.
+    """
+    component = whole_voi_isolation_oracle(in_window, seed, connectivity)
+    if int(component.sum()) <= max_voxels:
+        return component, False
+    return bfs_grow_oracle(in_window, seed, connectivity, max_voxels), True
+
+
 def label_voxels(labels: np.ndarray, value) -> np.ndarray:
     """Voxels holding ``value``, lexicographically sorted, by one full-volume comparison."""
     return np.argwhere(labels == value)
