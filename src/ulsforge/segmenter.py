@@ -235,9 +235,11 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
         out = read_volume(output_path)
         if out.dims != voi_image.dims:
             raise BadMaskDimsError("mask dims %s != VOI dims %s" % (out.dims, voi_image.dims))
-        values = np.unique(out.data)
-        if not np.isin(values, (0, 1)).all():
-            raise BadMaskValuesError("mask values outside {0, 1}: %s" % values[:10])
+        data = out.data
+        if not (np.issubdtype(data.dtype, np.integer) and data.min() >= 0 and data.max() <= 1):
+            values = np.unique(data)  # a float mask is checked value by value
+            if not np.isin(values, (0, 1)).all():
+                raise BadMaskValuesError("mask values outside {0, 1}: %s" % values[:10])
         mask = out.with_data(out.data.astype(np.uint8), VolumeKind.BINARY_MASK)
     return SegmentationResult(mask)
 

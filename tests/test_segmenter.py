@@ -343,6 +343,34 @@ def test_external_failure_modes(tmp_path):
                                                timeout_s=1.0))
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.array([0, 1, 2], dtype=np.uint8), "mask values outside {0, 1}: [0 1 2]"),
+    (np.array([0, 0.5], dtype=np.float32), "mask values outside {0, 1}: [0.  0.5]"),
+])
+def test_external_mask_values_outside_zero_one_are_rejected(tmp_path, values, message):
+    """A stray 2 and a fractional float are both caught, named by the mask's distinct values."""
+    image, _ = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
+    out = np.zeros(image.dims, dtype=values.dtype)
+    out[:values.size, 0, 0] = values
+    mask_path = tmp_path / "mask.nii.gz"
+    write_volume(Volume3D(out), mask_path)
+    command = write_adapter(tmp_path, COPY_MASK) + " " + str(mask_path)
+    with pytest.raises(BadMaskValuesError) as err:
+        segment_external(image, (4, 4, 2), SegmenterRef.external(command))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32])
+def test_external_mask_of_zeros_and_ones_in_any_dtype_is_accepted(tmp_path, dtype):
+    image, blob = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
+    mask_path = tmp_path / "mask.nii.gz"
+    write_volume(Volume3D(blob.astype(dtype)), mask_path)
+    command = write_adapter(tmp_path, COPY_MASK) + " " + str(mask_path)
+    res = segment_external(image, (4, 4, 2), SegmenterRef.external(command))
+    assert res.mask.data.dtype == np.uint8
+    assert np.array_equal(res.mask.data, blob.astype(np.uint8))
+
+
 def _process_state(pid):
     """The State letter from /proc/<pid>/status, or None once the pid is gone."""
     try:
