@@ -55,6 +55,12 @@ def _structure(connectivity: int) -> np.ndarray:
     return ndimage.generate_binary_structure(3, _STRUCT_RANK[connectivity])
 
 
+def _foreground_box(data: np.ndarray) -> tuple[slice, slice, slice]:
+    """The smallest box that holds every nonzero voxel; the whole array if none is."""
+    spans = [np.flatnonzero(data.any(axis=a)) for a in ((1, 2), (0, 2), (0, 1))]
+    return tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, None) for s in spans)
+
+
 def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
     """Label connected foreground components of a binary mask.
 

@@ -43,7 +43,7 @@ from .errors import (
     UlsforgeError,
     ZeroVarianceError,
 )
-from .lesions import LesionInstance, _instance_from_voxels, label_components
+from .lesions import LesionInstance, _foreground_box, _instance_from_voxels, label_components
 from .metrics import dice, mean_pairwise_dice
 from .segmenter import SegmenterRef, segment
 from .stats import TestResult, degenerate_result, paired_ttest
@@ -367,8 +367,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
     mask = read_volume(entries[0].mask_path)
     if image.dims != mask.dims:
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
-    spans = [np.flatnonzero(mask.data.any(axis=a)) for a in ((1, 2), (0, 2), (0, 1))]
-    box = tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, None) for s in spans)
+    box = _foreground_box(mask.data)
     lo = tuple(b.start for b in box)
     binary = mask.with_data(mask.data[box]).as_binary_mask()
     inside = np.nonzero(binary.data)  # in lexicographic order
@@ -468,8 +467,9 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
               connectivity: int, model_id: str, seed_root: int | None, k: int) -> EvalRecord:
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
-    Each click is cropped and segmented. Dice compares the centroid
-    prediction with the central lesion of the centroid VOI; robustness is
+    Each click's image is cropped and segmented; the mask is cropped only
+    at the centroid. Dice compares the centroid prediction with the
+    central lesion of the centroid VOI; robustness is
     the mean pairwise Dice of all predictions and exists only for k >= 1.
     The Dice protocol is k = 0. All of it runs in the box of the volume
     that the plan's windows cover: every window's part inside the volume
@@ -485,7 +485,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
         flags: set[str] = set()
         placed = []  # (offset, VOI mask): the ground truth, then every prediction
         for click in (replace(c, pos=tuple(p - l for p, l in zip(c.pos, lo))) for c in clicks):
-            voi = crop_voi(image, mask, click, cfg)
+            voi = crop_voi(image, None if placed else mask, click, cfg)
             if not placed:
                 placed.append((voi.offset, isolate_central_lesion(
                     voi.mask, voi.local_click, connectivity)))

@@ -27,7 +27,7 @@ from .errors import (
     ProcessFailedError,
     SegmenterTimeoutError,
 )
-from .lesions import CONNECTIVITIES, _structure
+from .lesions import CONNECTIVITIES, _foreground_box, _structure
 from .volume import Volume3D, VolumeKind, read_volume, write_volume
 
 PLACEHOLDERS = ("{image}", "{x}", "{y}", "{z}", "{output}")
@@ -117,6 +117,9 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
     (dx, dy, dz) order, so the voxel set kept when ``max_voxels``
     truncates is deterministic. The grower is translation-equivariant:
     shifting content and click together shifts the output identically.
+    Only the box that holds the window's voxels is labeled and grown;
+    no component leaves that box, so the grow is the same voxels as in
+    the whole VOI.
 
     A seed voxel outside the window raises ClickOutsideWindowError in
     strict mode and yields an empty mask otherwise.
@@ -135,15 +138,17 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
                                            kind=VolumeKind.BINARY_MASK))
 
     in_window = (data >= lo) & (data <= hi)
-    labeled, _ = ndimage.label(in_window, structure=_structure(params.connectivity))
+    box = _foreground_box(in_window)
+    inside = in_window[box]
+    seed = tuple(c - b.start for c, b in zip(seed, box))  # in the box
+    labeled, _ = ndimage.label(inside, structure=_structure(params.connectivity))
     component = labeled == labeled[seed]
-    size = int(component.sum())
-    if size <= params.max_voxels:
-        mask = component.astype(np.uint8)
-        truncated = False
-    else:
-        mask = _grow_bfs(in_window, seed, params)
-        truncated = True
+    truncated = int(component.sum()) > params.max_voxels
+    if truncated:
+        component = _grow_bfs(inside, seed, params)
+    mask = np.zeros(data.shape, dtype=np.uint8)
+    mask[box] = component
+    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return SegmentationResult(
         Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
         truncated=truncated,
@@ -177,7 +182,7 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
         count += frontier.size
     accepted = np.zeros(shape, dtype=np.uint8)
     np.put(accepted, np.concatenate(layers), 1)
-    return np.ascontiguousarray(accepted[1:-1, 1:-1, 1:-1])
+    return accepted[1:-1, 1:-1, 1:-1]
 
 
 def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClickNotOnMaskError, ClickOutOfVolumeError, DimsMismatchError
-from .lesions import ClickPoint, label_components
+from .lesions import ClickPoint, _foreground_box, label_components
 from .volume import Volume3D, VolumeKind
 
 DEFAULT_VOI_SIZE = (128, 128, 64)
@@ -42,13 +42,13 @@ class VOISample:
     """A cropped image/mask pair with its placement in the global frame."""
 
     image: Volume3D
-    mask: Volume3D
+    mask: Volume3D | None  # None when only the image was cropped
     offset: tuple[int, int, int]
     click: ClickPoint  # global coordinates
     lesion_id: str = ""
 
     def __post_init__(self):
-        if self.image.dims != self.mask.dims:
+        if self.mask is not None and self.image.dims != self.mask.dims:
             raise DimsMismatchError("VOI image dims %s != mask dims %s" % (self.image.dims, self.mask.dims))
         local = self.local_click
         if any(l < 0 or l >= s for l, s in zip(local, self.image.dims)):
@@ -73,26 +73,36 @@ def _overlap(shape: tuple[int, ...], start: tuple[int, ...], size: tuple[int, ..
     return tuple(glob), tuple(local)
 
 
-def crop_voi(image: Volume3D, mask: Volume3D, click: ClickPoint, cfg: VOICfg = VOICfg()) -> VOISample:
+def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int) -> np.ndarray:
+    """The window [offset, offset + size) of ``data``, padded with ``pad``,
+    laid out in memory as ``data`` is, so the copy reads it in order."""
+    glob, local = _overlap(data.shape, offset, size)
+    out = np.full(size, pad, dtype=data.dtype, order="F" if data.strides[0] < data.strides[-1] else "C")
+    out[local] = data[glob]
+    out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+    return out
+
+
+def crop_voi(image: Volume3D, mask: Volume3D | None, click: ClickPoint,
+             cfg: VOICfg = VOICfg()) -> VOISample:
     """Crop a click-centered VOI from an image/mask pair.
 
     The offset (global index of the VOI's (0,0,0) corner) is
     c - s/2 per axis and may be negative; padded voxels take
-    ``cfg.pad_value_image`` / ``cfg.pad_value_mask``.
+    ``cfg.pad_value_image`` / ``cfg.pad_value_mask``. Without a mask
+    only the image is cropped and the sample's mask is None.
     """
-    if image.dims != mask.dims:
+    if mask is not None and image.dims != mask.dims:
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
     if any(c < 0 or c >= n for c, n in zip(click.pos, image.dims)):
         raise ClickOutOfVolumeError("click %s outside volume dims %s" % (click.pos, image.dims))
     offset = tuple(int(c - s // 2) for c, s in zip(click.pos, cfg.size))
-    glob, local = _overlap(image.dims, offset, cfg.size)
-    img_crop = np.full(cfg.size, cfg.pad_value_image, dtype=image.data.dtype)
-    img_crop[local] = image.data[glob]
-    mask_crop = np.full(cfg.size, cfg.pad_value_mask, dtype=mask.data.dtype)
-    mask_crop[local] = mask.data[glob]
     return VOISample(
-        image=Volume3D(img_crop, spacing=image.spacing, kind=VolumeKind.INTENSITY),
-        mask=Volume3D(mask_crop, spacing=mask.spacing, kind=VolumeKind.BINARY_MASK),
+        image=Volume3D(_crop(image.data, offset, cfg.size, cfg.pad_value_image),
+                       spacing=image.spacing, kind=VolumeKind.INTENSITY),
+        mask=None if mask is None else Volume3D(
+            _crop(mask.data, offset, cfg.size, cfg.pad_value_mask),
+            spacing=mask.spacing, kind=VolumeKind.BINARY_MASK),
         offset=offset,
         click=click,
     )
@@ -103,18 +113,23 @@ def isolate_central_lesion(voi_mask: Volume3D, local_click: tuple[int, int, int]
     """Keep only the connected component containing ``local_click``.
 
     Leaves one lesion mask per crop: every other foreground voxel is
-    zeroed. A background click raises ClickNotOnMaskError in strict
-    mode and yields an all-zero mask otherwise.
+    zeroed. Only the box that holds the VOI's foreground is labeled; no
+    component leaves that box, so the clicked one is the same voxels as
+    in the whole VOI. A background click raises ClickNotOnMaskError in
+    strict mode and yields an all-zero mask otherwise.
     """
     if any(c < 0 or c >= n for c, n in zip(local_click, voi_mask.dims)):
         raise ClickOutOfVolumeError("local click %s outside VOI dims %s" % (local_click, voi_mask.dims))
+    out = np.zeros(voi_mask.dims, dtype=np.uint8)
     if voi_mask.data[tuple(local_click)] == 0:
         if strict:
             raise ClickNotOnMaskError("click %s is background" % (local_click,))
-        return voi_mask.with_data(np.zeros(voi_mask.dims, dtype=np.uint8), VolumeKind.BINARY_MASK)
-    labeled = label_components(voi_mask, connectivity)
-    target = labeled.data[tuple(local_click)]
-    return voi_mask.with_data((labeled.data == target).astype(np.uint8), VolumeKind.BINARY_MASK)
+        return voi_mask.with_data(out, VolumeKind.BINARY_MASK)
+    box = _foreground_box(voi_mask.data)
+    labeled = label_components(voi_mask.with_data(voi_mask.data[box]), connectivity).data
+    out[box] = labeled == labeled[tuple(c - b.start for c, b in zip(local_click, box))]
+    out.setflags(write=False)  # read-only: with_data keeps it without a copy
+    return voi_mask.with_data(out, VolumeKind.BINARY_MASK)
 
 
 def place_back(voi_mask: Volume3D, global_dims: tuple[int, int, int],

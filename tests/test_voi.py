@@ -75,6 +75,30 @@ def test_whole_volume_crop_is_identity():
     assert np.array_equal(s.mask.data, mask.data)
 
 
+def test_crop_without_a_mask_crops_the_same_image():
+    image = ramp_image((10, 9, 8))
+    cfg = VOICfg(size=(6, 4, 4))
+    for pos in ((5, 4, 4), (0, 0, 0), (9, 8, 7)):
+        both = crop_voi(image, binary(np.ones((10, 9, 8))), ClickPoint(pos), cfg)
+        alone = crop_voi(image, None, ClickPoint(pos), cfg)
+        assert alone.mask is None
+        assert alone.image == both.image
+        assert (alone.offset, alone.local_click) == (both.offset, both.local_click)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_crop_keeps_the_source_layout_and_values(order):
+    """A slice of a Fortran-ordered scan is not F-contiguous; its crops are F-ordered anyway."""
+    ramp = np.arange(12 * 10 * 8, dtype=np.int16).reshape((12, 10, 8))
+    scan = np.array(ramp, order=order)
+    image = Volume3D(scan).with_data(Volume3D(scan).data[1:11, 1:9, :7])
+    for pos in ((5, 4, 3), (0, 0, 0), (9, 7, 6)):
+        s = crop_voi(image, None, ClickPoint(pos), VOICfg(size=(6, 4, 4)))
+        assert s.image.data.flags["F_CONTIGUOUS" if order == "F" else "C_CONTIGUOUS"]
+        assert s.image == crop_voi(Volume3D(ramp[1:11, 1:9, :7].copy()), None,
+                                   ClickPoint(pos), VOICfg(size=(6, 4, 4))).image
+
+
 def test_custom_pad_value_for_strict_zero_padding():
     image = ramp_image((4, 4, 4))
     mask = binary(np.zeros((4, 4, 4)))
