@@ -19,7 +19,7 @@ from . import pipeline
 from .clicks import build_click_plan, generate_shifted_samples
 from .errors import UlsforgeError
 from .lesions import CONNECTIVITIES
-from .segmenter import BUILTIN, GrowParams, SegmenterRef
+from .segmenter import GrowParams, SegmenterRef
 # crop_voi, isolate_central_lesion: unused here, kept for tools that wrap them by name on cli
 from .voi import VOICfg, crop_voi, isolate_central_lesion  # noqa: F401
 from .volume import write_volume
@@ -64,9 +64,12 @@ def _grow_params(text: str) -> GrowParams:
 
 def _timeout(text: str) -> float:
     try:
-        return SegmenterRef(kind=BUILTIN, timeout_s=float(text)).timeout_s
+        value = float(text)
     except ValueError:
+        value = float("nan")
+    if not value > 0:  # also false for NaN
         raise argparse.ArgumentTypeError("expected a positive number of seconds, got %r" % text)
+    return value
 
 
 def _unit_fraction(text: str) -> float:

@@ -56,7 +56,7 @@ class ClickOutOfVolumeError(UlsforgeError):
 
 
 class ClickNotOnMaskError(UlsforgeError):
-    """Click point is a background voxel (strict isolation mode)."""
+    """Click point is a background voxel."""
 
 
 class AmbiguousLesionError(UlsforgeError):
@@ -64,10 +64,6 @@ class AmbiguousLesionError(UlsforgeError):
 
 
 # segmenters -----------------------------------------------------------------
-
-class ClickOutsideWindowError(UlsforgeError):
-    """Seed voxel intensity outside the growth window (strict mode)."""
-
 
 class ProcessFailedError(UlsforgeError):
     """External segmenter exited nonzero; message carries diagnostics."""

@@ -489,7 +489,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
             if not placed:
                 placed.append((voi.offset, isolate_central_lesion(
                     voi.mask, voi.local_click, connectivity)))
-            result = segment(voi.image, voi.local_click, seg, strict=False)
+            result = segment(voi.image, voi.local_click, seg)
             if result.truncated:
                 flags.add(FLAG_TRUNCATED)
             if not result.mask.data.any():

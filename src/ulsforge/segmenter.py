@@ -1,9 +1,11 @@
 """Pluggable segmenters.
 
-Two backends sit behind one call surface: a deterministic HU-window
-region grower for pipeline verification and known-answer tests, and an
-external-process adapter that sends VOIs to a real model through a
-five-placeholder command template (see ``PLACEHOLDERS``).
+Each kind of segmenter is one frozen type that checks its own settings,
+names its model and segments one VOI (the ``SegmenterRef`` protocol), so
+a new kind is a new type and no code branches on the kind. Two ship: a
+deterministic HU-window region grower for pipeline verification and
+known-answer tests, and an external-process adapter that sends VOIs to a
+real model through a five-placeholder command template (``PLACEHOLDERS``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 from scipy import ndimage
@@ -23,7 +26,6 @@ from .errors import (
     BadMaskDimsError,
     BadMaskValuesError,
     ClickOutOfVolumeError,
-    ClickOutsideWindowError,
     ProcessFailedError,
     SegmenterTimeoutError,
 )
@@ -31,9 +33,6 @@ from .lesions import CONNECTIVITIES, _foreground_box, _structure
 from .volume import Volume3D, VolumeKind, read_volume, write_volume
 
 PLACEHOLDERS = ("{image}", "{x}", "{y}", "{z}", "{output}")
-
-BUILTIN = "builtin"
-EXTERNAL = "external"
 
 # permissive soft-tissue window; tests and demos pass explicit windows
 DEFAULT_HU_WINDOW = (-160, 240)
@@ -57,44 +56,60 @@ class GrowParams:
             raise ValueError("connectivity must be one of %s" % (CONNECTIVITIES,))
 
 
-@dataclass(frozen=True)
-class SegmenterRef:
-    """Reference to a segmenter: the builtin grower or an external command."""
+class SegmenterRef(Protocol):
+    """What a segmenter gives; ``builtin`` and ``external`` build the two that ship."""
 
-    kind: str
-    grow_params: GrowParams | None = None
-    command: str | None = None
+    kind: str  # names the kind for tools that report on it, such as tracers
+    model_id: str  # the model's name in records and run metadata
+
+    def segment(self, voi_image: Volume3D,
+                local_click: tuple[int, int, int]) -> SegmentationResult:
+        """Segment the lesion at ``local_click`` in one VOI."""
+        ...
+
+    @staticmethod
+    def builtin(params: GrowParams | None = None) -> BuiltinSegmenter:
+        return BuiltinSegmenter(params or GrowParams())
+
+    @staticmethod
+    def external(command: str, timeout_s: float = 60.0) -> ExternalSegmenter:
+        return ExternalSegmenter(command, timeout_s)
+
+
+@dataclass(frozen=True)
+class BuiltinSegmenter(SegmenterRef):
+    """The HU-window region grower (``segment_region_grow``)."""
+
+    kind = "builtin"
+    grow_params: GrowParams = GrowParams()
+
+    @property
+    def model_id(self) -> str:
+        lo, hi = self.grow_params.hu_window
+        return "builtin-grow[%g,%g]" % (lo, hi)
+
+    def segment(self, voi_image, local_click):
+        return segment_region_grow(voi_image, local_click, self.grow_params)
+
+
+@dataclass(frozen=True)
+class ExternalSegmenter(SegmenterRef):
+    """A model run as one process per VOI (``segment_external``)."""
+
+    kind = "external"
+    model_id = "external"
+    command: str
     timeout_s: float = 60.0
 
     def __post_init__(self):
         if not self.timeout_s > 0:  # also false for NaN
             raise ValueError("timeout_s must be positive")
-        if self.kind == BUILTIN:
-            if self.grow_params is None:
-                object.__setattr__(self, "grow_params", GrowParams())
-        elif self.kind == EXTERNAL:
-            if not self.command:
-                raise ValueError("external segmenter needs a command template")
-            missing = [p for p in PLACEHOLDERS if p not in self.command]
-            if missing:
-                raise ValueError("command template missing placeholder(s): %s" % ", ".join(missing))
-        else:
-            raise ValueError("kind must be %r or %r" % (BUILTIN, EXTERNAL))
+        missing = [p for p in PLACEHOLDERS if p not in self.command]
+        if missing:
+            raise ValueError("command template missing placeholder(s): %s" % ", ".join(missing))
 
-    @classmethod
-    def builtin(cls, params: GrowParams | None = None) -> SegmenterRef:
-        return cls(kind=BUILTIN, grow_params=params or GrowParams())
-
-    @classmethod
-    def external(cls, command: str, timeout_s: float = 60.0) -> SegmenterRef:
-        return cls(kind=EXTERNAL, command=command, timeout_s=timeout_s)
-
-    @property
-    def model_id(self) -> str:
-        if self.kind == BUILTIN:
-            lo, hi = self.grow_params.hu_window
-            return "builtin-grow[%g,%g]" % (lo, hi)
-        return "external"
+    def segment(self, voi_image, local_click):
+        return segment_external(voi_image, local_click, self)
 
 
 @dataclass(eq=False)
@@ -110,7 +125,7 @@ def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
 
 
 def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
-                        params: GrowParams, strict: bool = True) -> SegmentationResult:
+                        params: GrowParams) -> SegmentationResult:
     """Flood fill from the click over voxels inside the HU window.
 
     Growth is breadth-first with neighbors visited in lexicographic
@@ -121,33 +136,26 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
     no component leaves that box, so the grow is the same voxels as in
     the whole VOI.
 
-    A seed voxel outside the window raises ClickOutsideWindowError in
-    strict mode and yields an empty mask otherwise.
+    A seed voxel outside the window yields an empty mask.
     """
     data = voi_image.data
     if any(c < 0 or c >= n for c, n in zip(local_click, data.shape)):
         raise ClickOutOfVolumeError("click %s outside VOI dims %s" % (local_click, data.shape))
     lo, hi = params.hu_window
     seed = tuple(int(c) for c in local_click)
-    if not lo <= data[seed] <= hi:
-        if strict:
-            raise ClickOutsideWindowError(
-                "seed intensity %g outside window [%g, %g]" % (data[seed], lo, hi))
-        empty = np.zeros(data.shape, dtype=np.uint8)
-        return SegmentationResult(Volume3D(empty, spacing=voi_image.spacing,
-                                           kind=VolumeKind.BINARY_MASK))
-
-    in_window = (data >= lo) & (data <= hi)
-    box = _foreground_box(in_window)
-    inside = in_window[box]
-    seed = tuple(c - b.start for c, b in zip(seed, box))  # in the box
-    labeled, _ = ndimage.label(inside, structure=_structure(params.connectivity))
-    component = labeled == labeled[seed]
-    truncated = int(component.sum()) > params.max_voxels
-    if truncated:
-        component = _grow_bfs(inside, seed, params)
     mask = np.zeros(data.shape, dtype=np.uint8)
-    mask[box] = component
+    truncated = False
+    if lo <= data[seed] <= hi:
+        in_window = (data >= lo) & (data <= hi)
+        box = _foreground_box(in_window)
+        inside = in_window[box]
+        seed = tuple(c - b.start for c, b in zip(seed, box))  # in the box
+        labeled, _ = ndimage.label(inside, structure=_structure(params.connectivity))
+        component = labeled == labeled[seed]
+        truncated = int(component.sum()) > params.max_voxels
+        if truncated:
+            component = _grow_bfs(inside, seed, params)
+        mask[box] = component
     mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return SegmentationResult(
         Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
@@ -186,7 +194,7 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
 
 
 def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
-                     ref: SegmenterRef) -> SegmentationResult:
+                     ref: ExternalSegmenter) -> SegmentationResult:
     """Run an external segmenter process on one VOI.
 
     The VOI is written to a private temp directory, the command template
@@ -199,8 +207,6 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
     ProcessFailedError, SegmenterTimeoutError, BadMaskDimsError,
     BadMaskValuesError
     """
-    if ref.kind != EXTERNAL:
-        raise ValueError("segment_external needs an external SegmenterRef")
     with tempfile.TemporaryDirectory(prefix="ulsforge-seg-") as tmp:
         image_path = Path(tmp) / "input.nii.gz"
         output_path = Path(tmp) / "output.nii.gz"
@@ -250,8 +256,6 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
 
 
 def segment(voi_image: Volume3D, local_click: tuple[int, int, int],
-            ref: SegmenterRef, strict: bool = True) -> SegmentationResult:
-    """Dispatch to the builtin grower or the external adapter."""
-    if ref.kind == BUILTIN:
-        return segment_region_grow(voi_image, local_click, ref.grow_params, strict=strict)
-    return segment_external(voi_image, local_click, ref)
+            ref: SegmenterRef) -> SegmentationResult:
+    """Segment one VOI with ``ref``, whatever its kind."""
+    return ref.segment(voi_image, local_click)

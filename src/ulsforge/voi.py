@@ -109,22 +109,19 @@ def crop_voi(image: Volume3D, mask: Volume3D | None, click: ClickPoint,
 
 
 def isolate_central_lesion(voi_mask: Volume3D, local_click: tuple[int, int, int],
-                           connectivity: int = 26, strict: bool = True) -> Volume3D:
+                           connectivity: int = 26) -> Volume3D:
     """Keep only the connected component containing ``local_click``.
 
     Leaves one lesion mask per crop: every other foreground voxel is
     zeroed. Only the box that holds the VOI's foreground is labeled; no
     component leaves that box, so the clicked one is the same voxels as
-    in the whole VOI. A background click raises ClickNotOnMaskError in
-    strict mode and yields an all-zero mask otherwise.
+    in the whole VOI. A background click raises ClickNotOnMaskError.
     """
     if any(c < 0 or c >= n for c, n in zip(local_click, voi_mask.dims)):
         raise ClickOutOfVolumeError("local click %s outside VOI dims %s" % (local_click, voi_mask.dims))
-    out = np.zeros(voi_mask.dims, dtype=np.uint8)
     if voi_mask.data[tuple(local_click)] == 0:
-        if strict:
-            raise ClickNotOnMaskError("click %s is background" % (local_click,))
-        return voi_mask.with_data(out, VolumeKind.BINARY_MASK)
+        raise ClickNotOnMaskError("click %s is background" % (local_click,))
+    out = np.zeros(voi_mask.dims, dtype=np.uint8)
     box = _foreground_box(voi_mask.data)
     labeled = label_components(voi_mask.with_data(voi_mask.data[box]), connectivity).data
     out[box] = labeled == labeled[tuple(c - b.start for c, b in zip(local_click, box))]

@@ -179,9 +179,9 @@ def test_criterion_7_protocol_shape_checks(tmp_path, monkeypatch):
         calls = []
         real = pl.segment
 
-        def counting(voi_image, local_click, ref, strict=True):
+        def counting(voi_image, local_click, ref):
             calls.append(1)
-            return real(voi_image, local_click, ref, strict=strict)
+            return real(voi_image, local_click, ref)
 
         monkeypatch.setattr(pl, "segment", counting)
         run_robustness_eval(manifest, BUILTIN, VOICfg(size=(32, 32, 16)),

@@ -6,6 +6,7 @@ import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from ulsforge import (
     GrowParams,
     Manifest,
     ManifestEntry,
+    SegmentationResult,
     SegmenterRef,
     VOICfg,
     Volume3D,
+    VolumeKind,
     aggregate_by_location,
     build_click_plan,
     compare_models,
@@ -276,6 +279,36 @@ def test_malformed_adapter_yields_flagged_records(tmp_path):
         assert r.dice == 0.0
 
 
+@dataclass(frozen=True)
+class ThresholdSegmenter:
+    """A third kind of segmenter, known only to this test: every voxel at or above ``floor``.
+
+    It has the shape of ``SegmenterRef`` and nothing from the segmenter module.
+    """
+
+    kind = "threshold"
+    floor: float
+
+    @property
+    def model_id(self):
+        return "threshold[%g]" % self.floor
+
+    def segment(self, voi_image, local_click):
+        mask = (voi_image.data >= self.floor).astype(np.uint8)
+        return SegmentationResult(voi_image.with_data(mask, VolumeKind.BINARY_MASK))
+
+
+def test_a_new_segmenter_kind_runs_without_changes_to_the_pipeline(tmp_path):
+    manifest = load_manifest(make_manifest(tmp_path, 3))
+    seg = ThresholdSegmenter(floor=LESION_HU)
+    records = run_dice_eval(manifest, seg, SMALL_CFG)
+    assert [(r.model_id, r.dice, r.flags) for r in records] == \
+        [("threshold[%g]" % LESION_HU, 1.0, frozenset())] * 3
+    assert run_metadata(seg, SMALL_CFG, 26)["model_id"] == "threshold[%g]" % LESION_HU
+    records = run_dice_eval(manifest, ThresholdSegmenter(floor=LESION_HU + 1), SMALL_CFG)
+    assert all(r.dice == 0.0 and pl.FLAG_EMPTY_PREDICTION in r.flags for r in records)
+
+
 def test_builtin_robustness_is_perfect_for_interior_lesions(tmp_path):
     manifest = load_manifest(make_manifest(tmp_path, 4))
     records = run_robustness_eval(manifest, BUILTIN, SMALL_CFG, seed_root=7)
@@ -291,9 +324,9 @@ def test_robustness_issues_three_segmentations_per_lesion(tmp_path, monkeypatch)
     calls = []
     real = pl.segment
 
-    def counting(voi_image, local_click, ref, strict=True):
+    def counting(voi_image, local_click, ref):
         calls.append(local_click)
-        return real(voi_image, local_click, ref, strict=strict)
+        return real(voi_image, local_click, ref)
 
     monkeypatch.setattr(pl, "segment", counting)
     run_robustness_eval(manifest, BUILTIN, SMALL_CFG, seed_root=0, k=2, workers=1)
@@ -473,7 +506,7 @@ def test_voi_box_scores_equal_global_frame_scores(tmp_path):
             if not preds:
                 gt = place_back(isolate_central_lesion(voi.mask, voi.local_click, 26),
                                 image.dims, voi.offset)
-            pred = segment(voi.image, voi.local_click, seg, strict=False).mask
+            pred = segment(voi.image, voi.local_click, seg).mask
             preds.append(place_back(pred, image.dims, voi.offset))
         return dice(preds[0], gt), mean_pairwise_dice(preds) if k else None
 
