@@ -37,6 +37,9 @@ PLACEHOLDERS = ("{image}", "{x}", "{y}", "{z}", "{output}")
 # permissive soft-tissue window; tests and demos pass explicit windows
 DEFAULT_HU_WINDOW = (-160, 240)
 
+# poll(2) takes at most a C int of milliseconds; longer bounds, inf too, wait unbounded
+_MAX_WAIT_S = (2 ** 31 - 1) // 1000
+
 
 @dataclass(frozen=True)
 class GrowParams:
@@ -227,7 +230,8 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               start_new_session=True) as proc:
             try:
-                _, stderr = proc.communicate(timeout=ref.timeout_s)
+                _, stderr = proc.communicate(
+                    timeout=ref.timeout_s if ref.timeout_s <= _MAX_WAIT_S else None)
             except BaseException as e:
                 try:
                     os.killpg(proc.pid, signal.SIGKILL)

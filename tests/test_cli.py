@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from adapters import CLICK_DOT, write_adapter
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
 from ulsforge import GrowParams, cli, load_manifest, pipeline, read_records_csv, read_report, read_volume
@@ -254,6 +255,19 @@ def test_bad_segmenter_argument_fails(tmp_path, capsys):
                "--segmenter", "exec:cmd {image} {x} {y} {output}",  # {z} missing
                "--out", str(tmp_path / "r")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("timeout", ["inf", "1e9"])
+def test_external_timeout_beyond_the_os_wait_scores(tmp_path, timeout):
+    path = make_manifest(tmp_path, 1)
+    command = write_adapter(tmp_path, CLICK_DOT)
+    run_dir = tmp_path / "run"
+    rc = main(["eval", "--manifest", str(path), "--voi", "32x32x16", "--out", str(run_dir),
+               "--segmenter", "exec:" + command, "--timeout", timeout])
+    assert rc == 0
+    [record] = read_records_csv(run_dir / "records.csv")
+    assert not record.flags and not record.error
+    assert 0 < record.dice < 1  # one voxel of the lesion
 
 
 def test_cli_reports_domain_errors(tmp_path, capsys):
