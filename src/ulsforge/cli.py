@@ -82,17 +82,24 @@ def _unit_fraction(text: str) -> float:
     return value
 
 
-def _parse_segmenter(text: str, params: GrowParams | None, timeout_s: float) -> SegmenterRef:
+def _segmenter(text: str):
+    """The function of (--hu-window, --timeout) that builds the segmenter
+    ``text`` names; a bad ``text`` is refused here, before a file is read."""
     if text == "builtin":
-        return SegmenterRef.builtin(params)
+        return lambda params, timeout_s: SegmenterRef.builtin(params)
     if text.startswith("exec:"):
-        return SegmenterRef.external(text[len("exec:"):], timeout_s=timeout_s)
-    raise UlsforgeError(
-        "segmenter must be 'builtin' or 'exec:\"CMD {image} {x} {y} {z} {output}\"'")
+        command = text[len("exec:"):]
+        try:
+            SegmenterRef.external(command)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError("bad command template %r: %s" % (command, e))
+        return lambda params, timeout_s: SegmenterRef.external(command, timeout_s)
+    raise argparse.ArgumentTypeError(
+        "expected 'builtin' or 'exec:\"CMD {image} {x} {y} {z} {output}\"', got %r" % text)
 
 
 def _add_segmenter_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--segmenter", required=True,
+    sub.add_argument("--segmenter", type=_segmenter, required=True,
                      help="'builtin' or 'exec:\"CMD {image} {x} {y} {z} {output}\"'")
     sub.add_argument("--hu-window", type=_grow_params, default=None,
                      help="builtin growth window as LO:HI (HU); write --hu-window=LO:HI "
@@ -258,7 +265,7 @@ def _write_run(records, metadata, out_dir: str) -> None:
 
 def _cmd_eval(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
-    seg = _parse_segmenter(args.segmenter, args.hu_window, args.timeout)
+    seg = args.segmenter(args.hu_window, args.timeout)
     cfg = VOICfg(size=args.voi)
     records = pipeline.run_dice_eval(manifest, seg, cfg,
                                      connectivity=args.connectivity,
@@ -272,7 +279,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_robustness(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
-    seg = _parse_segmenter(args.segmenter, args.hu_window, args.timeout)
+    seg = args.segmenter(args.hu_window, args.timeout)
     cfg = VOICfg(size=args.voi)
     records = pipeline.run_robustness_eval(manifest, seg, cfg, args.seed,
                                            k=args.k, connectivity=args.connectivity,

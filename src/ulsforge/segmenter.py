@@ -110,6 +110,7 @@ class ExternalSegmenter(SegmenterRef):
         missing = [p for p in PLACEHOLDERS if p not in self.command]
         if missing:
             raise ValueError("command template missing placeholder(s): %s" % ", ".join(missing))
+        shlex.split(self.command)  # raises ValueError on an unclosed quote
 
     def segment(self, voi_image, local_click):
         return segment_external(voi_image, local_click, self)
