@@ -98,7 +98,13 @@ def _segmenter(text: str):
         "expected 'builtin' or 'exec:\"CMD {image} {x} {y} {z} {output}\"', got %r" % text)
 
 
-def _add_segmenter_args(sub: argparse.ArgumentParser) -> None:
+def _add_run_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--manifest", required=True)
+    sub.add_argument("--voi", type=_parse_voi, default=(128, 128, 64),
+                     help="VOI size, default 128x128x64")
+    sub.add_argument("--connectivity", type=int, default=26, choices=CONNECTIVITIES)
+    sub.add_argument("--workers", type=_positive, default=None)
+    sub.add_argument("--out", required=True, help="output run directory")
     sub.add_argument("--segmenter", type=_segmenter, required=True,
                      help="'builtin' or 'exec:\"CMD {image} {x} {y} {z} {output}\"'")
     sub.add_argument("--hu-window", type=_grow_params, default=None,
@@ -106,15 +112,6 @@ def _add_segmenter_args(sub: argparse.ArgumentParser) -> None:
                           "when LO is negative")
     sub.add_argument("--timeout", type=_timeout, default=60.0,
                      help="external segmenter timeout in seconds")
-
-
-def _add_common_run_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--manifest", required=True)
-    sub.add_argument("--voi", type=_parse_voi, default=(128, 128, 64),
-                     help="VOI size, default 128x128x64")
-    sub.add_argument("--connectivity", type=int, default=26, choices=CONNECTIVITIES)
-    sub.add_argument("--workers", type=_positive, default=None)
-    sub.add_argument("--out", required=True, help="output run directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,14 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("eval", help="centered-click Dice run")
-    _add_common_run_args(p)
-    _add_segmenter_args(p)
+    _add_run_args(p)
+    p.set_defaults(seed=None, k=None, score="dice")
 
     p = subs.add_parser("robustness", help="click-shift robustness run")
-    _add_common_run_args(p)
-    _add_segmenter_args(p)
+    _add_run_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=_count, default=2, help="sampled clicks per lesion")
+    p.set_defaults(score="robustness")
 
     p = subs.add_parser("compare", help="paired t-tests between two runs")
     p.add_argument("--run-a", required=True)
@@ -263,34 +260,22 @@ def _write_run(records, metadata, out_dir: str) -> None:
     pipeline.emit_report(report, "json", out / REPORT_NAME)
 
 
-def _cmd_eval(args) -> int:
-    manifest = pipeline.load_manifest(args.manifest)
-    seg = args.segmenter(args.hu_window, args.timeout)
-    cfg = VOICfg(size=args.voi)
-    records = pipeline.run_dice_eval(manifest, seg, cfg,
-                                     connectivity=args.connectivity,
-                                     workers=args.workers)
-    metadata = pipeline.run_metadata(seg, cfg, args.connectivity)
-    _write_run(records, metadata, args.out)
-    mean = sum(r.dice for r in records) / len(records) if records else float("nan")
-    print("evaluated %d lesions, mean dice %.4f -> %s" % (len(records), mean, args.out))
-    return 0
-
-
-def _cmd_robustness(args) -> int:
+def _cmd_run(args) -> int:
+    """``eval`` and ``robustness``: eval is the robustness protocol with
+    k = 0 and no seed, and its metadata records seed_root and k as null."""
     manifest = pipeline.load_manifest(args.manifest)
     seg = args.segmenter(args.hu_window, args.timeout)
     cfg = VOICfg(size=args.voi)
     records = pipeline.run_robustness_eval(manifest, seg, cfg, args.seed,
-                                           k=args.k, connectivity=args.connectivity,
+                                           k=args.k or 0, connectivity=args.connectivity,
                                            workers=args.workers)
     metadata = pipeline.run_metadata(seg, cfg, args.connectivity,
                                      seed_root=args.seed, k=args.k)
     _write_run(records, metadata, args.out)
-    scored = [r.robustness for r in records if r.robustness is not None]
+    scored = [s for s in (getattr(r, args.score) for r in records) if s is not None]
     mean = sum(scored) / len(scored) if scored else float("nan")
-    print("evaluated %d lesions, mean robustness %.4f -> %s"
-          % (len(records), mean, args.out))
+    print("evaluated %d lesions, mean %s %.4f -> %s"
+          % (len(records), args.score, mean, args.out))
     return 0
 
 
@@ -339,8 +324,8 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "split": _cmd_split,
     "extract": _cmd_extract,
-    "eval": _cmd_eval,
-    "robustness": _cmd_robustness,
+    "eval": _cmd_run,
+    "robustness": _cmd_run,
     "compare": _cmd_compare,
     "report": _cmd_report,
 }
