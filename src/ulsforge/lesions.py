@@ -57,7 +57,9 @@ def _structure(connectivity: int) -> np.ndarray:
 
 def _foreground_box(data: np.ndarray) -> tuple[slice, slice, slice]:
     """The smallest box that holds every nonzero voxel; the whole array if none is."""
-    spans = [np.flatnonzero(data.any(axis=a)) for a in ((1, 2), (0, 2), (0, 1))]
+    xy = data.any(axis=2)  # two passes over the volume: x and y spans from here, z below
+    spans = [np.flatnonzero(xy.any(axis=1)), np.flatnonzero(xy.any(axis=0)),
+             np.flatnonzero(data.any(axis=(0, 1)))]
     return tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, None) for s in spans)
 
 

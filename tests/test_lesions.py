@@ -13,7 +13,7 @@ from ulsforge import (
     label_components,
 )
 from ulsforge.errors import EmptyInstanceError, WrongKindError
-from ulsforge.lesions import CENTROID, _instance_from_voxels
+from ulsforge.lesions import CENTROID, _foreground_box, _instance_from_voxels
 
 
 def binary(arr):
@@ -100,9 +100,12 @@ def test_labeling_the_foreground_box_equals_labeling_the_volume(shape, seed, fil
     spans = [np.flatnonzero(mask.any(axis=tuple(b for b in range(3) if b != a)))
              for a in range(3)]
     boxed = np.zeros_like(whole)
+    box = (slice(0, None),) * 3  # the whole array when there is no foreground
     if spans[0].size:
         box = tuple(slice(s[0], s[-1] + 1) for s in spans)
         boxed[box] = label_components(binary(mask[box]), connectivity).data
+    for arr in (mask, np.asfortranarray(mask)):
+        assert _foreground_box(arr) == box
     assert np.array_equal(boxed, whole)
     assert boxed.any() == bool(mask.any())
 
