@@ -5,8 +5,8 @@ Click-centered volumes of interest
 Segmenters see a fixed-size crop around the click. The window along
 each axis is [c - s/2, c - s/2 + s), so the click lands at local index
 s/2; windows reaching outside the scan are padded (air for the image,
-background for the mask). Predictions made inside a VOI are placed
-back into the global frame for scoring.
+background for the mask). Predictions made inside a VOI are scored
+where place_back puts them in the global frame.
 """
 
 import numpy as np

@@ -3,9 +3,10 @@
 A manifest row binds one lesion (image file, mask file, patient,
 dataset, location) to a unique lesion id. Runs read each scan once,
 however many lesions it holds, crop a click-centered VOI per lesion,
-segment it, and score Dice and click-shift robustness over the part of
-the volume that the lesion's VOIs cover. Per-lesion failures become
-flagged records; a run only aborts on manifest-level problems.
+segment it, and score Dice and click-shift robustness in the lesion's
+VOIs, counting only their voxels inside the volume, as the global frame
+does. Per-lesion failures become flagged records; a run only aborts on
+manifest-level problems.
 
 All randomness is keyed per lesion id, and records are sorted by
 lesion id before anything is written, so a run's per-lesion CSV is
@@ -21,6 +22,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +46,11 @@ from .errors import (
     ZeroVarianceError,
 )
 from .lesions import LesionInstance, _foreground_box, _instance_from_voxels, label_components
-from .metrics import dice, mean_pairwise_dice
+# dice, place_back: unused here, kept for tools that wrap them by name on pipeline
+from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef, segment
 from .stats import TestResult, degenerate_result, paired_ttest
-from .voi import VOICfg, crop_voi, isolate_central_lesion, place_back
+from .voi import VOICfg, _overlap, crop_voi, isolate_central_lesion, place_back  # noqa: F401
 from .volume import Volume3D, VolumeKind, read_volume
 
 DEFAULT_TEST_FRACTION = 0.2
@@ -323,12 +326,18 @@ class _Scan:
             raise found[0](*found[1])  # a fresh error, with no traceback into the load
         return found
 
-    def mask(self, instance: LesionInstance, lo: tuple[int, int, int] = (0, 0, 0),
-             dims: tuple[int, int, int] | None = None) -> Volume3D:
-        """The instance's binary mask in the box of ``dims`` at ``lo``, by default the volume."""
-        local = instance.voxels - lo
-        data = np.zeros(dims or self.image.dims, dtype=np.uint8)
-        data[tuple(local[((local >= 0) & (local < data.shape)).all(axis=1)].T)] = 1
+    def mask(self, instance: LesionInstance, offset: tuple[int, int, int] = (0, 0, 0),
+             size: tuple[int, int, int] | None = None, pad: int = 0) -> Volume3D:
+        """The instance's binary mask in the window [offset, offset + size),
+        by default the volume. The window's voxels outside the volume take
+        ``pad``, as ``crop_voi`` pads a crop of the whole-volume mask."""
+        data = np.zeros(size or self.image.dims, dtype=np.uint8)
+        if pad:
+            data[...] = pad
+            data[_overlap(self.image.dims, offset, data.shape)[1]] = 0
+        local = [instance.voxels[:, a] - offset[a] for a in range(3)]  # by axis: rows of 3 are slow
+        inside = np.logical_and.reduce([(c >= 0) & (c < n) for c, n in zip(local, data.shape)])
+        data[tuple(c[inside] for c in local)] = 1
         data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
         return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, self.mask_header)
 
@@ -454,51 +463,37 @@ def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
     )
 
 
-def _score_box(dims: tuple[int, int, int], clicks: list[tuple[int, int, int]],
-               size: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(corner, dims) of the union of the VOI windows around ``clicks``, clipped to ``dims``."""
-    offsets = [tuple(c - s // 2 for c, s in zip(click, size)) for click in clicks]  # as crop_voi
-    lo = tuple(max(0, min(o[a] for o in offsets)) for a in range(3))
-    hi = tuple(min(dims[a], max(o[a] for o in offsets) + size[a]) for a in range(3))
-    return lo, tuple(h - l for h, l in zip(hi, lo))
-
-
 def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: VOICfg,
               connectivity: int, model_id: str, seed_root: int | None, k: int) -> EvalRecord:
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
-    Each click's image is cropped and segmented; the mask is cropped only
-    at the centroid. Dice compares the centroid prediction with the
-    central lesion of the centroid VOI; robustness is
-    the mean pairwise Dice of all predictions and exists only for k >= 1.
-    The Dice protocol is k = 0. All of it runs in the box of the volume
-    that the plan's windows cover: every window's part inside the volume
-    lies in the box, so crops and scores count the same voxels as in the
-    global frame.
+    Each click's image is cropped and segmented. The ground truth is the
+    central lesion of the lesion's mask, built in the centroid VOI only.
+    Dice compares the centroid prediction with it; robustness is the mean
+    pairwise Dice of all predictions and exists only for k >= 1. The Dice
+    protocol is k = 0. Every score is counted in the VOIs themselves, over
+    their parts inside the volume (``voi_dice``), so it is the global
+    frame's score without placing any mask back.
     """
     try:
         scan, instance = loader.lesion(entry)
-        clicks = build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks()
-        lo, box = _score_box(scan.image.dims, [c.pos for c in clicks], cfg.size)
-        image = scan.image.with_data(scan.image.data[tuple(slice(l, l + n) for l, n in zip(lo, box))])
-        mask = scan.mask(instance, lo, box)
         flags: set[str] = set()
         placed = []  # (offset, VOI mask): the ground truth, then every prediction
-        for click in (replace(c, pos=tuple(p - l for p, l in zip(c.pos, lo))) for c in clicks):
-            voi = crop_voi(image, None if placed else mask, click, cfg)
+        for click in build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks():
+            voi = crop_voi(scan.image, None, click, cfg)
             if not placed:
-                placed.append((voi.offset, isolate_central_lesion(
-                    voi.mask, voi.local_click, connectivity)))
+                truth = scan.mask(instance, voi.offset, cfg.size, cfg.pad_value_mask)
+                placed.append((voi.offset, isolate_central_lesion(truth, voi.local_click, connectivity)))
             result = segment(voi.image, voi.local_click, seg)
             if result.truncated:
                 flags.add(FLAG_TRUNCATED)
             if not result.mask.data.any():
                 flags.add(FLAG_EMPTY_PREDICTION)
             placed.append((voi.offset, result.mask))
-        gt, *preds = [place_back(m, box, offset) for offset, m in placed]
-        score = dice(preds[0], gt)
-        robust = mean_pairwise_dice(preds) if len(preds) >= 2 else None
-        return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=score,
+        gt, *preds = placed
+        pair_dice = partial(voi_dice, dims=scan.image.dims)
+        robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None
+        return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=pair_dice(preds[0], gt),
                           robustness=robust, location=entry.location,
                           dataset=entry.dataset, flags=frozenset(flags),
                           seed_root=seed_root)
@@ -538,9 +533,9 @@ def run_dice_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(),
     """Centered-click Dice protocol: one record per manifest lesion.
 
     Per lesion: crop at the lesion center, isolate the central lesion
-    as ground truth, segment, place the prediction back, and score Dice
-    over the VOI's part of the volume, the voxels the global frame
-    counts. Failures yield flagged records.
+    as ground truth, segment, and score Dice over the VOI's part inside
+    the volume, the voxels the global frame counts. Nothing is placed
+    back. Failures yield flagged records.
     """
     return _run(manifest, seg, cfg, connectivity, workers, model_id, None, 0)
 
@@ -552,10 +547,11 @@ def run_robustness_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOI
     """Click-shift robustness protocol.
 
     Per lesion: one centroid click plus k sampled in-lesion clicks
-    (default 2, giving three segmentations), predictions placed back
-    into the windows' part of the volume, robustness = mean pairwise
-    Dice among them: the scores of the global frame. The centered-click
-    Dice is recorded alongside.
+    (default 2, giving three segmentations), robustness = mean pairwise
+    Dice among their predictions, each pair counted over the two
+    windows' common part inside the volume: the scores of the global
+    frame, with nothing placed back. The centered-click Dice is
+    recorded alongside.
     """
     return _run(manifest, seg, cfg, connectivity, workers, model_id, seed_root, k)
 

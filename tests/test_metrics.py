@@ -1,10 +1,16 @@
+from functools import partial
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from oracles import dice_count
-from ulsforge import Volume3D, VolumeKind, dice, mean_pairwise_dice
+from ulsforge import Volume3D, VolumeKind, dice, mean_pairwise_dice, place_back
 from ulsforge.errors import DimsMismatchError
+from ulsforge.metrics import voi_dice
 
 from synth import ball
 
@@ -105,3 +111,56 @@ def test_eroding_one_prediction_strictly_lowers_robustness():
     full = binary(sphere)
     score = mean_pairwise_dice([full, full, binary(eroded)])
     assert score < 1.0
+
+
+def placed_scores(placed, dims):
+    """Every pair's voi_dice and the pairwise mean, each checked against the
+    masks placed back into the volume and scored there."""
+    volumes = [place_back(m, dims, offset) for offset, m in placed]
+    for (pa, va), (pb, vb) in combinations(zip(placed, volumes), 2):
+        assert voi_dice(pa, pb, dims) == dice(va, vb)
+        assert voi_dice(pb, pa, dims) == dice(vb, va)
+    mean = mean_pairwise_dice(placed, partial(voi_dice, dims=dims))
+    assert mean == mean_pairwise_dice(volumes)
+    return [voi_dice(a, b, dims) for a, b in combinations(placed, 2)], mean
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("side", [-1, 1])
+def test_voi_dice_counts_no_voxel_off_a_face(axis, side):
+    # a full window half off one face against the whole volume: its padding never counts
+    dims, size = (6, 7, 8), (4, 4, 4)
+    off = [1, 1, 2]
+    off[axis] = -2 if side < 0 else dims[axis] - 2
+    volume = ((0, 0, 0), binary(np.ones(dims)))
+    half = (tuple(off), binary(np.ones(size)))
+    scores, _ = placed_scores([volume, half], dims)
+    assert scores == [2.0 * 32 / (32 + 6 * 7 * 8)]
+
+
+def test_voi_dice_of_disjoint_and_empty_windows():
+    dims, size = (10, 10, 10), (4, 4, 4)
+    full, empty = binary(np.ones(size)), binary(np.zeros(size))
+    outside = (-4, 3, 3)  # touches the volume in no voxel
+    assert voi_dice(((0, 0, 0), full), ((6, 6, 6), full), dims) == 0.0
+    assert voi_dice(((0, 0, 0), full), ((4, 0, 0), full), dims) == 0.0  # adjacent
+    assert voi_dice(((0, 0, 0), empty), ((6, 6, 6), empty), dims) == 1.0
+    assert voi_dice(((0, 0, 0), empty), ((1, 1, 1), full), dims) == 0.0
+    assert voi_dice((outside, full), ((0, 0, 0), empty), dims) == 1.0  # nothing is placed
+    placed_scores([((0, 0, 0), full), ((6, 6, 6), full), (outside, full), ((1, 1, 1), empty)], dims)
+
+
+@seed(20240607)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), dims=st.tuples(*[st.integers(1, 9)] * 3),
+       size=st.tuples(*[st.integers(1, 6)] * 3), rng_seed=st.integers(0, 2 ** 16))
+def test_voi_dice_equals_global_frame_dice(data, dims, size, rng_seed):
+    """Any windows, inside, across any face, disjoint or outside, with masks of
+    any fill: scores in the VOIs are the placed masks' scores, bit for bit."""
+    rng = np.random.default_rng(rng_seed)
+    placed = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        offset = tuple(data.draw(st.integers(-s - 1, n + 1)) for n, s in zip(dims, size))
+        fill = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+        placed.append((offset, binary(rng.random(size) < fill)))
+    placed_scores(placed, dims)

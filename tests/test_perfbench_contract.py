@@ -1,7 +1,14 @@
-"""The benchmark tracer wraps module attributes by name; they must all exist."""
+"""The benchmark tracer wraps module attributes by name; they must all exist,
+and a traced run must finish with the untraced run's records."""
 
 import importlib
+import json
 from pathlib import Path
+
+import pytest
+
+from synth import make_case
+from ulsforge.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -14,3 +21,38 @@ def test_every_traced_attribute_exists(monkeypatch):
     missing = ["%s.%s" % (getattr(owner, "__name__", owner), attr)
                for owner, attr in pairs if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("command, lesion_segments", [
+    (["eval", "--workers", "2"], 1),
+    (["robustness", "--k", "2", "--seed", "4", "--workers", "1"], 3),
+])
+def test_traced_run_writes_the_untraced_records(tmp_path, monkeypatch, command, lesion_segments):
+    # lesions at a corner, a face and inside: windows hang off the volume and overlap
+    centers = ((1, 2, 1), (30, 15, 10), (14, 30, 17))
+    img, msk = make_case(tmp_path, "case", shape=(32, 32, 20), centers=centers)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"lesion_id": "l%d" % i, "patient_id": "p", "image_path": img.name,
+         "mask_path": msk.name, "click": list(c)} for i, c in enumerate(centers)]}))
+    argv = [*command, "--manifest", str(manifest), "--voi", "16x16x8",
+            "--segmenter", "builtin", "--hu-window=-1100:200"]  # the padding grows too
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_module = importlib.import_module("tracer")
+    for _, owners, *_ in tracer_module._targets():
+        for owner, attr in owners:  # monkeypatch puts every wrapped attribute back
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = tracer_module.Tracer(workers=2)
+    tracer.install()
+    assert main([*argv, "--out", str(tmp_path / "traced")]) == 0
+
+    traced = (tmp_path / "traced" / "records.csv").read_bytes()
+    assert traced == (tmp_path / "plain" / "records.csv").read_bytes()
+    assert len(traced.splitlines()) == 1 + len(centers)
+    layers = tracer.layer_metrics(len(centers))
+    assert layers["segmenter.segment_calls"] == lesion_segments * len(centers)
+    assert layers["voi.isolate_s"] > 0
+    # scores are counted in the VOIs: nothing is placed back or compared in a global frame
+    assert layers["voi.place_back_calls"] == layers["metrics.dice_calls"] == 0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import ulsforge.pipeline as pl
@@ -490,6 +490,20 @@ def test_two_workers_read_two_scans_at_once(tmp_path, monkeypatch):
         [(e.lesion_id, 1.0, 1.0) for e in entries]
 
 
+def global_frame_scores(image, mask, instance, lesion_id, seg, cfg, seed_root, k,
+                        connectivity=26):
+    """(dice, robustness) with every mask placed back into the whole volume."""
+    preds = []
+    for click in build_click_plan(instance, seed_root, lesion_id, k=k).all_clicks():
+        voi = crop_voi(image, mask, click, cfg)
+        if not preds:
+            gt = place_back(isolate_central_lesion(voi.mask, voi.local_click, connectivity),
+                            image.dims, voi.offset)
+        pred = segment(voi.image, voi.local_click, seg).mask
+        preds.append(place_back(pred, image.dims, voi.offset))
+    return dice(preds[0], gt), mean_pairwise_dice(preds) if k else None
+
+
 def test_voi_box_scores_equal_global_frame_scores(tmp_path):
     # the window holds the -1024 pad, so every prediction covers padded voxels
     seg = SegmenterRef.builtin(GrowParams(hu_window=(-1100, 200)))
@@ -498,24 +512,61 @@ def test_voi_box_scores_equal_global_frame_scores(tmp_path):
     entries = [ManifestEntry(lesion_id="e%d" % i, patient_id="p", image_path=img,
                              mask_path=msk, click=c) for i, c in enumerate(centers)]
 
-    def global_frame(entry, seed_root, k):
+    def global_frame(entry, cfg, seed_root, k):
         image, mask, instance = pl.resolve_lesion(entry, 26)
-        preds = []
-        for click in build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks():
-            voi = crop_voi(image, mask, click, SMALL_CFG)
-            if not preds:
-                gt = place_back(isolate_central_lesion(voi.mask, voi.local_click, 26),
-                                image.dims, voi.offset)
-            pred = segment(voi.image, voi.local_click, seg).mask
-            preds.append(place_back(pred, image.dims, voi.offset))
-        return dice(preds[0], gt), mean_pairwise_dice(preds) if k else None
+        return global_frame_scores(image, mask, instance, entry.lesion_id, seg, cfg, seed_root, k)
 
-    runs = [(run_dice_eval(Manifest(entries), seg, SMALL_CFG), None, 0),
-            (run_robustness_eval(Manifest(entries), seg, SMALL_CFG, seed_root=5), 5, 2)]
-    for records, seed_root, k in runs:
-        assert all(not r.flags for r in records)
-        assert [(r.dice, r.robustness) for r in records] == \
-            [global_frame(e, seed_root, k) for e in entries]
+    for cfg in (SMALL_CFG, VOICfg(size=SMALL_CFG.size, pad_value_mask=1)):
+        runs = [(run_dice_eval(Manifest(entries), seg, cfg), None, 0),
+                (run_robustness_eval(Manifest(entries), seg, cfg, seed_root=5), 5, 2)]
+        for records, seed_root, k in runs:
+            assert all(not r.flags for r in records)
+            assert [(r.dice, r.robustness) for r in records] == \
+                [global_frame(e, cfg, seed_root, k) for e in entries]
+
+
+class OneScanLoader:
+    """A ScanLoader stand-in serving one in-memory scan."""
+
+    def __init__(self, scan):
+        self.scan = scan
+
+    def lesion(self, entry):
+        return self.scan, self.scan.lesion(entry)
+
+
+@seed(20240607)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.tuples(*[st.integers(2, 14)] * 3),
+       size=st.tuples(*[st.sampled_from([2, 4, 6, 10])] * 3), rng_seed=st.integers(0, 2 ** 16),
+       fill=st.sampled_from([0.05, 0.3, 0.9]), pad_value_mask=st.sampled_from([0, 1]),
+       hu_window=st.sampled_from([(-1100, 200), GROW_WINDOW]), k=st.integers(0, 3),
+       connectivity=st.sampled_from([6, 18, 26]))
+def test_voi_frame_scores_equal_global_frame_scores_property(
+        data, shape, size, rng_seed, fill, pad_value_mask, hu_window, k, connectivity):
+    """Any lesion voxel set, VOI size and padding: the record's scores, counted
+    in the VOIs, are the scores of the masks placed back into the volume.
+
+    Scattered lesions give windows that hang off faces or miss each other;
+    background clicks give empty predictions; the (-1100, 200) window grows
+    over the -1024 image padding, and pad_value_mask=1 joins the mask's
+    padding to lesions on a face.
+    """
+    rng = np.random.default_rng(rng_seed)
+    lesion = rng.random(shape) < fill
+    lesion[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = True
+    image = Volume3D(np.where(rng.random(shape) < 0.7, LESION_HU, BACKGROUND_HU).astype(np.int16))
+    mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
+    instance = pl._instance_from_voxels(1, np.argwhere(lesion))
+    scan = pl._Scan(image, mask.spacing, None, {"l": instance})
+    entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
+    seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
+    cfg = VOICfg(size=size, pad_value_mask=pad_value_mask)
+    seed_root = data.draw(st.integers(0, 99)) if k else None
+    record = pl._eval_one(entry, OneScanLoader(scan), seg, cfg, connectivity, "m", seed_root, k)
+    assert pl.FLAG_ERROR not in record.flags, record.error
+    assert (record.dice, record.robustness) == global_frame_scores(
+        image, mask, instance, "l", seg, cfg, seed_root, k, connectivity)
 
 
 def test_multi_component_mask_needs_disambiguation(tmp_path):
