@@ -171,13 +171,16 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
     """First max_voxels voxels in breadth-first discovery order.
 
     Grows one layer at a time, parent by parent in discovery order and
-    offset by offset, keeping each voxel's first hit. A False border one
-    voxel wide keeps every flat neighbour index inside the array.
+    offset by offset, keeping each voxel's first hit: the smallest
+    position at which it occurs in the layer's candidates, found without
+    sorting. A False border one voxel wide keeps every flat neighbour
+    index inside the array.
     """
     padded = np.pad(in_window, 1)
     shape = padded.shape
     flat_off = np.array(_neighbor_offsets(params.connectivity)) @ (shape[1] * shape[2], shape[2], 1)
     is_open = padded.ravel()  # in the window and not yet accepted
+    first = np.empty(is_open.size, dtype=np.intp)  # read only where a layer set it
     frontier = np.array([np.ravel_multi_index(tuple(c + 1 for c in seed), shape)])
     is_open[frontier] = False
     layers = [frontier]
@@ -185,9 +188,10 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
     while frontier.size and count < params.max_voxels:
         cand = (frontier[:, None] + flat_off).ravel()
         cand = cand[is_open[cand]]
-        if frontier.size > 1:  # one parent's neighbours are distinct already
-            _, first = np.unique(cand, return_index=True)
-            cand = cand[np.sort(first)]
+        position = np.arange(cand.size)
+        first[cand] = cand.size
+        np.minimum.at(first, cand, position)
+        cand = cand[first[cand] == position]
         frontier = cand[:params.max_voxels - count]
         is_open[frontier] = False
         layers.append(frontier)

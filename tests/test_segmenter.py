@@ -190,6 +190,29 @@ def test_truncated_grow_cuts_a_layer_in_its_discovery_order(connectivity):
 
 
 @pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+@pytest.mark.parametrize("layer", [3, 5, 7])
+@pytest.mark.parametrize("fill, seed", [(1.0, (10, 9, 8)), (0.97, (6, 12, 5))])
+def test_truncated_grow_of_a_dense_blob_cuts_inside_a_layer(connectivity, layer, fill, seed):
+    """A filled ball: most of a layer's candidates repeat a voxel that another
+    parent found first, and the cap falls inside the layer, at seeded points."""
+    shape = (21, 19, 17)
+    in_window = ball(shape, (10, 9, 8), 8) & random_window(shape, fill, rng_seed=layer)
+    in_window[seed] = True
+    before = reached = np.zeros_like(in_window)
+    reached[seed] = True
+    for _ in range(layer - 1):  # reached: the voxels up to the layer before
+        before, reached = reached, ndimage.binary_dilation(reached, structure(connectivity)) & in_window
+    new = ndimage.binary_dilation(reached, structure(connectivity)) & in_window & ~reached
+    frontier = reached & ~before
+    hits = ndimage.correlate(frontier.astype(int), structure(connectivity).astype(int),
+                             mode="constant")[new]  # each new voxel's parents
+    assert new.any() and hits.sum() > 2 * new.sum()  # most candidates are repeats
+    rng = np.random.default_rng(layer * connectivity)
+    for cut in sorted(rng.integers(1, int(new.sum()), size=3)):
+        grow_both(in_window, seed, connectivity, int(reached.sum()) + int(cut))
+
+
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
 def test_cap_equal_to_the_component_is_not_truncated(connectivity):
     in_window = random_window((14, 12, 10), 0.6, rng_seed=connectivity)
     seed = (7, 6, 5)
