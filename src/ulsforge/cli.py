@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import pipeline
-from .clicks import build_click_plan, generate_shifted_samples
+from .clicks import build_click_plan
 from .errors import UlsforgeError
 from .lesions import CONNECTIVITIES
 from .segmenter import GrowParams, SegmenterRef
@@ -206,7 +206,6 @@ def _cmd_extract(args) -> int:
         entry_rows = rows[entry.lesion_id] = []
         try:
             scan, instance = loader.lesion(entry)
-            image, mask = scan.image, scan.mask(instance)
             stems = [entry.lesion_id] + ["%s_aug%d" % (entry.lesion_id, i)
                                          for i in range(1, args.augment + 1)]
             if Path(entry.lesion_id).name != entry.lesion_id:
@@ -214,13 +213,10 @@ def _cmd_extract(args) -> int:
             if written.intersection(stems):
                 raise UlsforgeError("lesion %r would overwrite files written in this run"
                                     % entry.lesion_id)
-            samples = generate_shifted_samples(image, mask, instance, cfg, args.seed,
-                                               k=args.augment,
-                                               lesion_id=entry.lesion_id,
-                                               connectivity=args.connectivity)
+            plan = build_click_plan(instance, args.seed, entry.lesion_id, k=args.augment)
+            samples = [scan.voi(instance, c, cfg, args.connectivity) for c in plan.all_clicks()]
             if args.augment > 0:
-                plans[entry.lesion_id] = build_click_plan(instance, args.seed, entry.lesion_id,
-                                                          k=args.augment).to_record()
+                plans[entry.lesion_id] = plan.to_record()
             written.update(stems)
             for i, (stem, sample) in enumerate(zip(stems, samples)):
                 img_path = out / ("%s_img.nii.gz" % stem)

@@ -109,7 +109,7 @@ def _center_from_voxels(voxels: np.ndarray) -> ClickPoint:
     centroid = voxels.mean(axis=0)
     rounded = np.floor(centroid + 0.5).astype(np.int64)  # round half up, per axis
     pos = tuple(int(v) for v in rounded)
-    if not (voxels == rounded).all(axis=1).any():
+    if not np.logical_and.reduce([voxels[:, a] == rounded[a] for a in range(3)]).any():  # by axis
         # snap to the in-mask voxel nearest the continuous centroid;
         # voxels are lexicographically sorted, so the first minimum wins ties
         d2 = ((voxels - centroid) ** 2).sum(axis=1)

@@ -23,6 +23,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,12 @@ from .errors import (
     UlsforgeError,
     ZeroVarianceError,
 )
-from .lesions import LesionInstance, _foreground_box, _instance_from_voxels, label_components
+from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_voxels, label_components
 # dice, place_back: unused here, kept for tools that wrap them by name on pipeline
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef, segment
 from .stats import TestResult, degenerate_result, paired_ttest
-from .voi import VOICfg, _overlap, crop_voi, isolate_central_lesion, place_back  # noqa: F401
+from .voi import VOICfg, VOISample, _overlap, crop_voi, isolate_central_lesion, place_back  # noqa: F401
 from .volume import Volume3D, VolumeKind, read_volume
 
 DEFAULT_TEST_FRACTION = 0.2
@@ -329,8 +330,8 @@ class _Scan:
     def mask(self, instance: LesionInstance, offset: tuple[int, int, int] = (0, 0, 0),
              size: tuple[int, int, int] | None = None, pad: int = 0) -> Volume3D:
         """The instance's binary mask in the window [offset, offset + size),
-        by default the volume. The window's voxels outside the volume take
-        ``pad``, as ``crop_voi`` pads a crop of the whole-volume mask."""
+        by default the volume. Like a ``crop_voi`` crop of the whole mask, a
+        window pads voxels outside the volume with ``pad`` and has no header."""
         data = np.zeros(size or self.image.dims, dtype=np.uint8)
         if pad:
             data[...] = pad
@@ -339,7 +340,17 @@ class _Scan:
         inside = np.logical_and.reduce([(c >= 0) & (c < n) for c, n in zip(local, data.shape)])
         data[tuple(c[inside] for c in local)] = 1
         data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-        return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, self.mask_header)
+        header = self.mask_header if size is None else None
+        return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, header)
+
+    def voi(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
+            connectivity: int) -> VOISample:
+        """The click's image VOI and its ground truth, the central lesion of the
+        instance's mask in that window: ``generate_shifted_samples``'s sample."""
+        sample = crop_voi(self.image, None, click, cfg)
+        truth = self.mask(instance, sample.offset, cfg.size, cfg.pad_value_mask)
+        sample.mask = isolate_central_lesion(truth, sample.local_click, connectivity)
+        return sample
 
 
 def _clicked_component(entry: ManifestEntry, labeled: np.ndarray, lo: tuple[int, ...],
@@ -468,7 +479,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
     Each click's image is cropped and segmented. The ground truth is the
-    central lesion of the lesion's mask, built in the centroid VOI only.
+    centroid VOI's (``_Scan.voi``); the other clicks crop only the image.
     Dice compares the centroid prediction with it; robustness is the mean
     pairwise Dice of all predictions and exists only for k >= 1. The Dice
     protocol is k = 0. Every score is counted in the VOIs themselves, over
@@ -477,13 +488,11 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     """
     try:
         scan, instance = loader.lesion(entry)
+        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
+        truth = scan.voi(instance, plan.normal, cfg, connectivity)
         flags: set[str] = set()
-        placed = []  # (offset, VOI mask): the ground truth, then every prediction
-        for click in build_click_plan(instance, seed_root, entry.lesion_id, k=k).all_clicks():
-            voi = crop_voi(scan.image, None, click, cfg)
-            if not placed:
-                truth = scan.mask(instance, voi.offset, cfg.size, cfg.pad_value_mask)
-                placed.append((voi.offset, isolate_central_lesion(truth, voi.local_click, connectivity)))
+        placed = [(truth.offset, truth.mask)]  # (offset, VOI mask): the truth, then each prediction
+        for voi in chain([truth], (crop_voi(scan.image, None, c, cfg) for c in plan.augmented)):
             result = segment(voi.image, voi.local_click, seg)
             if result.truncated:
                 flags.add(FLAG_TRUNCATED)
@@ -514,16 +523,10 @@ def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
          k: int) -> list[EvalRecord]:
     n = _effective_workers(workers)
     loader = ScanLoader(manifest.entries, connectivity, n)
-    model = model_id or seg.model_id
-
-    def one(e: ManifestEntry) -> EvalRecord:
-        return _eval_one(e, loader, seg, cfg, connectivity, model, seed_root, k)
-
-    if n <= 1 or len(loader.entries) <= 1:
-        records = [one(e) for e in loader.entries]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            records = list(pool.map(one, loader.entries))
+    one = partial(_eval_one, loader=loader, seg=seg, cfg=cfg, connectivity=connectivity,
+                  model_id=model_id or seg.model_id, seed_root=seed_root, k=k)
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        records = list(pool.map(one, loader.entries))
     return sorted(records, key=lambda r: r.lesion_id)
 
 

@@ -6,6 +6,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 # copies a fixed mask file to the output slot, ignoring image and click
 COPY_MASK = """
 import shutil, sys
@@ -90,6 +92,7 @@ time.sleep(30)
 
 
 def write_adapter(tmp_path: Path, body: str, name: str = "adapter.py") -> str:
+    """The command template of a script running ``body`` with this checkout's ulsforge."""
     script = tmp_path / name
-    script.write_text(textwrap.dedent(body).lstrip())
+    script.write_text("import sys; sys.path.insert(0, %r)\n" % str(SRC) + textwrap.dedent(body).lstrip())
     return "%s %s {image} {x} {y} {z} {output}" % (sys.executable, script)

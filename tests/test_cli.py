@@ -1,13 +1,28 @@
+import gzip
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adapters import CLICK_DOT, write_adapter
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
-from ulsforge import GrowParams, cli, load_manifest, pipeline, read_records_csv, read_report, read_volume
+from ulsforge import (
+    GrowParams,
+    VOICfg,
+    Volume3D,
+    cli,
+    generate_shifted_samples,
+    load_manifest,
+    pipeline,
+    read_records_csv,
+    read_report,
+    read_volume,
+    write_volume,
+)
 from ulsforge.cli import build_parser, main
+from ulsforge.volume import _HEADER_DTYPE
 
 GROW_ARGS = ["--segmenter", "builtin", "--hu-window", "50:150"]
 
@@ -287,3 +302,45 @@ def test_extract_writes_isolated_masks(tmp_path):
         image = read_volume(str(mask).replace("_mask", "_img")).data
         assert flood_fill_components(image == LESION_HU, 26).max() == 2
         assert flood_fill_components(read_volume(mask).data, 26).max() == 1
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_extracted_pairs_are_the_shifted_samples_without_the_mask_header(tmp_path, connectivity):
+    """extract writes generate_shifted_samples' pairs: crops of the lesion's
+    whole-volume mask, which carry no header, even when the input files' do."""
+    mask = np.zeros((32, 28, 16), dtype=np.uint8)
+    mask[0:3, 0:4, 0:3] = 1  # on a corner: its VOIs hang off the volume
+    mask[12:15, 10:13, 6:9] = 1  # two cubes touching only at a corner voxel
+    mask[15:17, 13:15, 9:11] = 1
+    mask[22:24, 4:26, 4:6] = mask[27:29, 4:26, 4:6] = mask[22:29, 24:26, 4:6] = 1  # a U
+    plain = Volume3D(mask, spacing=(0.8, 0.8, 2.5))
+    write_volume(plain, tmp_path / "plain.nii")
+    header = np.frombuffer(read_volume(tmp_path / "plain.nii").header_meta,
+                           dtype=_HEADER_DTYPE).copy()[0]
+    header["descrip"] = b"scanner export"
+    header["sform_code"] = 1
+    header["srow_x"] = (0.8, 0.0, 0.0, -12.5)
+    header["xyzt_units"] = 10  # mm and s
+    write_volume(Volume3D(mask, plain.spacing, header_meta=header.tobytes()), tmp_path / "m.nii.gz")
+    write_volume(Volume3D(np.where(mask, 100, -1000).astype(np.int16), plain.spacing,
+                          header_meta=header.tobytes()), tmp_path / "i.nii.gz")
+    assert b"scanner export" in read_volume(tmp_path / "m.nii.gz").header_meta
+    clicks = {"corner": [1, 1, 1], "cubes": [13, 11, 7], "u": [22, 5, 4]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": [
+        {"lesion_id": name, "patient_id": "p", "image_path": "i.nii.gz",
+         "mask_path": "m.nii.gz", "click": click} for name, click in clicks.items()]}))
+    out = tmp_path / "vois"
+    assert main(["extract", "--manifest", str(path), "--voi", "12x12x8", "--augment", "2",
+                 "--seed", "3", "--connectivity", str(connectivity), "--out", str(out)]) == 0
+    expected = tmp_path / "expected.nii"
+    for entry in load_manifest(path).entries:
+        samples = generate_shifted_samples(*pipeline.resolve_lesion(entry, connectivity),
+                                           VOICfg(size=(12, 12, 8)), 3, k=2,
+                                           lesion_id=entry.lesion_id, connectivity=connectivity)
+        stems = [entry.lesion_id, entry.lesion_id + "_aug1", entry.lesion_id + "_aug2"]
+        for stem, sample in zip(stems, samples):
+            for part, vol in (("img", sample.image), ("mask", sample.mask)):
+                write_volume(vol, expected)
+                written = gzip.decompress((out / ("%s_%s.nii.gz" % (stem, part))).read_bytes())
+                assert written == expected.read_bytes(), (stem, part)

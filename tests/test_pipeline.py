@@ -558,7 +558,7 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     image = Volume3D(np.where(rng.random(shape) < 0.7, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
     instance = pl._instance_from_voxels(1, np.argwhere(lesion))
-    scan = pl._Scan(image, mask.spacing, None, {"l": instance})
+    scan = pl._Scan(image, mask.spacing, b"mask header", {"l": instance})  # VOIs drop it
     entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
     seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
     cfg = VOICfg(size=size, pad_value_mask=pad_value_mask)
@@ -567,6 +567,13 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     assert pl.FLAG_ERROR not in record.flags, record.error
     assert (record.dice, record.robustness) == global_frame_scores(
         image, mask, instance, "l", seg, cfg, seed_root, k, connectivity)
+    # at every click, as extract takes them, the VOI is the crop of the whole-volume mask
+    for click in build_click_plan(instance, seed_root, "l", k=k).all_clicks():
+        crop = crop_voi(image, mask, click, cfg)
+        truth = isolate_central_lesion(crop.mask, crop.local_click, connectivity)
+        voi = scan.voi(instance, click, cfg, connectivity)
+        assert (voi.image, voi.offset, voi.mask) == (crop.image, crop.offset, truth)
+        assert voi.mask.header_meta is truth.header_meta is None
 
 
 def test_multi_component_mask_needs_disambiguation(tmp_path):
