@@ -332,7 +332,7 @@ class _Scan:
         """The instance's binary mask in the window [offset, offset + size),
         by default the volume. Like a ``crop_voi`` crop of the whole mask, a
         window pads voxels outside the volume with ``pad`` and has no header."""
-        data = np.zeros(size or self.image.dims, dtype=np.uint8)
+        data = np.zeros(size or self.image.dims, dtype=np.uint8, order="F")  # x fastest, as read_volume's
         if pad:
             data[...] = pad
             data[_overlap(self.image.dims, offset, data.shape)[1]] = 0

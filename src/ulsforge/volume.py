@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,6 +23,7 @@ from .errors import (
     BadHeaderError,
     BadMagicError,
     TruncatedDataError,
+    UlsforgeError,
     UnsupportedDatatypeError,
     UnsupportedScalingError,
     WrongKindError,
@@ -177,42 +179,113 @@ class Volume3D:
 # ---------------------------------------------------------------------------
 
 
-def read_volume(path: str | Path) -> Volume3D:
-    """Read a NIfTI-1 volume (.nii, plain or gzip-compressed).
+_CHUNK = 1 << 18  # compressed bytes read from a gzip file at a time
+_STEP = 1 << 15  # compressed bytes given to zlib, and decoded bytes taken back, per call
+_MAX_DEFLATE_RATIO = 1032  # deflate decodes no compressed byte into more bytes than this
 
-    Compression is detected from the leading two bytes, not the file
-    name. Dims and spacing come from the header; the raw 348 header
-    bytes are retained on the volume for round-tripping. The returned
-    kind is always INTENSITY; use :meth:`Volume3D.as_binary_mask` when
-    the file holds a mask.
 
-    Raises
-    ------
-    FileNotFoundError, BadMagicError, UnsupportedDatatypeError,
-    TruncatedDataError, BadHeaderError, UnsupportedScalingError
+class _GzipStream:
+    """The decoded bytes of an open gzip file, read as ``gzip.decompress`` reads them.
+
+    Members follow one another, NUL padding between and after them is
+    skipped, and each member's CRC32 and length are checked (by zlib,
+    which also checks a header CRC). Only one chunk of the file and one
+    step of output are held at a time. A stream that ends early raises
+    TruncatedDataError, any other fault BadMagicError.
     """
-    path = Path(path)
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] == GZIP_MAGIC:
-        try:
-            raw = gzip.decompress(raw)
-        except EOFError as e:
-            raise TruncatedDataError("%s: gzip stream ends early" % path) from e
-        except (zlib.error, gzip.BadGzipFile) as e:
-            raise BadMagicError("%s: corrupt gzip stream: %s" % (path, e)) from e
 
-    if len(raw) < HEADER_SIZE:
+    def __init__(self, f, path: Path):
+        self._f = f
+        self._path = path
+        self._buf = bytearray(_CHUNK)  # every chunk is read into this one buffer
+        self._chunk = memoryview(b"")  # compressed bytes read but not yet decoded
+        self._member = None  # the decompressor of the open member
+
+    def readinto(self, buf: memoryview) -> int:
+        """Decode up to ``len(buf)`` bytes, at most one step, into ``buf``; 0 at the end."""
+        out = self._decode(len(buf))
+        buf[:len(out)] = out
+        return len(out)
+
+    def discard(self, n: float = math.inf) -> int:
+        """Decode and drop up to ``n`` bytes, by default the rest of the stream; how many there were."""
+        done = 0
+        while done < n:
+            out = self._decode(n - done)
+            if not out:
+                break
+            done += len(out)
+        return done
+
+    def _fill_chunk(self) -> bool:
+        """Read the next chunk once the current one is decoded; False at the end of the file."""
+        if not self._chunk:
+            self._chunk = memoryview(self._buf)[:self._f.readinto(self._buf)]
+        return bool(self._chunk)
+
+    def _open_member(self) -> bool:
+        """Skip NUL padding and open the next member; False at the end of the file."""
+        while self._fill_chunk():
+            rest = bytes(self._chunk).lstrip(b"\x00")
+            self._chunk = self._chunk[len(self._chunk) - len(rest):]
+            if self._chunk:
+                break
+        else:
+            return False
+        if len(self._chunk) < 2:  # the magic may straddle two chunks
+            self._chunk = memoryview(bytes(self._chunk) + self._f.read(_CHUNK))
+        magic = bytes(self._chunk[:2])
+        if magic != GZIP_MAGIC:
+            raise BadMagicError("%s: corrupt gzip stream: Not a gzipped file (%r)" % (self._path, magic))
+        self._member = zlib.decompressobj(wbits=31)  # gzip framing: header, deflate, CRC32 and length
+        return True
+
+    def _decode(self, limit: float) -> bytes:
+        """Up to ``limit`` decoded bytes, at most one step; b"" only at the end of the stream."""
+        while True:
+            if self._member is None and not self._open_member():
+                return b""
+            more = self._fill_chunk()
+            piece = self._chunk[:_STEP]  # a short piece keeps zlib's copy of the unused input small
+            try:
+                out = self._member.decompress(piece, int(min(limit, _STEP)))
+            except zlib.error as e:
+                raise BadMagicError("%s: corrupt gzip stream: %s" % (self._path, e)) from e
+            ended = self._member.eof
+            unused = self._member.unused_data if ended else self._member.unconsumed_tail
+            self._chunk = self._chunk[len(piece) - len(unused):]
+            if ended:
+                self._member = None
+            elif not out and not more:
+                raise TruncatedDataError("%s: gzip stream ends early" % self._path)
+            if out:
+                return out
+
+
+def _fill(src, buf: memoryview) -> int:
+    """Bytes read into ``buf`` by ``src.readinto``; fewer than it holds only where ``src`` ends."""
+    pos = 0
+    while pos < len(buf):
+        n = src.readinto(buf[pos:])
+        if not n:
+            break
+        pos += n
+    return pos
+
+
+def _parse_header(head: bytes, path: Path) -> tuple[np.dtype, tuple[int, int, int],
+                                                    tuple[float, float, float], int]:
+    """Dtype, dims, spacing and payload offset of the header at the start of ``head``."""
+    if len(head) < HEADER_SIZE:
         raise BadMagicError("%s: file shorter than a NIfTI-1 header" % path)
-    hdr = np.frombuffer(raw[:HEADER_SIZE], dtype=_HEADER_DTYPE)[0]
+    hdr = np.frombuffer(head[:HEADER_SIZE], dtype=_HEADER_DTYPE)[0]
     # magic sits at bytes 344:348; read it raw, numpy strips trailing NULs
-    if int(hdr["sizeof_hdr"]) != HEADER_SIZE or raw[344:348] not in NIFTI_MAGICS:
+    if int(hdr["sizeof_hdr"]) != HEADER_SIZE or head[344:348] not in NIFTI_MAGICS:
         raise BadMagicError("%s: not a NIfTI-1 file" % path)
 
     code = int(hdr["datatype"])
     if code not in _CODE_TO_DTYPE:
         raise UnsupportedDatatypeError("%s: NIfTI datatype code %d not supported" % (path, code))
-    dtype = _CODE_TO_DTYPE[code]
     # a zero or non-finite slope means unscaled (NIfTI-1; nibabel writes NaN)
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
     if math.isfinite(slope) and slope != 0 and (slope != 1 or inter != 0):
@@ -233,18 +306,70 @@ def read_volume(path: str | Path) -> Volume3D:
     vox_offset = float(hdr["vox_offset"])
     if not all(math.isfinite(v) for v in (*spacing, vox_offset)):
         raise BadHeaderError("%s: non-finite pixdim %s or vox_offset %g" % (path, spacing, vox_offset))
+    return _CODE_TO_DTYPE[code], dims, spacing, max(int(vox_offset), HEADER_SIZE)
 
-    offset = int(vox_offset)
-    if offset < HEADER_SIZE:
-        offset = HEADER_SIZE
-    count = int(np.prod(dims))
-    nbytes, found = count * dtype.itemsize, max(0, len(raw) - offset)
+
+def read_volume(path: str | Path) -> Volume3D:
+    """Read a NIfTI-1 volume (.nii, plain or gzip-compressed).
+
+    Compression is detected from the leading two bytes, not the file
+    name. Dims and spacing come from the header; the raw 348 header
+    bytes are retained on the volume for round-tripping. The returned
+    kind is always INTENSITY; use :meth:`Volume3D.as_binary_mask` when
+    the file holds a mask.
+
+    The file is read in one pass. After the header, the voxel array is
+    allocated once and filled in place: straight from a plain file, or
+    decoded chunk by chunk from a gzip file, which is never held whole.
+    So a read holds one decoded volume and, for gzip, one chunk of the
+    file. The header's size is checked against what the file can hold
+    before anything is allocated. Errors in the gzip stream take
+    precedence over errors in the header or payload it decodes to.
+
+    Raises
+    ------
+    FileNotFoundError, BadMagicError, UnsupportedDatatypeError,
+    TruncatedDataError, BadHeaderError, UnsupportedScalingError
+    """
+    path = Path(path)
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        gz = _GzipStream(f, path) if f.read(2) == GZIP_MAGIC else None
+        f.seek(0)
+        src = gz or f
+        head = bytearray(VOX_OFFSET)
+        head = bytes(head[:_fill(src, memoryview(head))])
+        try:
+            dtype, dims, spacing, offset = _parse_header(head, path)
+        except UlsforgeError:
+            if gz:
+                gz.discard()  # a fault in the stream is reported before one in the header
+            raise
+
+        count = math.prod(dims)
+        nbytes = count * dtype.itemsize
+        if offset + nbytes > (size * _MAX_DEFLATE_RATIO if gz else size):
+            # more than the file can hold: found without allocating what the header claims
+            total = len(head) + gz.discard() if gz else size
+            raise TruncatedDataError("%s: expected %d data bytes, found %d"
+                                     % (path, nbytes, max(0, total - offset)))
+        data = np.empty(count, dtype=dtype)
+        buf = memoryview(data).cast("B")
+        start = head[offset:offset + nbytes]  # payload already read with the header
+        buf[:len(start)] = start
+        if offset > len(head):
+            if gz:
+                gz.discard(offset - len(head))
+            else:
+                f.seek(offset)
+        found = len(start) + _fill(src, buf[len(start):])
+        if gz:
+            gz.discard()  # decoded bytes past the payload, checked like the rest
     if found < nbytes:
         raise TruncatedDataError("%s: expected %d data bytes, found %d" % (path, nbytes, found))
-    # a read-only view into the file's bytes, which Volume3D keeps without a copy
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(dims, order="F")
-    return Volume3D(data=data, spacing=spacing, kind=VolumeKind.INTENSITY,
-                    header_meta=raw[:HEADER_SIZE])
+    data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+    return Volume3D(data=data.reshape(dims, order="F"), spacing=spacing, kind=VolumeKind.INTENSITY,
+                    header_meta=head[:HEADER_SIZE])
 
 
 # ---------------------------------------------------------------------------

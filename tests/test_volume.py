@@ -1,4 +1,6 @@
 import gzip
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ulsforge.errors import (
 )
 
 DTYPES = (np.int16, np.uint8, np.int32, np.float32)
+CHUNK = 1 << 18  # compressed bytes read_volume reads from a gzip file at a time
 
 
 def random_volume(rng, dtype, shape=None, spacing=None):
@@ -196,3 +199,102 @@ def test_non_finite_spacing_rejected(bad):
 def test_spacing_stored_at_float32_precision():
     vol = Volume3D(np.zeros((2, 2, 2), dtype=np.int16), spacing=(0.1, 0.2, 0.3))
     assert vol.spacing == tuple(float(np.float32(s)) for s in (0.1, 0.2, 0.3))
+
+
+def gzip_member(payload: bytes, extra: bytes | None = None, name: bytes | None = None,
+                header_crc: int | None = None) -> bytes:
+    """One gzip member with optional FEXTRA, FNAME and FHCRC fields; ``header_crc``
+    overrides the header CRC that FHCRC carries (default: the correct one)."""
+    flags = (4 if extra is not None else 0) | (8 if name is not None else 0)
+    flags |= 2 if header_crc is not None else 0
+    head = b"\x1f\x8b\x08" + bytes([flags]) + bytes(4) + b"\x00\x03"
+    if extra is not None:
+        head += len(extra).to_bytes(2, "little") + extra
+    if name is not None:
+        head += name + b"\x00"
+    if header_crc is not None:
+        head += (header_crc if header_crc >= 0 else zlib.crc32(head) & 0xFFFF).to_bytes(2, "little")
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    body = deflate.compress(payload) + deflate.flush()
+    trailer = zlib.crc32(payload).to_bytes(4, "little") + len(payload).to_bytes(4, "little")
+    return head + body + trailer
+
+
+def padded_to(blob: bytes, n: int) -> bytes:
+    return blob + bytes(n - len(blob))
+
+
+def framed_volume(tmp_path):
+    vol = random_volume(np.random.default_rng(5), np.int16, shape=(9, 8, 7))
+    path = tmp_path / "v.nii"
+    write_volume(vol, path)
+    return vol, path.read_bytes()
+
+
+@pytest.mark.parametrize("frame", [
+    lambda raw: gzip_member(raw[:500]) + gzip_member(raw[500:]),
+    lambda raw: gzip.compress(raw) + bytes(37),
+    lambda raw: gzip_member(raw[:10]) + bytes(3) + gzip_member(raw[10:]) + bytes(5),
+    lambda raw: gzip_member(raw, extra=b"ab\x04\x00wxyz", name=b"scan.nii"),
+    lambda raw: gzip_member(raw, name=b"scan.nii", header_crc=-1),
+    lambda raw: padded_to(gzip_member(raw[:500]), CHUNK - 1) + gzip_member(raw[500:]),
+], ids=["two-members", "nul-padding", "padded-members", "fname-fextra", "fhcrc",
+        "magic-across-chunks"])
+def test_gzip_framing_reads_as_gzip_decompress(tmp_path, frame):
+    vol, raw = framed_volume(tmp_path)
+    blob = frame(raw)
+    assert gzip.decompress(blob) == raw
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(blob)
+    assert read_volume(path) == vol
+
+
+@pytest.mark.parametrize("frame, error, match", [
+    (lambda raw: gzip.compress(raw) + b"garbage", BadMagicError, "corrupt gzip stream"),
+    (lambda raw: gzip.compress(raw) + bytes(4) + b"\x1f", BadMagicError, "corrupt gzip stream"),
+    (lambda raw: gzip_member(raw[:500]) + gzip_member(raw[500:])[:-30], TruncatedDataError,
+     "gzip stream ends early"),
+    (lambda raw: gzip_member(raw[:500]) + gzip_member(raw[500:])[:5], TruncatedDataError,
+     "gzip stream ends early"),
+    # gzip.decompress skipped the header CRC; zlib checks it
+    (lambda raw: gzip_member(raw, header_crc=0x1234), BadMagicError, "corrupt gzip stream"),
+], ids=["garbage-after-member", "one-byte-after-padding", "truncated-second-member",
+        "truncated-second-header", "wrong-fhcrc"])
+def test_gzip_framing_errors(tmp_path, frame, error, match):
+    _, raw = framed_volume(tmp_path)
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(frame(raw))
+    with pytest.raises(error, match=match):
+        read_volume(path)
+
+
+def test_gzip_error_reported_before_header_error(tmp_path):
+    _, raw = framed_volume(tmp_path)
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(gzip.compress(b"\x00" * 4 + raw[4:])[:-40])  # bad sizeof_hdr, cut short
+    with pytest.raises(TruncatedDataError, match="gzip stream ends early"):
+        read_volume(path)
+    path.write_bytes(gzip.compress(b"\x00" * 4 + raw[4:]) + b"garbage")
+    with pytest.raises(BadMagicError, match="corrupt gzip stream"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("compress", (False, True), ids=["plain", "gzip"])
+@pytest.mark.parametrize("content", ("ct", "zeros"))
+def test_read_peak_memory_is_one_volume_and_one_chunk(tmp_path, compress, content):
+    rng = np.random.default_rng(2)
+    shape = (128, 128, 96)  # 3 MiB decoded at int16
+    data = (rng.integers(-1000, 1000, size=shape) if content == "ct" else np.zeros(shape)).astype(np.int16)
+    path = tmp_path / ("v.nii.gz" if compress else "v.nii")
+    write_volume(Volume3D(data), path)
+    tracemalloc.start()
+    try:
+        vol = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one decoded volume, one chunk of the file, and under 256 KiB more:
+    # zlib's window and state, one step of input and output, the header
+    assert peak <= vol.data.nbytes + CHUNK + (1 << 18), peak
+    assert np.array_equal(vol.data, data)
+    assert vol.data.flags.f_contiguous and not vol.data.flags.writeable
