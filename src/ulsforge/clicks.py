@@ -54,11 +54,11 @@ def sample_click_points(instance: LesionInstance, k: int, seed_root: int,
         raise EmptyInstanceError("cannot sample clicks from an empty instance")
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = instance.voxels.shape[0]
+    voxels = instance.voxels if k else None  # built only when drawn from
     points = []
     for i in range(k):
-        idx = draw_index(seed_root, "click:%s" % lesion_id, i, n)
-        pos = tuple(int(v) for v in instance.voxels[idx])
+        idx = draw_index(seed_root, "click:%s" % lesion_id, i, instance.size_vox)
+        pos = tuple(int(v) for v in voxels[idx])
         points.append(ClickPoint(pos=pos, origin=SAMPLED, seed_root=seed_root, draw_index=i))
     return points
 

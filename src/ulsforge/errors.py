@@ -78,7 +78,8 @@ class BadMaskDimsError(UlsforgeError):
 
 
 class BadMaskValuesError(UlsforgeError):
-    """External segmenter produced values outside {0, 1}."""
+    """A mask holds values it may not: an external segmenter's outside {0, 1},
+    or a ground-truth mask's NaN or infinite voxels."""
 
 
 # statistics -----------------------------------------------------------------

@@ -38,15 +38,21 @@ class ClickPoint:
 class LesionInstance:
     """One connected lesion extracted from a labeled mask.
 
-    ``voxels`` is an (n, 3) int array sorted lexicographically by
-    (x, y, z); ``bbox`` corners are inclusive.
+    ``mask`` is a read-only boolean array over the lesion's bounding box,
+    x fastest; ``bbox`` corners are inclusive, and ``bbox[0]`` is the
+    global index of ``mask[0, 0, 0]``.
     """
 
     label: int
-    voxels: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)
     bbox: tuple[tuple[int, int, int], tuple[int, int, int]]
     size_vox: int
     center: ClickPoint
+
+    @property
+    def voxels(self) -> np.ndarray:
+        """The lesion's (n, 3) int64 global indices, sorted lexicographically by (x, y, z)."""
+        return np.argwhere(self.mask) + np.array(self.bbox[0], dtype=np.int64)
 
 
 def _structure(connectivity: int) -> np.ndarray:
@@ -83,35 +89,40 @@ def extract_instances(labeled: Volume3D) -> list[LesionInstance]:
     """One LesionInstance per distinct positive id, sorted by id."""
     if labeled.kind is not VolumeKind.LABELED_MASK:
         raise WrongKindError("extract_instances expects a labeled mask, got %s" % labeled.kind.value)
-    ids = np.unique(labeled.data)
-    instances = []
-    for comp_id in (int(i) for i in ids if i > 0):
-        voxels = np.argwhere(labeled.data == comp_id)  # C-order -> lexicographic (x, y, z)
-        instances.append(_instance_from_voxels(comp_id, voxels))
-    return instances
+    return [_instance_from_box(comp_id, labeled.data[box] == comp_id, tuple(b.start for b in box))
+            for comp_id, box in enumerate(ndimage.find_objects(labeled.data), 1) if box is not None]
 
 
 def _instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:
-    lo = tuple(int(v) for v in voxels.min(axis=0))
-    hi = tuple(int(v) for v in voxels.max(axis=0))
-    voxels = np.ascontiguousarray(voxels)
-    voxels.setflags(write=False)
-    return LesionInstance(
-        label=comp_id,
-        voxels=voxels,
-        bbox=(lo, hi),
-        size_vox=int(voxels.shape[0]),
-        center=_center_from_voxels(voxels),
-    )
+    """The instance of (n, 3) global indices, scattered into their box."""
+    lo = voxels.min(axis=0)
+    mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=bool, order="F")
+    mask[tuple((voxels - lo).T)] = True
+    return _instance_from_box(comp_id, mask, tuple(int(v) for v in lo))
 
 
-def _center_from_voxels(voxels: np.ndarray) -> ClickPoint:
-    centroid = voxels.mean(axis=0)
-    rounded = np.floor(centroid + 0.5).astype(np.int64)  # round half up, per axis
-    pos = tuple(int(v) for v in rounded)
-    if not np.logical_and.reduce([voxels[:, a] == rounded[a] for a in range(3)]).any():  # by axis
-        # snap to the in-mask voxel nearest the continuous centroid;
-        # voxels are lexicographically sorted, so the first minimum wins ties
+def _instance_from_box(comp_id: int, mask: np.ndarray, lo: tuple[int, ...]) -> LesionInstance:
+    """The instance of ``mask``'s true voxels; ``mask[0, 0, 0]`` is global ``lo``.
+
+    The mask is trimmed to the lesion's bounding box. The centroid is the
+    exact integer sum of the coordinates, from the per-axis projections,
+    divided once: ``voxels.mean(axis=0)`` bit for bit.
+    """
+    xy = np.count_nonzero(mask, axis=2)
+    counts = [xy.sum(axis=1), xy.sum(axis=0), np.count_nonzero(mask, axis=(0, 1))]
+    n = int(counts[2].sum())
+    centroid = np.array([np.dot(np.arange(c.size) + l, c) for c, l in zip(counts, lo)], np.float64) / n
+    spans = [np.flatnonzero(c) + l for c, l in zip(counts, lo)]  # the global indices that hold voxels
+    bbox = tuple(tuple(int(s[end]) for s in spans) for end in (0, -1))
+    mask = np.require(mask[tuple(slice(a - l, b - l + 1) for a, b, l in zip(*bbox, lo))],
+                      dtype=bool, requirements="FO")  # a copy: no view keeps a larger box
+    mask.setflags(write=False)
+    pos = tuple(int(v) for v in np.floor(centroid + 0.5))  # round half up, per axis: inside the bbox
+    if not mask[tuple(p - l for p, l in zip(pos, bbox[0]))]:
+        # snap to the in-mask voxel nearest the continuous centroid, in global
+        # coordinates; voxels are lexicographically sorted, so the first minimum wins ties
+        voxels = np.argwhere(mask) + np.array(bbox[0], dtype=np.int64)
         d2 = ((voxels - centroid) ** 2).sum(axis=1)
         pos = tuple(int(v) for v in voxels[int(np.argmin(d2))])
-    return ClickPoint(pos=pos, origin=CENTROID)
+    return LesionInstance(label=comp_id, mask=mask, bbox=bbox, size_vox=n,
+                          center=ClickPoint(pos=pos, origin=CENTROID))

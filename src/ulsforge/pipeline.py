@@ -27,11 +27,13 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from ._rng import shuffle_key
 from .clicks import DEFAULT_AUGMENT_COUNT, build_click_plan
 from .errors import (
     AmbiguousLesionError,
+    BadMaskValuesError,
     ClickNotOnMaskError,
     ClickOutOfVolumeError,
     DimsMismatchError,
@@ -46,7 +48,8 @@ from .errors import (
     UlsforgeError,
     ZeroVarianceError,
 )
-from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_voxels, label_components
+from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_box, label_components
+from .lesions import _instance_from_voxels  # noqa: F401  unused here, kept for callers of pipeline
 # dice, place_back: unused here, kept for tools that wrap them by name on pipeline
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef, segment
@@ -336,9 +339,9 @@ class _Scan:
         if pad:
             data[...] = pad
             data[_overlap(self.image.dims, offset, data.shape)[1]] = 0
-        local = [instance.voxels[:, a] - offset[a] for a in range(3)]  # by axis: rows of 3 are slow
-        inside = np.logical_and.reduce([(c >= 0) & (c < n) for c, n in zip(local, data.shape)])
-        data[tuple(c[inside] for c in local)] = 1
+        start = tuple(l - o for l, o in zip(instance.bbox[0], offset))  # the box's corner in the window
+        window, box = _overlap(data.shape, start, instance.mask.shape)
+        data[window] = instance.mask[box]  # the box lies inside the volume, where the window holds 0
         data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
         header = self.mask_header if size is None else None
         return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, header)
@@ -354,7 +357,7 @@ class _Scan:
 
 
 def _clicked_component(entry: ManifestEntry, labeled: np.ndarray, lo: tuple[int, ...],
-                       dims: tuple[int, int, int]) -> int:
+                       dims: tuple[int, int, int], n_comp: int) -> int:
     """The id of the component holding the entry's click, else of the mask's single one."""
     if entry.click is not None:
         if any(c < 0 or c >= n for c, n in zip(entry.click, dims)):
@@ -366,7 +369,6 @@ def _clicked_component(entry: ManifestEntry, labeled: np.ndarray, lo: tuple[int,
             raise ClickNotOnMaskError("recorded click %s is background in %s"
                                       % (entry.click, entry.mask_path))
         return comp_id
-    n_comp = int(labeled.max())
     if n_comp == 0:
         raise EmptyInstanceError("mask %s is empty" % entry.mask_path)
     if n_comp > 1:
@@ -379,9 +381,10 @@ def _clicked_component(entry: ManifestEntry, labeled: np.ndarray, lo: tuple[int,
 def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
     """Read the entries' shared image and mask and find each entry's lesion.
 
-    Only the box that holds the mask's foreground is searched, and labeled
-    once if some entry is clicked: its x-fastest scan meets the components
-    in the whole volume's order, so their ids are the same.
+    Only the box that holds the mask's foreground is kept, searched, and
+    labeled once if some entry is clicked: its x-fastest scan meets the
+    components in the whole volume's order, so their ids are the same. A
+    float mask with a NaN or infinite voxel fails the whole scan.
     """
     image = read_volume(entries[0].image_path)
     mask = read_volume(entries[0].mask_path)
@@ -389,25 +392,29 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
     box = _foreground_box(mask.data)
     lo = tuple(b.start for b in box)
-    binary = mask.with_data(mask.data[box]).as_binary_mask()
-    inside = np.nonzero(binary.data)  # in lexicographic order
-    voxels = np.stack(inside, axis=1) + lo
-    values = mask.data[box][inside]  # each foreground voxel's label
+    values = mask.data[box].copy(order="F")
+    values.setflags(write=False)  # read-only: with_data keeps it without a copy
+    mask = mask.with_data(values)  # the decoded mask is dropped here
+    bad = values.size - np.count_nonzero(np.isfinite(values)) if values.dtype.kind == "f" else 0
+    if bad:
+        raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
+                                 % (entries[0].mask_path, bad))
     if any(e.component_label is None for e in entries):
-        labeled = label_components(binary, connectivity).data
-        ids = labeled[inside]  # each foreground voxel's component
+        labeled = label_components(mask.as_binary_mask(), connectivity).data
+        objects = ndimage.find_objects(labeled)  # each component's box, by id
     lesions = {}
     for e in entries:
         try:
             if e.component_label is not None:
-                labels, value = values, e.component_label
+                value, found, at = e.component_label, values == e.component_label, lo
+                if not found.any():
+                    raise EmptyInstanceError("component_label %d not present in %s"
+                                             % (value, e.mask_path))
             else:
-                labels, value = ids, _clicked_component(e, labeled, lo, mask.dims)
-            selected = voxels[labels == value]
-            if selected.shape[0] == 0:
-                raise EmptyInstanceError("component_label %d not present in %s"
-                                         % (value, e.mask_path))
-            lesions[e.lesion_id] = _instance_from_voxels(value, selected)
+                value = _clicked_component(e, labeled, lo, image.dims, len(objects))
+                comp = objects[value - 1]
+                found, at = labeled[comp] == value, tuple(l + c.start for l, c in zip(lo, comp))
+            lesions[e.lesion_id] = _instance_from_box(value, found, at)
         except UlsforgeError as exc:  # kept as data: an exception would pin the scan
             lesions[e.lesion_id] = (type(exc), exc.args)
     return _Scan(image, mask.spacing, mask.header_meta, lesions)

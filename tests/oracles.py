@@ -103,6 +103,38 @@ def label_voxels(labels: np.ndarray, value) -> np.ndarray:
     return np.argwhere(labels == value)
 
 
+def instance_oracle(voxels: np.ndarray) -> tuple:
+    """(bbox, size_vox, center) of (n, 3) lexicographically sorted voxels.
+
+    The corners are the per-axis min and max, the size the row count. The
+    center is the mean rounded half up; when that voxel is not a row, the
+    row nearest the mean, the first one on a tie.
+    """
+    mean = voxels.mean(axis=0)
+    rounded = tuple(int(v) for v in np.floor(mean + 0.5))
+    center = rounded
+    if rounded not in {tuple(int(v) for v in row) for row in voxels}:
+        d2 = ((voxels - mean) ** 2).sum(axis=1)
+        center = tuple(int(v) for v in voxels[int(np.argmin(d2))])
+    bbox = (tuple(int(v) for v in voxels.min(axis=0)), tuple(int(v) for v in voxels.max(axis=0)))
+    return bbox, int(voxels.shape[0]), center
+
+
+def scatter_window(voxels: np.ndarray, dims, offset, size, pad: int) -> np.ndarray:
+    """The window [offset, offset + size) of the volume whose foreground is ``voxels``:
+    1 on each voxel, 0 elsewhere inside the volume, ``pad`` outside it, one voxel at a time."""
+    out = np.zeros(size, dtype=np.uint8)
+    for local in np.ndindex(*size):
+        pos = tuple(l + o for l, o in zip(local, offset))
+        if not all(0 <= p < n for p, n in zip(pos, dims)):
+            out[local] = pad
+    for row in voxels:
+        local = tuple(int(v) - o for v, o in zip(row, offset))
+        if all(0 <= l < s for l, s in zip(local, size)):
+            out[local] = 1
+    return out
+
+
 def component_voxel_sets(mask: np.ndarray, connectivity: int) -> list[set]:
     labels = flood_fill_components(mask, connectivity)
     return [

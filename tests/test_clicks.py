@@ -90,7 +90,7 @@ def test_all_points_inside_lesion():
 
 
 def test_sampling_errors():
-    empty = LesionInstance(label=1, voxels=np.empty((0, 3), dtype=np.int64),
+    empty = LesionInstance(label=1, mask=np.zeros((1, 1, 1), dtype=bool),
                            bbox=((0, 0, 0), (0, 0, 0)), size_vox=0,
                            center=ClickPoint((0, 0, 0)))
     with pytest.raises(EmptyInstanceError):

@@ -27,6 +27,7 @@ from ulsforge.cli import main
 from ulsforge.errors import (
     BadHeaderError,
     BadMagicError,
+    BadMaskValuesError,
     ManifestParseError,
     TruncatedDataError,
     UnsupportedScalingError,
@@ -187,6 +188,53 @@ def test_eval_survives_non_finite_vox_offset(tmp_path):
     records = read_records_csv(out / "records.csv")
     assert [r.flags for r in records] == [frozenset(), frozenset({pl.FLAG_ERROR}), frozenset()]
     assert "vox_offset" in records[1].error
+
+
+def non_finite_mask_case(tmp_path, stray):
+    """A float32 mask with a 27-voxel cube lesion and ``stray`` written over it."""
+    image = np.full((24, 24, 12), BACKGROUND_HU, dtype=np.int16)
+    mask = np.zeros(image.shape, dtype=np.float32)
+    image[8:11, 8:11, 4:7] = LESION_HU
+    mask[8:11, 8:11, 4:7] = 1.0
+    stray(mask)
+    img_path, mask_path = tmp_path / "img.nii.gz", tmp_path / "mask.nii.gz"
+    write_volume(Volume3D(image), img_path)
+    write_volume(Volume3D(mask), mask_path)
+    entries = [ManifestEntry(lesion_id=lid, patient_id="p", image_path=str(img_path),
+                             mask_path=str(mask_path), **extra)
+               for lid, extra in (("alone", {}), ("clicked", {"click": (9, 9, 5)}),
+                                  ("labeled", {"component_label": 1}))]
+    return Manifest(entries)
+
+
+def _set(index, value):
+    def stray(mask):
+        mask[index] = value
+    return stray
+
+
+@pytest.mark.parametrize("stray, n_bad", [
+    (_set((20, 20, 10), np.nan), 1),  # once it made an unclicked entry "ambiguous"
+    (_set((slice(8, 11), slice(8, 11), slice(4, 7)), np.nan), 27),  # once it scored 1.0
+    (_set(((1, 20), (1, 20), (1, 10)), (np.inf, -np.inf)), 2),
+], ids=["stray-nan", "all-nan", "inf"])
+def test_non_finite_mask_voxels_fail_every_entry_of_the_scan(tmp_path, stray, n_bad):
+    manifest = non_finite_mask_case(tmp_path, stray)
+    mask_path = manifest.entries[0].mask_path
+    for entry in manifest.entries:
+        with pytest.raises(BadMaskValuesError, match="%d non-finite" % n_bad) as info:
+            pl.resolve_lesion(entry, 26)
+        assert mask_path in str(info.value)
+    records = run_robustness_eval(manifest, BUILTIN, VOICfg(size=(16, 16, 8)), workers=2)
+    assert [r.flags for r in records] == [frozenset({pl.FLAG_ERROR})] * 3
+    assert len({r.error for r in records}) == 1
+    assert "%s has %d non-finite voxels" % (mask_path, n_bad) in records[0].error
+
+
+def test_finite_float_masks_still_load(tmp_path):
+    manifest = non_finite_mask_case(tmp_path, _set((20, 20, 10), 0.0))
+    records = run_dice_eval(manifest, BUILTIN, VOICfg(size=(16, 16, 8)))
+    assert [(r.dice, r.flags) for r in records] == [(1.0, frozenset())] * 3
 
 
 @pytest.mark.parametrize("entries", [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import component_voxel_sets, flood_fill_components
+from oracles import component_voxel_sets, flood_fill_components, instance_oracle
 from ulsforge import (
     LesionInstance,
     Volume3D,
@@ -122,6 +122,23 @@ def test_instances_partition_foreground():
     assert [inst.label for inst in instances] == list(range(1, len(instances) + 1))
 
 
+def test_instances_from_component_boxes_equal_per_id_argwhere():
+    rng = np.random.default_rng(41)
+    mask = (rng.random((24, 20, 16)) < 0.12).astype(np.uint8)
+    mask[0, :, 0] = mask[-1, 0, :] = mask[:, -1, -1] = 1  # components along the faces
+    labeled = label_components(binary(mask), 6)
+    instances = extract_instances(labeled)
+    assert len(instances) == int(labeled.data.max()) > 300
+    for comp_id, inst in enumerate(instances, 1):
+        expected = np.argwhere(labeled.data == comp_id)
+        assert inst.label == comp_id
+        assert inst.voxels.dtype == expected.dtype
+        assert np.array_equal(inst.voxels, expected)
+        assert (inst.bbox, inst.size_vox, inst.center.pos) == instance_oracle(expected)
+        assert not inst.mask.flags.writeable
+        assert inst.mask.shape == tuple(h - l + 1 for l, h in zip(*inst.bbox))
+
+
 def test_relabeling_invariance():
     rng = np.random.default_rng(17)
     mask = (rng.random((7, 7, 7)) < 0.15).astype(np.uint8)
@@ -182,7 +199,7 @@ def test_center_always_inside_mask():
 
 def test_empty_instance_rejected():
     from ulsforge.lesions import ClickPoint
-    empty = LesionInstance(label=1, voxels=np.empty((0, 3), dtype=np.int64),
+    empty = LesionInstance(label=1, mask=np.zeros((1, 1, 1), dtype=bool),
                            bbox=((0, 0, 0), (0, 0, 0)), size_vox=0,
                            center=ClickPoint((0, 0, 0)))
     with pytest.raises(EmptyInstanceError):

@@ -659,6 +659,28 @@ def test_lesion_masks_keep_the_mask_files_spacing(tmp_path):
     assert read_volume(tmp_path / "voi" / "x_mask.nii.gz").spacing == on_disk.spacing
 
 
+def test_spacing_enters_no_score(tmp_path):
+    img, msk1 = make_case(tmp_path, "one", spacing=(1.0, 1.0, 1.0))
+    _, msk2 = make_case(tmp_path, "two", spacing=(2.0, 2.0, 2.0))
+    csvs = []
+    for msk in (msk1, msk2):
+        entry = ManifestEntry(lesion_id="x", patient_id="p", image_path=str(img),
+                              mask_path=str(msk), click=(24, 24, 16))
+        manifest = tmp_path / ("%s.json" % msk.name)
+        save_manifest(Manifest([entry]), manifest)
+        out = tmp_path / ("run-%s" % msk.name)
+        assert main(["robustness", "--manifest", str(manifest), "--voi", "16x16x8",
+                     "--segmenter", "builtin", "--hu-window", "50:150", "--out", str(out)]) == 0
+        csvs.append((out / "records.csv").read_bytes())
+        record, = read_records_csv(out / "records.csv")
+        assert (record.dice, record.flags) == (1.0, frozenset())
+    assert csvs[0] == csvs[1]
+    assert main(["extract", "--manifest", str(manifest), "--voi", "16x16x8",
+                 "--out", str(tmp_path / "voi")]) == 0
+    assert read_volume(tmp_path / "voi" / "x_img.nii.gz").spacing == (1.0, 1.0, 1.0)
+    assert read_volume(tmp_path / "voi" / "x_mask.nii.gz").spacing == (2.0, 2.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
