@@ -118,11 +118,12 @@ def _instance_from_box(comp_id: int, mask: np.ndarray, lo: tuple[int, ...]) -> L
                       dtype=bool, requirements="FO")  # a copy: no view keeps a larger box
     mask.setflags(write=False)
     pos = tuple(int(v) for v in np.floor(centroid + 0.5))  # round half up, per axis: inside the bbox
+    instance = LesionInstance(label=comp_id, mask=mask, bbox=bbox, size_vox=n,
+                              center=ClickPoint(pos=pos, origin=CENTROID))
     if not mask[tuple(p - l for p, l in zip(pos, bbox[0]))]:
         # snap to the in-mask voxel nearest the continuous centroid, in global
         # coordinates; voxels are lexicographically sorted, so the first minimum wins ties
-        voxels = np.argwhere(mask) + np.array(bbox[0], dtype=np.int64)
+        voxels = instance.voxels
         d2 = ((voxels - centroid) ** 2).sum(axis=1)
-        pos = tuple(int(v) for v in voxels[int(np.argmin(d2))])
-    return LesionInstance(label=comp_id, mask=mask, bbox=bbox, size_vox=n,
-                          center=ClickPoint(pos=pos, origin=CENTROID))
+        instance.center = ClickPoint(pos=tuple(int(v) for v in voxels[int(np.argmin(d2))]), origin=CENTROID)
+    return instance

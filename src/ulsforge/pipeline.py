@@ -49,7 +49,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_box, label_components
-from .lesions import _instance_from_voxels  # noqa: F401  unused here, kept for callers of pipeline
+from .lesions import _instance_from_voxels  # noqa: F401  unused here, kept for code that calls it on pipeline
 # dice, place_back: unused here, kept for tools that wrap them by name on pipeline
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef, segment
