@@ -317,10 +317,12 @@ class _Scan:
     entry's component_label, or the mask's components and the clicked or
     single one's id. ``lesions`` holds each entry's instance or the error
     class and arguments of its failure; of the mask only spacing and header.
+    A pair that cannot be read holds neither volume, and every entry's
+    failure is the pair's.
     """
 
-    image: Volume3D
-    mask_spacing: tuple[float, float, float]
+    image: Volume3D | None
+    mask_spacing: tuple[float, float, float] | None
     mask_header: bytes | None
     lesions: dict[str, LesionInstance | tuple[type, tuple]]
 
@@ -384,21 +386,26 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
     Only the box that holds the mask's foreground is kept, searched, and
     labeled once if some entry is clicked: its x-fastest scan meets the
     components in the whole volume's order, so their ids are the same. A
-    float mask with a NaN or infinite voxel fails the whole scan.
+    pair that cannot be read, decoded or checked (say, a float mask with a
+    NaN voxel) fails every entry, kept as data like an entry's own failure.
     """
-    image = read_volume(entries[0].image_path)
-    mask = read_volume(entries[0].mask_path)
-    if image.dims != mask.dims:
-        raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
-    box = _foreground_box(mask.data)
-    lo = tuple(b.start for b in box)
-    values = mask.data[box].copy(order="F")
-    values.setflags(write=False)  # read-only: with_data keeps it without a copy
-    mask = mask.with_data(values)  # the decoded mask is dropped here
-    bad = values.size - np.count_nonzero(np.isfinite(values)) if values.dtype.kind == "f" else 0
-    if bad:
-        raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
-                                 % (entries[0].mask_path, bad))
+    try:
+        image = read_volume(entries[0].image_path)
+        mask = read_volume(entries[0].mask_path)
+        if image.dims != mask.dims:
+            raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
+        box = _foreground_box(mask.data)
+        lo = tuple(b.start for b in box)
+        values = mask.data[box].copy(order="F")
+        values.setflags(write=False)  # read-only: with_data keeps it without a copy
+        mask = mask.with_data(values)  # the decoded mask is dropped here
+        bad = values.size - np.count_nonzero(np.isfinite(values)) if values.dtype.kind == "f" else 0
+        if bad:
+            raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
+                                     % (entries[0].mask_path, bad))
+    except (UlsforgeError, OSError) as exc:  # kept as data for every entry, as an entry's own failure
+        args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
+        return _Scan(None, None, None, dict.fromkeys([e.lesion_id for e in entries], (type(exc), args)))
     if any(e.component_label is None for e in entries):
         labeled = label_components(mask.as_binary_mask(), connectivity).data
         objects = ndimage.find_objects(labeled)  # each component's box, by id
@@ -442,8 +449,8 @@ class ScanLoader:
     one scan per worker, however the manifest is sorted. The first lesion
     of a scan to run loads it while the scan's other lesions wait on its
     lock; the scan is dropped when its last lesion takes it. A load that
-    fails is not kept, so every lesion of that scan retries it and gets
-    the same error.
+    fails is kept like any other, so every lesion of that scan gets the
+    same error from one read.
     """
 
     def __init__(self, entries: list[ManifestEntry], connectivity: int, workers: int = 1):

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import sys
 import tempfile
 import threading
@@ -52,6 +53,7 @@ from ulsforge import (
 from ulsforge.cli import main
 from ulsforge.errors import (
     AmbiguousLesionError,
+    BadMaskValuesError,
     ClickNotOnMaskError,
     ClickOutOfVolumeError,
     DimsMismatchError,
@@ -379,6 +381,15 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
     raw = broken[0].read_bytes()
     broken[0].write_bytes(raw[:len(raw) // 2])
     broken = tuple(str(p) for p in broken)
+    mismatched = make_case(tmp_path, "mismatched")  # its mask is one slice short
+    write_volume(Volume3D(np.zeros((48, 48, 31), np.uint8), kind=VolumeKind.BINARY_MASK), mismatched[1])
+    mismatched = tuple(str(p) for p in mismatched)
+    nan_mask = make_case(tmp_path, "nan")  # a float32 mask with one NaN voxel
+    values = read_volume(nan_mask[1]).data.astype(np.float32)
+    values[0, 0, 0] = np.nan
+    write_volume(Volume3D(values), nan_mask[1])
+    nan_mask = tuple(str(p) for p in nan_mask)
+    gone = tuple(str(p) for p in make_case(tmp_path, "gone"))  # its image is deleted below
     cases = [
         ("l-click", scan, {"click": (12, 12, 8)}, True),
         ("l-label1", scan, {"component_label": 1}, True),
@@ -391,10 +402,25 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
         ("s-label", single, {"component_label": 1}, True),
         ("t-a", broken, {"click": (24, 24, 16)}, False),
         ("t-b", broken, {}, False),
+        ("d-a", mismatched, {}, False),
+        ("d-b", mismatched, {"component_label": 1}, False),
+        ("n-a", nan_mask, {}, False),
+        ("n-b", nan_mask, {"click": (24, 24, 16)}, False),
+        ("g-a", gone, {}, False),
+        ("g-b", gone, {"component_label": 1}, False),
     ]
     manifest = Manifest([ManifestEntry(lesion_id=lid, patient_id="p", image_path=paths[0],
                                        mask_path=paths[1], **extra)
                          for lid, paths, extra, _ in cases])
+    os.remove(gone[0])  # Manifest checks no file
+    errors = {"d": "image dims (48, 48, 32) != mask dims (48, 48, 31)",
+              "n": "mask %s has 1 non-finite voxels (NaN or infinite)" % nan_mask[1],
+              "g": "[Errno 2] No such file or directory: '%s'" % gone[0]}
+    for prefix, kind in (("d", DimsMismatchError), ("n", BadMaskValuesError), ("g", FileNotFoundError)):
+        entry = next(e for e in manifest.entries if e.lesion_id.startswith(prefix))
+        with pytest.raises(kind) as info:
+            pl.resolve_lesion(entry, 26)
+        assert str(info.value) == errors[prefix]
     reads, labeled = Counter(), []
     real_read, real_label = pl.read_volume, pl.label_components
     monkeypatch.setattr(pl, "read_volume", lambda path: reads.update([path]) or real_read(path))
@@ -412,11 +438,14 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
                                       seed_root=3, workers=workers).result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        # the broken image is read again by each of its lesions, its mask never
-        assert reads == Counter({**{p: 1 for p in scan + single}, broken[0]: 2})
+        # a scan is read once however its load ends; a broken or gone image's mask never
+        assert reads == Counter({p: 1 for p in scan + single + mismatched + nan_mask
+                                 + (broken[0], gone[0])})
         assert len(labeled) == 2  # one full-volume labeling per scan with a clicked entry
         ok = {lid: good for lid, _, _, good in cases}
         assert {r.lesion_id: pl.FLAG_ERROR not in r.flags for r in records} == ok
+        assert {r.lesion_id: r.error for r in records if r.lesion_id[0] in errors} == {
+            lid: errors[lid[0]] for lid in ok if lid[0] in errors}
         path = tmp_path / ("records_%d.csv" % workers)
         write_records_csv(records, path)
         csv_bytes.append(path.read_bytes())
