@@ -49,7 +49,6 @@ from .errors import (
     ZeroVarianceError,
 )
 from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_box, label_components
-from .lesions import _instance_from_voxels  # noqa: F401  unused here, kept for code that calls it on pipeline
 # dice, place_back: unused here, kept for tools that wrap them by name on pipeline
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef, segment
@@ -110,16 +109,12 @@ class Manifest:
     def datasets(self) -> list[str]:
         return sorted({e.dataset for e in self.entries})
 
-    def missing_files(self) -> list[str]:
+    def validate_files(self) -> None:
         missing = []
         for e in self.entries:
             for p in (e.image_path, e.mask_path):
                 if not Path(p).is_file() and p not in missing:
                     missing.append(p)
-        return missing
-
-    def validate_files(self) -> None:
-        missing = self.missing_files()
         if missing:
             raise MissingFileError(missing)
 

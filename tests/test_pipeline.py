@@ -64,6 +64,7 @@ from ulsforge.errors import (
     NoPatientsError,
     PairingMismatchError,
 )
+from ulsforge.lesions import _instance_from_voxels
 
 BUILTIN = SegmenterRef.builtin(GrowParams(hu_window=GROW_WINDOW))
 SMALL_CFG = VOICfg(size=(32, 32, 16))
@@ -586,7 +587,7 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     lesion[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = True
     image = Volume3D(np.where(rng.random(shape) < 0.7, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
-    instance = pl._instance_from_voxels(1, np.argwhere(lesion))
+    instance = _instance_from_voxels(1, np.argwhere(lesion))
     scan = pl._Scan(image, mask.spacing, b"mask header", {"l": instance})  # VOIs drop it
     entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
     seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
