@@ -86,11 +86,22 @@ def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
 
 
 def extract_instances(labeled: Volume3D) -> list[LesionInstance]:
-    """One LesionInstance per distinct positive id, sorted by id."""
+    """One LesionInstance per distinct positive id, sorted by id.
+
+    ``find_objects`` keeps one slot per id up to the largest, so ids past
+    the voxel count are first renumbered 1..C: time and memory are bounded
+    by the volume, not by the largest id.
+    """
     if labeled.kind is not VolumeKind.LABELED_MASK:
         raise WrongKindError("extract_instances expects a labeled mask, got %s" % labeled.kind.value)
-    return [_instance_from_box(comp_id, labeled.data[box] == comp_id, tuple(b.start for b in box))
-            for comp_id, box in enumerate(ndimage.find_objects(labeled.data), 1) if box is not None]
+    data = labeled.data
+    ids = range(int(data.max()) + 1)  # label_components' ids 1..C index themselves
+    if ids[-1] > data.size:
+        ids = np.union1d(0, data)  # sorted, 0 first: each id's rank is its new label
+        data = np.searchsorted(ids, data)
+    return [_instance_from_box(int(ids[i]), data[box] == i, tuple(b.start for b in box))
+            for i, box in enumerate(ndimage.find_objects(data, max_label=len(ids) - 1), 1)
+            if box is not None]
 
 
 def _instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,36 @@ def test_instances_from_component_boxes_equal_per_id_argwhere():
         assert (inst.bbox, inst.size_vox, inst.center.pos) == instance_oracle(expected)
         assert not inst.mask.flags.writeable
         assert inst.mask.shape == tuple(h - l + 1 for l, h in zip(*inst.bbox))
+
+
+
+@pytest.mark.parametrize("low", (0, 1))  # with and without background
+def test_sparse_ids_give_the_instances_of_dense_ones(low):
+    rng = np.random.default_rng(23)
+    dense = rng.integers(low, 5, (6, 7, 5)).astype(np.int32)  # ids 1..4 in 210 voxels
+    sparse_ids = np.array([0, 3, 500, 70_000, 1_000_000], dtype=np.int32)
+    to_volume = lambda data: Volume3D(data, kind=VolumeKind.LABELED_MASK)
+    expected = extract_instances(to_volume(dense))
+    found = extract_instances(to_volume(sparse_ids[dense]))
+    assert [i.label for i in found] == [int(sparse_ids[i.label]) for i in expected]
+    for a, b in zip(found, expected):
+        assert (a.bbox, a.size_vox, a.center) == (b.bbox, b.size_vox, b.center)
+        assert np.array_equal(a.mask, b.mask) and a.mask.flags.f_contiguous
+
+
+def test_sparse_ids_cost_the_volume_not_the_largest_id():
+    data = np.zeros((2, 2, 2), dtype=np.int32)
+    data[1, 0, 1] = 1_000_000
+    labeled = Volume3D(data, kind=VolumeKind.LABELED_MASK)
+    extract_instances(labeled)  # first calls import and cache what they need
+    tracemalloc.start()
+    try:
+        inst, = extract_instances(labeled)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a slot per id up to the largest would take 8 MB
+    assert (inst.label, inst.bbox, inst.size_vox) == (1_000_000, ((1, 0, 1), (1, 0, 1)), 1)
 
 
 def test_relabeling_invariance():
