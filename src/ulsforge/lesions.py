@@ -88,9 +88,8 @@ def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
 def extract_instances(labeled: Volume3D) -> list[LesionInstance]:
     """One LesionInstance per distinct positive id, sorted by id.
 
-    ``find_objects`` keeps one slot per id up to the largest, so ids past
-    the voxel count are first renumbered 1..C: time and memory are bounded
-    by the volume, not by the largest id.
+    Ids past the voxel count are renumbered 1..C first, since
+    ``find_objects`` keeps a slot per id up to the largest.
     """
     if labeled.kind is not VolumeKind.LABELED_MASK:
         raise WrongKindError("extract_instances expects a labeled mask, got %s" % labeled.kind.value)

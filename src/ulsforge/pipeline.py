@@ -382,7 +382,8 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
     labeled once if some entry is clicked: its x-fastest scan meets the
     components in the whole volume's order, so their ids are the same. A
     pair that cannot be read, decoded or checked (say, a float mask with a
-    NaN voxel) fails every entry, kept as data like an entry's own failure.
+    NaN voxel) fails every entry, kept as data like an entry's own failure;
+    an OSError keeps its filename, which its message names.
     """
     try:
         image = read_volume(entries[0].image_path)
@@ -398,7 +399,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
         if bad:
             raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
                                      % (entries[0].mask_path, bad))
-    except (UlsforgeError, OSError) as exc:  # kept as data for every entry, as an entry's own failure
+    except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
         args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
         return _Scan(None, None, None, dict.fromkeys([e.lesion_id for e in entries], (type(exc), args)))
     if any(e.component_label is None for e in entries):
