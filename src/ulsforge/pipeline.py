@@ -401,7 +401,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
                                      % (entries[0].mask_path, bad))
     except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
         args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
-        return _Scan(None, None, None, dict.fromkeys([e.lesion_id for e in entries], (type(exc), args)))
+        return _Scan(None, None, None, dict.fromkeys((e.lesion_id for e in entries), (type(exc), args)))
     if any(e.component_label is None for e in entries):
         labeled = label_components(mask.as_binary_mask(), connectivity).data
         objects = ndimage.find_objects(labeled)  # each component's box, by id

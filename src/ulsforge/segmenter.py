@@ -260,7 +260,7 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
             values = np.unique(data)  # a float mask is checked value by value
             if not np.isin(values, (0, 1)).all():
                 raise BadMaskValuesError("mask values outside {0, 1}: %s" % values[:10])
-        mask = out.as_binary_mask()  # values are {0, 1}: the same uint8 data, one copy fewer
+        mask = out.as_binary_mask()  # the values are {0, 1}, so nonzero is the mask
     return SegmentationResult(mask)
 
 
