@@ -1,4 +1,5 @@
 import gc
+import gzip
 import json
 import os
 import sys
@@ -63,6 +64,7 @@ from ulsforge.errors import (
     MissingFileError,
     NoPatientsError,
     PairingMismatchError,
+    UlsforgeError,
 )
 from ulsforge.lesions import _instance_from_voxels
 
@@ -518,6 +520,72 @@ def test_two_workers_read_two_scans_at_once(tmp_path, monkeypatch):
     records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=2, workers=2)
     assert [(r.lesion_id, r.dice, r.robustness) for r in records] == \
         [(e.lesion_id, 1.0, 1.0) for e in entries]
+
+
+def _break_image(path, fault):
+    """Give the gzip image at ``path`` one fault; the file is gone for "gone"."""
+    raw = path.read_bytes()
+    plain = gzip.decompress(raw)
+    broken = {
+        "truncated": lambda: raw[:len(raw) // 2],  # the gzip stream ends early
+        "crc": lambda: raw[:-8] + bytes(b ^ 0xFF for b in raw[-8:-4]) + raw[-4:],  # a fault past the payload
+        "short-payload": lambda: gzip.compress(plain[:-100], mtime=0),  # a whole stream, too few bytes
+        "datatype": lambda: gzip.compress(plain[:70] + b"\x40\x00" + plain[72:], mtime=0),  # float64
+        "bad-header-truncated": lambda: gzip.compress(b"\x00" * 352 + plain[352:], mtime=0)[:100],
+    }
+    if fault == "gone":
+        os.remove(path)
+    else:
+        path.write_bytes(broken[fault]())
+
+
+def _break_mask(path, fault):
+    """Give the mask at ``path`` one fault; the file is gone for "gone"."""
+    if fault == "gone":
+        os.remove(path)
+    elif fault == "truncated":
+        path.write_bytes(path.read_bytes()[:200])
+    else:
+        values = read_volume(path).data
+        if fault == "nan":
+            values = values.astype(np.float32)
+            values[0, 0, 0] = np.nan
+        else:  # "short": one slice fewer than the image
+            values = values[:, :, :-1]
+        write_volume(Volume3D(values), path)
+
+
+@pytest.mark.parametrize("image_fault", ["truncated", "crc", "short-payload", "datatype",
+                                         "bad-header-truncated", "gone"])
+def test_a_fault_of_the_image_wins_over_any_fault_of_its_mask(tmp_path, monkeypatch, image_fault):
+    mask_faults = ["nan", "short", "truncated", "gone"]
+    pairs = {f: make_case(tmp_path, f, centers=((24, 24, 16), (8, 8, 8))) for f in mask_faults}
+    expected = {}
+    for fault, (img, msk) in pairs.items():
+        _break_image(img, image_fault)
+        with pytest.raises((UlsforgeError, OSError)) as info:
+            read_volume(img)
+        expected[fault] = (type(info.value), str(info.value))
+        _break_mask(msk, fault)
+    entries = [ManifestEntry(lesion_id="%s-%s" % (fault, how), patient_id="p", image_path=str(img),
+                             mask_path=str(msk), **extra)
+               for fault, (img, msk) in pairs.items()
+               for how, extra in (("click", {"click": (24, 24, 16)}), ("label", {"component_label": 1}),
+                                  ("none", {}))]
+    reads = Counter()
+    real_read = pl.read_volume
+    monkeypatch.setattr(pl, "read_volume", lambda path: reads.update([path]) or real_read(path))
+    for workers in (1, 2):
+        records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=1,
+                                      workers=workers)
+        assert {r.lesion_id: r.error for r in records} == {
+            e.lesion_id: expected[e.lesion_id.split("-")[0]][1] for e in entries}
+    for entry in entries:
+        with pytest.raises((UlsforgeError, OSError)) as info:
+            pl.resolve_lesion(entry, 26)
+        assert (type(info.value), str(info.value)) == expected[entry.lesion_id.split("-")[0]]
+    if image_fault == "gone":  # the image is opened first, so its mask is never read
+        assert not reads.keys() & {str(msk) for _, msk in pairs.values()}
 
 
 def global_frame_scores(image, mask, instance, lesion_id, seg, cfg, seed_root, k,
