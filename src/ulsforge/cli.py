@@ -201,7 +201,7 @@ def _cmd_extract(args) -> int:
     plans: dict[str, dict] = {}
     n_written = 0
     written: set[str] = set()  # file stems, so no lesion overwrites another's files
-    loader = pipeline.ScanLoader(manifest.entries, args.connectivity)
+    loader = pipeline.ScanLoader(manifest.entries, args.connectivity, cfg.size)
     for entry in loader.entries:
         entry_rows = rows[entry.lesion_id] = []
         try:

@@ -49,12 +49,13 @@ from .errors import (
     ZeroVarianceError,
 )
 from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_box, label_components
-# dice, place_back: unused here, kept for tools that wrap them by name on pipeline
+# crop_voi, dice, place_back: unused here, kept for tools that wrap them by name on pipeline
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef, segment
 from .stats import TestResult, degenerate_result, paired_ttest
-from .voi import VOICfg, VOISample, _overlap, crop_voi, isolate_central_lesion, place_back  # noqa: F401
-from .volume import Volume3D, VolumeKind, read_volume
+from .voi import VOICfg, VOISample, _crop, _overlap, _window_offset, crop_voi  # noqa: F401
+from .voi import isolate_central_lesion, place_back  # noqa: F401
+from .volume import Box, Volume3D, VolumeKind, _NiftiFile, read_volume
 
 DEFAULT_TEST_FRACTION = 0.2
 DEFAULT_SIGNIFICANCE_ALPHA = 0.0001
@@ -304,6 +305,16 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _image_box(bbox: Box, size: tuple[int, int, int] | None, dims: tuple[int, int, int]) -> Box:
+    """The part of the volume a window of ``size`` around any voxel of
+    ``bbox``, whose corners are inclusive, can reach; the whole volume when
+    ``size`` is None."""
+    if size is None:
+        return (0, 0, 0), dims
+    return (tuple(max(0, lo - s // 2) for lo, s in zip(bbox[0], size)),
+            tuple(min(n, hi + s // 2) for hi, s, n in zip(bbox[1], size, dims)))
+
+
 @dataclass
 class _Scan:
     """One image/mask pair as loaded for the manifest entries that share it.
@@ -312,14 +323,20 @@ class _Scan:
     entry's component_label, or the mask's components and the clicked or
     single one's id. ``lesions`` holds each entry's instance or the error
     class and arguments of its failure; of the mask only spacing and header.
-    A pair that cannot be read holds neither volume, and every entry's
-    failure is the pair's.
+    Of the image it keeps dims, spacing and header and, per lesion, the box
+    that every window of ``size`` around a voxel of the lesion reaches
+    inside the volume; every click is such a voxel. A pair that cannot be
+    read holds neither, and every entry's failure is the pair's.
     """
 
-    image: Volume3D | None
-    mask_spacing: tuple[float, float, float] | None
-    mask_header: bytes | None
     lesions: dict[str, LesionInstance | tuple[type, tuple]]
+    size: tuple[int, int, int] | None = None  # the VOI size the boxes serve; None: the whole volume
+    dims: tuple[int, int, int] | None = None
+    spacing: tuple[float, float, float] | None = None
+    header: bytes | None = None
+    boxes: dict[Box, np.ndarray] = field(default_factory=dict)  # image voxels, x fastest
+    mask_spacing: tuple[float, float, float] | None = None
+    mask_header: bytes | None = None
 
     def lesion(self, entry: ManifestEntry) -> LesionInstance:
         found = self.lesions[entry.lesion_id]
@@ -332,10 +349,10 @@ class _Scan:
         """The instance's binary mask in the window [offset, offset + size),
         by default the volume. Like a ``crop_voi`` crop of the whole mask, a
         window pads voxels outside the volume with ``pad`` and has no header."""
-        data = np.zeros(size or self.image.dims, dtype=np.uint8, order="F")  # x fastest, as read_volume's
+        data = np.zeros(size or self.dims, dtype=np.uint8, order="F")  # x fastest, as read_volume's
         if pad:
             data[...] = pad
-            data[_overlap(self.image.dims, offset, data.shape)[1]] = 0
+            data[_overlap(self.dims, offset, data.shape)[1]] = 0
         start = tuple(l - o for l, o in zip(instance.bbox[0], offset))  # the box's corner in the window
         window, box = _overlap(data.shape, start, instance.mask.shape)
         data[window] = instance.mask[box]  # the box lies inside the volume, where the window holds 0
@@ -343,11 +360,25 @@ class _Scan:
         header = self.mask_header if size is None else None
         return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, header)
 
+    def image_box(self, instance: LesionInstance) -> tuple[tuple[int, int, int], np.ndarray]:
+        """The corner and the voxels of the instance's image box."""
+        box = _image_box(instance.bbox, self.size, self.dims)
+        return box[0], self.boxes[box]
+
+    def crop(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg) -> VOISample:
+        """The image VOI of a click on the instance, cut from its box: the
+        ``crop_voi`` crop of the whole image. A window that leaves the box
+        inside the volume, as one larger than ``size`` can, raises ValueError."""
+        origin, data = self.image_box(instance)
+        offset = _window_offset(click, cfg.size)
+        image = _crop(data, offset, cfg.size, cfg.pad_value_image, origin, self.dims)
+        return VOISample(image=Volume3D(image, self.spacing), mask=None, offset=offset, click=click)
+
     def voi(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
             connectivity: int) -> VOISample:
         """The click's image VOI and its ground truth, the central lesion of the
         instance's mask in that window: ``generate_shifted_samples``'s sample."""
-        sample = crop_voi(self.image, None, click, cfg)
+        sample = self.crop(instance, click, cfg)
         truth = self.mask(instance, sample.offset, cfg.size, cfg.pad_value_mask)
         sample.mask = isolate_central_lesion(truth, sample.local_click, connectivity)
         return sample
@@ -375,33 +406,27 @@ def _clicked_component(entry: ManifestEntry, labeled: np.ndarray, lo: tuple[int,
     return 1
 
 
-def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
-    """Read the entries' shared image and mask and find each entry's lesion.
+def _find_lesions(entries: list[ManifestEntry], dims: tuple[int, int, int],
+                  connectivity: int) -> tuple[dict, tuple[float, float, float], bytes]:
+    """Each entry's lesion in the entries' shared mask, or its failure; the
+    mask's spacing and header.
 
     Only the box that holds the mask's foreground is kept, searched, and
     labeled once if some entry is clicked: its x-fastest scan meets the
-    components in the whole volume's order, so their ids are the same. A
-    pair that cannot be read, decoded or checked (say, a float mask with a
-    NaN voxel) fails every entry, kept as data like an entry's own failure;
-    an OSError keeps its filename, which its message names.
+    components in the whole volume's order, so their ids are the same.
     """
-    try:
-        image = read_volume(entries[0].image_path)
-        mask = read_volume(entries[0].mask_path)
-        if image.dims != mask.dims:
-            raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
-        box = _foreground_box(mask.data)
-        lo = tuple(b.start for b in box)
-        values = mask.data[box].copy(order="F")
-        values.setflags(write=False)  # read-only: with_data keeps it without a copy
-        mask = mask.with_data(values)  # the decoded mask is dropped here
-        bad = values.size - np.count_nonzero(np.isfinite(values)) if values.dtype.kind == "f" else 0
-        if bad:
-            raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
-                                     % (entries[0].mask_path, bad))
-    except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
-        args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
-        return _Scan(None, None, None, dict.fromkeys((e.lesion_id for e in entries), (type(exc), args)))
+    mask = read_volume(entries[0].mask_path)
+    if dims != mask.dims:
+        raise DimsMismatchError("image dims %s != mask dims %s" % (dims, mask.dims))
+    box = _foreground_box(mask.data)
+    lo = tuple(b.start for b in box)
+    values = mask.data[box].copy(order="F")
+    values.setflags(write=False)  # read-only: with_data keeps it without a copy
+    mask = mask.with_data(values)  # the decoded mask is dropped here
+    bad = values.size - np.count_nonzero(np.isfinite(values)) if values.dtype.kind == "f" else 0
+    if bad:
+        raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
+                                 % (entries[0].mask_path, bad))
     if any(e.component_label is None for e in entries):
         labeled = label_components(mask.as_binary_mask(), connectivity).data
         objects = ndimage.find_objects(labeled)  # each component's box, by id
@@ -414,13 +439,42 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int) -> _Scan:
                     raise EmptyInstanceError("component_label %d not present in %s"
                                              % (value, e.mask_path))
             else:
-                value = _clicked_component(e, labeled, lo, image.dims, len(objects))
+                value = _clicked_component(e, labeled, lo, dims, len(objects))
                 comp = objects[value - 1]
                 found, at = labeled[comp] == value, tuple(l + c.start for l, c in zip(lo, comp))
             lesions[e.lesion_id] = _instance_from_box(value, found, at)
         except UlsforgeError as exc:  # kept as data: an exception would pin the scan
             lesions[e.lesion_id] = (type(exc), exc.args)
-    return _Scan(image, mask.spacing, mask.header_meta, lesions)
+    return lesions, mask.spacing, mask.header_meta
+
+
+def _load_scan(entries: list[ManifestEntry], connectivity: int,
+               size: tuple[int, int, int] | None) -> _Scan:
+    """Read the entries' shared mask, find each entry's lesion, then keep of
+    the image only each lesion's box for windows of ``size`` (``_Scan``).
+
+    The image is opened and its header checked first, so a missing image
+    fails before its mask is read. The labeled mask is dropped before the
+    image's payload is read in one pass. A fault of the image wins over any
+    fault of the mask, a dims mismatch or a non-finite mask voxel: on those
+    paths the image is read to its end to check it. A pair that cannot be
+    read, decoded or checked fails every entry, kept as data like an entry's
+    own failure; an OSError keeps its filename, which its message names.
+    """
+    try:
+        with _NiftiFile(entries[0].image_path) as image:
+            try:
+                lesions, *mask_meta = _find_lesions(entries, image.dims, connectivity)
+            except (UlsforgeError, OSError):
+                image.read_boxes([])  # raises the image's fault, if it has one
+                raise
+            boxes = list(dict.fromkeys(_image_box(found.bbox, size, image.dims)
+                                       for found in lesions.values() if not isinstance(found, tuple)))
+            boxes = dict(zip(boxes, image.read_boxes(boxes)))
+    except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
+        args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
+        return _Scan(dict.fromkeys((e.lesion_id for e in entries), (type(exc), args)))
+    return _Scan(lesions, size, image.dims, image.spacing, image.header, boxes, *mask_meta)
 
 
 def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
@@ -431,9 +485,10 @@ def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, V
     lesion with another label never joins it. Otherwise it is the component
     holding the entry's recorded click, else the mask's single one.
     """
-    scan = _load_scan([entry], connectivity)
+    scan = _load_scan([entry], connectivity, None)
     instance = scan.lesion(entry)
-    return scan.image, scan.mask(instance), instance
+    image = Volume3D(scan.image_box(instance)[1], scan.spacing, VolumeKind.INTENSITY, scan.header)
+    return image, scan.mask(instance), instance
 
 
 class ScanLoader:
@@ -442,15 +497,18 @@ class ScanLoader:
     ``entries`` lists the run's entries by scan, scans in the order they
     first appear, and round-robin within each window of ``workers`` scans,
     so the workers load different scans at once. That order holds about
-    one scan per worker, however the manifest is sorted. The first lesion
-    of a scan to run loads it while the scan's other lesions wait on its
-    lock; the scan is dropped when its last lesion takes it. A load that
-    fails is kept like any other, so every lesion of that scan gets the
-    same error from one read.
+    one scan per worker, however the manifest is sorted, and a scan holds
+    of its image only the boxes its lesions' windows of ``size`` reach.
+    The first lesion of a scan to run loads it while the scan's other
+    lesions wait on its lock; the scan is dropped when its last lesion
+    takes it. A load that fails is kept like any other, so every lesion of
+    that scan gets the same error from one read.
     """
 
-    def __init__(self, entries: list[ManifestEntry], connectivity: int, workers: int = 1):
+    def __init__(self, entries: list[ManifestEntry], connectivity: int, size: tuple[int, int, int],
+                 workers: int = 1):
         self._connectivity = connectivity
+        self._size = size
         self._groups: dict[tuple[str, str], list[ManifestEntry]] = {}
         for e in entries:
             self._groups.setdefault((e.image_path, e.mask_path), []).append(e)
@@ -468,7 +526,7 @@ class ScanLoader:
             self._left[key] -= 1
             scan = self._scans.pop(key, None)
             if scan is None:
-                scan = _load_scan(self._groups[key], self._connectivity)
+                scan = _load_scan(self._groups[key], self._connectivity, self._size)
             if self._left[key]:
                 self._scans[key] = scan
         return scan, scan.lesion(entry)
@@ -502,7 +560,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
         truth = scan.voi(instance, plan.normal, cfg, connectivity)
         flags: set[str] = set()
         placed = [(truth.offset, truth.mask)]  # (offset, VOI mask): the truth, then each prediction
-        for voi in chain([truth], (crop_voi(scan.image, None, c, cfg) for c in plan.augmented)):
+        for voi in chain([truth], (scan.crop(instance, c, cfg) for c in plan.augmented)):
             result = segment(voi.image, voi.local_click, seg)
             if result.truncated:
                 flags.add(FLAG_TRUNCATED)
@@ -510,7 +568,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
                 flags.add(FLAG_EMPTY_PREDICTION)
             placed.append((voi.offset, result.mask))
         gt, *preds = placed
-        pair_dice = partial(voi_dice, dims=scan.image.dims)
+        pair_dice = partial(voi_dice, dims=scan.dims)
         robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None
         return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=pair_dice(preds[0], gt),
                           robustness=robust, location=entry.location,
@@ -532,7 +590,7 @@ def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
          workers: int | None, model_id: str | None, seed_root: int | None,
          k: int) -> list[EvalRecord]:
     n = _effective_workers(workers)
-    loader = ScanLoader(manifest.entries, connectivity, n)
+    loader = ScanLoader(manifest.entries, connectivity, cfg.size, n)
     one = partial(_eval_one, loader=loader, seg=seg, cfg=cfg, connectivity=connectivity,
                   model_id=model_id or seg.model_id, seed_root=seed_root, k=k)
     with ThreadPoolExecutor(max_workers=n) as pool:

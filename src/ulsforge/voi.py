@@ -73,12 +73,31 @@ def _overlap(shape: tuple[int, ...], start: tuple[int, ...], size: tuple[int, ..
     return tuple(glob), tuple(local)
 
 
-def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int) -> np.ndarray:
-    """The window [offset, offset + size) of ``data``, padded with ``pad``,
-    laid out in memory as ``data`` is, so the copy reads it in order."""
-    glob, local = _overlap(data.shape, offset, size)
-    out = np.full(size, pad, dtype=data.dtype, order="F" if data.strides[0] < data.strides[-1] else "C")
-    out[local] = data[glob]
+def _window_offset(click: ClickPoint, size: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The global index of the (0, 0, 0) corner of the click's window: c - s/2 per axis."""
+    return tuple(int(c - s // 2) for c, s in zip(click.pos, size))
+
+
+def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int,
+          origin: tuple[int, ...] = (0, 0, 0), dims: tuple[int, ...] | None = None) -> np.ndarray:
+    """The window [offset, offset + size) of a volume of ``dims``, padded with
+    ``pad``, laid out in memory as ``data`` is, so the copy reads it in order;
+    x fastest where ``data`` has at most one axis longer than 1, for either
+    layout holds it.
+
+    ``data`` is the volume's box whose corner is at ``origin``, by default
+    the whole volume. Every voxel of the window inside the volume must lie
+    in the box: only voxels outside the volume are padded.
+    """
+    glob, local = _overlap(dims or data.shape, offset, size)
+    inner = tuple(slice(g.start - o, g.stop - o) for g, o in zip(glob, origin))
+    if any(s.start < s.stop and (s.start < 0 or s.stop > n) for s, n in zip(inner, data.shape)):
+        raise ValueError("window at %s of size %s reaches outside the box at %s of shape %s "
+                         "inside the volume" % (offset, size, origin, data.shape))
+    strides = [st for st, n in zip(data.strides, data.shape) if n > 1]  # a box may be one voxel thin
+    order = "C" if len(strides) > 1 and strides[0] > strides[-1] else "F"
+    out = np.full(size, pad, dtype=data.dtype, order=order)
+    out[local] = data[inner]
     out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return out
 
@@ -96,7 +115,7 @@ def crop_voi(image: Volume3D, mask: Volume3D | None, click: ClickPoint,
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
     if any(c < 0 or c >= n for c, n in zip(click.pos, image.dims)):
         raise ClickOutOfVolumeError("click %s outside volume dims %s" % (click.pos, image.dims))
-    offset = tuple(int(c - s // 2) for c, s in zip(click.pos, cfg.size))
+    offset = _window_offset(click, cfg.size)
     return VOISample(
         image=Volume3D(_crop(image.data, offset, cfg.size, cfg.pad_value_image),
                        spacing=image.spacing, kind=VolumeKind.INTENSITY),

@@ -309,6 +309,128 @@ def _parse_header(head: bytes, path: Path) -> tuple[np.dtype, tuple[int, int, in
     return _CODE_TO_DTYPE[code], dims, spacing, max(int(vox_offset), HEADER_SIZE)
 
 
+_SLAB = 1 << 21  # decoded bytes of whole z-slices read at a time when only boxes are kept
+
+Box = tuple[tuple[int, int, int], tuple[int, int, int]]  # (lo, hi): the voxels lo <= i < hi
+
+
+class _NiftiFile:
+    """An open NIfTI-1 file whose header is read and checked; its payload is read once, into boxes.
+
+    Opening reads the header as ``read_volume`` does and checks the size
+    it claims against what the file can hold, before anything is
+    allocated.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._f = open(self.path, "rb", buffering=0)
+        try:
+            self._read_header()
+        except BaseException:
+            self._f.close()
+            raise
+
+    def __enter__(self) -> _NiftiFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._f.close()
+
+    def _read_header(self) -> None:
+        f, path = self._f, self.path
+        self._size = os.fstat(f.fileno()).st_size
+        self._gz = _GzipStream(f, path) if f.read(2) == GZIP_MAGIC else None
+        f.seek(0)
+        self._src = self._gz or f
+        head = bytearray(VOX_OFFSET)
+        head = bytes(head[:_fill(self._src, memoryview(head))])
+        try:
+            self.dtype, self.dims, self.spacing, offset = _parse_header(head, path)
+        except UlsforgeError:
+            if self._gz:
+                self._gz.discard()  # a fault in the stream is reported before one in the header
+            raise
+        self.header = head[:HEADER_SIZE]
+        self.nbytes = math.prod(self.dims) * self.dtype.itemsize
+        if offset + self.nbytes > (self._size * _MAX_DEFLATE_RATIO if self._gz else self._size):
+            # more than the file can hold: found without allocating what the header claims
+            total = len(head) + self._gz.discard() if self._gz else self._size
+            raise TruncatedDataError("%s: expected %d data bytes, found %d"
+                                     % (path, self.nbytes, max(0, total - offset)))
+        self._head = memoryview(head)[offset:offset + self.nbytes]  # payload read with the header
+        self._skip(offset - len(head))
+
+    def _read(self, buf: memoryview) -> int:
+        """Payload bytes read into ``buf``; fewer than it holds only where the file ends."""
+        n = min(len(self._head), len(buf))
+        buf[:n] = self._head[:n]
+        self._head = self._head[n:]
+        return n + _fill(self._src, buf[n:])
+
+    def _skip(self, n: int) -> int:
+        """Drop up to ``n`` payload bytes, decoding a gzip stream; how many there were."""
+        head = min(len(self._head), max(0, n))
+        self._head = self._head[head:]
+        n -= head
+        if n <= 0:
+            return head
+        if self._gz:
+            return head + self._gz.discard(n)
+        pos = self._f.tell()
+        self._f.seek(min(pos + n, self._size))
+        return head + self._f.tell() - pos
+
+    def read_boxes(self, boxes: list[Box]) -> list[np.ndarray]:
+        """Each box of the volume as a read-only x-fastest array.
+
+        The payload is read once: a box that is the whole volume straight
+        into its array, else a run of whole z-slices at a time into one
+        reused buffer from which each box copies its part, so only the
+        boxes and the buffer are held. A plain file seeks past the slices
+        no box holds. The rest of a gzip stream is decoded and checked
+        whatever the boxes, so a fault gives the same error for any boxes,
+        none included.
+        """
+        nx, ny, _ = self.dims
+        whole = ((0, 0, 0), self.dims)
+        if whole in boxes:
+            data = np.empty(math.prod(self.dims), dtype=self.dtype)
+            found = self._read(memoryview(data).cast("B"))
+            volume = data.reshape(self.dims, order="F")
+            outs = [volume if box == whole else volume[tuple(map(slice, *box))].copy(order="F")
+                    for box in boxes]
+        else:
+            plane = nx * ny * self.dtype.itemsize
+            outs = [np.empty(tuple(h - l for l, h in zip(*box)), dtype=self.dtype, order="F")
+                    for box in boxes]
+            z0 = min((lo[2] for lo, _ in boxes), default=0)
+            z1 = max((hi[2] for _, hi in boxes), default=0)
+            depth = max(1, _SLAB // plane)
+            slab = np.empty(nx * ny * min(depth, z1 - z0), dtype=self.dtype)
+            found = self._skip(z0 * plane)
+            for z in range(z0, z1, depth):
+                n = min(depth, z1 - z)
+                got = self._read(memoryview(slab).cast("B")[:n * plane])
+                found += got
+                if got < n * plane:
+                    break
+                slices = slab[:nx * ny * n].reshape((nx, ny, n), order="F")
+                for (lo, hi), out in zip(boxes, outs):
+                    a, b = max(z, lo[2]), min(z + n, hi[2])
+                    if a < b:
+                        out[:, :, a - lo[2]:b - lo[2]] = slices[lo[0]:hi[0], lo[1]:hi[1], a - z:b - z]
+        found += self._skip(self.nbytes - found)
+        if self._gz:
+            self._gz.discard()  # decoded bytes past the payload, checked like the rest
+        if found < self.nbytes:
+            raise TruncatedDataError("%s: expected %d data bytes, found %d"
+                                     % (self.path, self.nbytes, found))
+        for out in outs:
+            out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+        return outs
+
+
 def read_volume(path: str | Path) -> Volume3D:
     """Read a NIfTI-1 volume (.nii, plain or gzip-compressed).
 
@@ -318,58 +440,23 @@ def read_volume(path: str | Path) -> Volume3D:
     kind is always INTENSITY; use :meth:`Volume3D.as_binary_mask` when
     the file holds a mask.
 
-    The file is read in one pass. After the header, the voxel array is
-    allocated once and filled in place: straight from a plain file, or
-    decoded chunk by chunk from a gzip file, which is never held whole.
-    So a read holds one decoded volume and, for gzip, one chunk of the
-    file. The header's size is checked against what the file can hold
-    before anything is allocated. Errors in the gzip stream take
-    precedence over errors in the header or payload it decodes to.
+    The file is read in one pass, as one box that is the whole volume.
+    After the header, the voxel array is allocated once and filled in
+    place: straight from a plain file, or decoded chunk by chunk from a
+    gzip file, which is never held whole. So a read holds one decoded
+    volume and, for gzip, one chunk of the file. The header's size is
+    checked against what the file can hold before anything is
+    allocated. Errors in the gzip stream take precedence over errors in
+    the header or payload it decodes to.
 
     Raises
     ------
     FileNotFoundError, BadMagicError, UnsupportedDatatypeError,
     TruncatedDataError, BadHeaderError, UnsupportedScalingError
     """
-    path = Path(path)
-    with open(path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        gz = _GzipStream(f, path) if f.read(2) == GZIP_MAGIC else None
-        f.seek(0)
-        src = gz or f
-        head = bytearray(VOX_OFFSET)
-        head = bytes(head[:_fill(src, memoryview(head))])
-        try:
-            dtype, dims, spacing, offset = _parse_header(head, path)
-        except UlsforgeError:
-            if gz:
-                gz.discard()  # a fault in the stream is reported before one in the header
-            raise
-
-        count = math.prod(dims)
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > (size * _MAX_DEFLATE_RATIO if gz else size):
-            # more than the file can hold: found without allocating what the header claims
-            total = len(head) + gz.discard() if gz else size
-            raise TruncatedDataError("%s: expected %d data bytes, found %d"
-                                     % (path, nbytes, max(0, total - offset)))
-        data = np.empty(count, dtype=dtype)
-        buf = memoryview(data).cast("B")
-        start = head[offset:offset + nbytes]  # payload already read with the header
-        buf[:len(start)] = start
-        if offset > len(head):
-            if gz:
-                gz.discard(offset - len(head))
-            else:
-                f.seek(offset)
-        found = len(start) + _fill(src, buf[len(start):])
-        if gz:
-            gz.discard()  # decoded bytes past the payload, checked like the rest
-    if found < nbytes:
-        raise TruncatedDataError("%s: expected %d data bytes, found %d" % (path, nbytes, found))
-    data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-    return Volume3D(data=data.reshape(dims, order="F"), spacing=spacing, kind=VolumeKind.INTENSITY,
-                    header_meta=head[:HEADER_SIZE])
+    with _NiftiFile(path) as f:
+        data, = f.read_boxes([((0, 0, 0), f.dims)])
+    return Volume3D(data=data, spacing=f.spacing, kind=VolumeKind.INTENSITY, header_meta=f.header)
 
 
 # ---------------------------------------------------------------------------

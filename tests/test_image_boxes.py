@@ -1,0 +1,207 @@
+"""A scan keeps of its image only each lesion's box.
+
+Every click is a voxel of its lesion, so the box that every window of the
+VOI size around a voxel of the lesion's bounding box reaches holds each
+window's voxels inside the volume. The properties check that a crop cut
+from the box is the crop of the whole image, offset, dtype, memory layout
+and padding included; that the box reader gives slices of ``read_volume``
+for plain and gzip files, however its slabs fall; and that a faulty file
+gives the same error whatever boxes are asked for. The pins check that a
+box sized for a smaller VOI fails loudly, and that ``extract`` with a VOI
+larger than the default writes the whole image's crops.
+"""
+
+import gzip
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ulsforge.pipeline as pl
+from synth import ball, make_case
+from ulsforge import ManifestEntry, VOICfg, Volume3D, crop_voi, generate_shifted_samples, read_volume
+from ulsforge import volume as vol_module
+from ulsforge import write_volume
+from ulsforge.cli import main
+from ulsforge.errors import UlsforgeError
+from ulsforge.lesions import ClickPoint
+from ulsforge.volume import _NiftiFile
+
+DTYPES = ("uint8", "int16", "int32", "float32")
+SLABS = (1, 7, 64, 1 << 21)  # bytes per slab: a slice at a time, or every slice at once
+
+
+def _image(shape, dtype, rng):
+    return (rng.integers(-500, 500, size=shape) if dtype != "uint8"
+            else rng.integers(0, 256, size=shape)).astype(dtype)
+
+
+def _write(path, data, spacing=(0.8, 0.7, 2.5)):
+    write_volume(Volume3D(data, spacing), path)
+    return str(path)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 13)] * 3), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from(DTYPES), suffix=st.sampled_from([".nii", ".nii.gz"]),
+       size=st.tuples(*[st.sampled_from([2, 4, 6, 10, 30])] * 3), pad=st.sampled_from([-1024, 0, 7]),
+       corner=st.tuples(*[st.sampled_from([0, -1, None])] * 3), fill=st.sampled_from([0.02, 0.2]),
+       slab=st.sampled_from(SLABS))
+def test_a_crop_from_the_lesion_box_is_the_crop_of_the_whole_image(
+        shape, seed, dtype, suffix, size, pad, corner, fill, slab):
+    """Lesions on faces, edges and corners, VOIs larger than the volume, odd dims."""
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(shape) < fill, rng.integers(1, 3, size=shape), 0).astype(np.uint8)
+    labels[tuple(int(rng.integers(n)) if c is None else c for c, n in zip(corner, shape))] = 1
+    cfg = VOICfg(size=size, pad_value_image=max(pad, 0) if dtype == "uint8" else pad)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(vol_module, "_SLAB", slab):
+        img = _write(Path(tmp) / ("img" + suffix), _image(shape, dtype, rng))
+        msk = _write(Path(tmp) / ("msk" + suffix), labels)
+        entries = [ManifestEntry(lesion_id="l%d" % v, patient_id="p", image_path=img, mask_path=msk,
+                                 component_label=v) for v in (1, 2)]
+        scan = pl._load_scan(entries, 26, size)
+        whole = read_volume(img)
+    for entry in entries:
+        try:
+            instance = scan.lesion(entry)
+        except UlsforgeError:  # label 2 may be absent
+            continue
+        voxels = instance.voxels
+        for i in rng.choice(len(voxels), size=min(len(voxels), 6), replace=False):
+            click = ClickPoint(tuple(int(v) for v in voxels[i]))
+            got, want = scan.crop(instance, click, cfg), crop_voi(whole, None, click, cfg)
+            assert got.offset == want.offset
+            assert (got.image.spacing, got.image.kind, got.image.header_meta) == \
+                (want.image.spacing, want.image.kind, None)
+            a, b = got.image.data, want.image.data
+            assert a.dtype == b.dtype and a.shape == b.shape == size
+            assert (a.flags.f_contiguous, a.flags.c_contiguous, a.flags.writeable) == \
+                (b.flags.f_contiguous, b.flags.c_contiguous, b.flags.writeable)
+            assert np.array_equal(a, b)
+
+
+def _boxes(data, dims):
+    """Boxes drawn inside ``dims``: none, some, or the whole volume among them."""
+    boxes = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            boxes.append(((0, 0, 0), dims))
+            continue
+        lo = tuple(data.draw(st.integers(0, n - 1)) for n in dims)
+        hi = tuple(data.draw(st.integers(l + 1, n)) for l, n in zip(lo, dims))
+        boxes.append((lo, hi))
+    return boxes
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(data=st.data(), shape=st.tuples(*[st.integers(1, 11)] * 3), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from(DTYPES), suffix=st.sampled_from([".nii", ".nii.gz"]),
+       slab=st.sampled_from(SLABS))
+def test_boxes_are_slices_of_read_volume(data, shape, seed, dtype, suffix, slab):
+    values = _image(shape, dtype, np.random.default_rng(seed))
+    boxes = _boxes(data, shape)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(vol_module, "_SLAB", slab):
+        path = _write(Path(tmp) / ("v" + suffix), values)
+        whole = read_volume(path)
+        with _NiftiFile(path) as f:
+            assert (f.dims, f.dtype, f.spacing, f.header) == \
+                (whole.dims, whole.data.dtype, whole.spacing, whole.header_meta)
+            arrays = f.read_boxes(boxes)
+    assert np.array_equal(whole.data, values) and whole.data.flags.f_contiguous
+    assert len(arrays) == len(boxes)
+    for box, array in zip(boxes, arrays):
+        assert array.dtype == values.dtype
+        assert array.flags.f_contiguous and not array.flags.writeable
+        assert np.array_equal(array, values[tuple(map(slice, *box))])
+
+
+def _outcome(path, fractions):
+    """The boxes at ``fractions`` of the header's dims, read; or the error's class and text."""
+    try:
+        with _NiftiFile(path) as f:
+            boxes = [tuple(tuple(int(r * n) for r, n in zip(rs, f.dims)) for rs in fr) for fr in fractions]
+            boxes = [(lo, tuple(max(l + 1, h) for l, h in zip(lo, hi))) for lo, hi in boxes]
+            return [a.tobytes(order="F") for a in f.read_boxes(boxes)], boxes
+    except (UlsforgeError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.tuples(*[st.integers(2, 9)] * 3), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from(DTYPES), compress=st.booleans(), fault=st.sampled_from(["cut", "flip"]),
+       slab=st.sampled_from(SLABS))
+def test_a_faulty_file_gives_one_error_whatever_boxes_are_read(data, shape, seed, dtype, compress,
+                                                               fault, slab):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(vol_module, "_SLAB", slab):
+        path = Path(tmp) / "v.nii"
+        write_volume(Volume3D(_image(shape, dtype, np.random.default_rng(seed))), path,
+                     compress=compress)
+        blob = bytearray(path.read_bytes())
+        at = data.draw(st.integers(0, len(blob) - 1))
+        if fault == "cut":
+            del blob[at:]
+        else:
+            blob[at] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(blob))
+        fraction = st.tuples(*[st.floats(0, 0.99)] * 3)
+        some = [data.draw(st.tuples(fraction, fraction)) for _ in range(data.draw(st.integers(1, 3)))]
+        try:
+            whole = read_volume(path)
+        except (UlsforgeError, OSError) as exc:
+            expected = (type(exc), str(exc))
+            assert _outcome(path, []) == expected
+            assert _outcome(path, some) == expected
+            assert _outcome(path, [((0, 0, 0), (1, 1, 1))]) == expected  # the whole volume
+        else:
+            arrays, boxes = _outcome(path, some)
+            assert arrays == [whole.data[tuple(map(slice, *b))].tobytes(order="F") for b in boxes]
+
+
+def test_a_box_for_a_smaller_voi_fails_loudly(tmp_path):
+    img, msk = make_case(tmp_path, "edge", shape=(96, 40, 24), centers=((90, 20, 12),))
+    entry = ManifestEntry(lesion_id="e", patient_id="p", image_path=str(img), mask_path=str(msk))
+    scan = pl._load_scan([entry], 26, (16, 16, 8))
+    instance = scan.lesion(entry)
+    whole = read_volume(img)
+    small, large = VOICfg(size=(8, 8, 4)), VOICfg(size=(64, 16, 8))
+    assert scan.crop(instance, instance.center, small).image == crop_voi(whole, None, instance.center,
+                                                                         small).image
+    # the large window reaches x = 58, inside the volume but 20 voxels outside the box
+    with pytest.raises(ValueError, match="reaches outside the box"):
+        scan.crop(instance, instance.center, large)
+    with pytest.raises(ValueError, match="reaches outside the box"):
+        scan.voi(instance, instance.center, large, 26)
+
+
+def test_extract_with_a_voi_larger_than_the_default_writes_the_whole_image_crops(tmp_path):
+    """A lesion near a face of a volume longer than the default VOI: its
+    windows reach past the box a default-sized load would keep."""
+    shape = (300, 40, 24)
+    mask = np.zeros(shape, dtype=np.uint8)
+    mask[ball(shape, (292, 20, 12), 4)] = 1
+    rng = np.random.default_rng(5)
+    image = rng.integers(-1000, 300, size=shape).astype(np.int16)
+    _write(tmp_path / "i.nii.gz", image)
+    _write(tmp_path / "m.nii.gz", mask)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"entries": [{"lesion_id": "edge", "patient_id": "p", '
+                        '"image_path": "i.nii.gz", "mask_path": "m.nii.gz"}]}')
+    out = tmp_path / "vois"
+    assert main(["extract", "--manifest", str(manifest), "--voi", "256x48x32", "--augment", "2",
+                 "--seed", "4", "--out", str(out)]) == 0
+    entry = ManifestEntry(lesion_id="edge", patient_id="p", image_path=str(tmp_path / "i.nii.gz"),
+                          mask_path=str(tmp_path / "m.nii.gz"))
+    _, lesion_mask, instance = pl.resolve_lesion(entry, 26)
+    samples = generate_shifted_samples(read_volume(tmp_path / "i.nii.gz"), lesion_mask, instance,
+                                       VOICfg(size=(256, 48, 32)), 4, k=2, lesion_id="edge")
+    assert min(s.offset[0] for s in samples) < 292 - 4 - 64  # past a default-sized box
+    expected = tmp_path / "expected.nii"
+    for stem, sample in zip(["edge", "edge_aug1", "edge_aug2"], samples):
+        for part, vol in (("img", sample.image), ("mask", sample.mask)):
+            write_volume(vol, expected)
+            written = gzip.decompress((out / ("%s_%s.nii.gz" % (stem, part))).read_bytes())
+            assert written == expected.read_bytes(), (stem, part)

@@ -93,7 +93,7 @@ def test_box_masks_give_the_coordinate_list_instances(shape, seed, values, fill,
         write_volume(Volume3D(labels), msk)
         entries = [ManifestEntry(lesion_id="v%d" % i, patient_id="p", image_path=img,
                                  mask_path=msk, **extra) for i, extra in enumerate(kinds)]
-        loader = pl.ScanLoader(entries, connectivity)
+        loader = pl.ScanLoader(entries, connectivity, size)
         for entry in entries:
             if entry.component_label is not None:
                 expected = label_voxels(labels, entry.component_label)
@@ -138,12 +138,11 @@ def _arrays_in(obj, seen):
     return [a for item in items for a in _arrays_in(item, seen)]
 
 
-def _large_lesion_scan(tmp_path):
-    shape = (96, 80, 48)
+def _large_lesion_scan(tmp_path, shape=(96, 80, 48), suffix=".nii"):
     mask = np.zeros(shape, dtype=np.uint8)
     mask[ball(shape, (40, 40, 24), 18)] = 1
     mask[90, 5, 3] = 1  # a second, one-voxel lesion
-    img, msk = tmp_path / "img.nii", tmp_path / "mask.nii"
+    img, msk = tmp_path / ("img" + suffix), tmp_path / ("mask" + suffix)
     write_volume(Volume3D(np.zeros(shape, np.int16)), img)
     write_volume(Volume3D(mask), msk)
     return [ManifestEntry(lesion_id=lid, patient_id="p", image_path=str(img), mask_path=str(msk),
@@ -154,7 +153,7 @@ def _large_lesion_scan(tmp_path):
 
 def test_loaded_lesions_are_read_only_box_masks(tmp_path):
     entries = _large_lesion_scan(tmp_path)
-    scan = pl._load_scan(entries, 26)
+    scan = pl._load_scan(entries, 26, (32, 32, 16))
     for entry in entries:
         instance = scan.lesion(entry)
         lo, hi = instance.bbox
@@ -168,23 +167,34 @@ def test_loaded_lesions_are_read_only_box_masks(tmp_path):
 
 
 def test_scan_keeps_no_coordinate_list(tmp_path):
-    scan = pl._load_scan(_large_lesion_scan(tmp_path), 26)
+    scan = pl._load_scan(_large_lesion_scan(tmp_path), 26, (32, 32, 16))
     arrays = _arrays_in(scan, set())
-    assert arrays  # the image and each lesion's mask
+    assert arrays  # each lesion's image box and mask
     assert not [a.shape for a in arrays if a.ndim == 2 and a.shape[1] == 3]
     assert all(a.ndim == 3 for a in arrays)
 
 
 def test_a_load_keeps_the_image_and_the_lesion_boxes(tmp_path):
-    entries = _large_lesion_scan(tmp_path)[:1]
-    pl._load_scan(entries, 26)  # first calls import and cache what they need
-    tracemalloc.start()
-    try:
-        scan = pl._load_scan(entries, 26)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    instance = scan.lesion(entries[0])
-    # 20,000 voxels of the lesion; as int64 coordinates they would take 480 KB
-    assert instance.size_vox > 20_000
-    assert kept <= scan.image.data.nbytes + instance.mask.nbytes + 16_384
+    cases = [((96, 80, 48), ".nii", (128, 128, 64)),  # windows reach the whole volume
+             ((96, 80, 48), ".nii", (32, 32, 16)),
+             ((240, 200, 96), ".nii.gz", (16, 16, 8))]  # a box of about 2.6 % of the image
+    for i, (shape, suffix, size) in enumerate(cases):
+        (tmp_path / str(i)).mkdir()
+        entries = _large_lesion_scan(tmp_path / str(i), shape, suffix)[:1]
+        pl._load_scan(entries, 26, size)  # first calls import and cache what they need
+        tracemalloc.start()
+        try:
+            scan = pl._load_scan(entries, 26, size)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        instance = scan.lesion(entries[0])
+        # 20,000 voxels of the lesion; as int64 coordinates they would take 480 KB
+        assert instance.size_vox > 20_000
+        lo, hi = instance.bbox
+        box = tuple(min(n, h + s // 2) - max(0, l - s // 2) for l, h, s, n in zip(lo, hi, size, shape))
+        _, image = scan.image_box(instance)
+        assert image.shape == box and image.dtype == np.int16
+        assert kept <= image.nbytes + instance.mask.nbytes + 16_384
+        if suffix == ".nii.gz":
+            assert image.nbytes * 30 < np.prod(shape) * 2

@@ -424,9 +424,20 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
         with pytest.raises(kind) as info:
             pl.resolve_lesion(entry, 26)
         assert str(info.value) == errors[prefix]
-    reads, labeled = Counter(), []
+    reads, labeled = [], []  # (path, step) in the order the load takes them; labeled dims
     real_read, real_label = pl.read_volume, pl.label_components
-    monkeypatch.setattr(pl, "read_volume", lambda path: reads.update([path]) or real_read(path))
+
+    class Image(pl._NiftiFile):  # the image: its header read when opened, its payload into boxes
+        def __init__(self, path):
+            reads.append((path, "open"))
+            super().__init__(path)
+
+        def read_boxes(self, boxes):
+            reads.append((str(self.path), "boxes"))
+            return super().read_boxes(boxes)
+
+    monkeypatch.setattr(pl, "_NiftiFile", Image)
+    monkeypatch.setattr(pl, "read_volume", lambda path: reads.append((path, "mask")) or real_read(path))
     monkeypatch.setattr(pl, "label_components",
                         lambda mask, c: labeled.append(mask.dims) or real_label(mask, c))
     csv_bytes = []
@@ -441,10 +452,17 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
                                       seed_root=3, workers=workers).result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        # a scan is read once however its load ends; a broken or gone image's mask never
-        assert reads == Counter({p: 1 for p in scan + single + mismatched + nan_mask
-                                 + (broken[0], gone[0])})
-        assert len(labeled) == 2  # one full-volume labeling per scan with a clicked entry
+        # a scan is read once however its load ends: the image opened, then the mask read,
+        # then the image's payload read or, after a fault of the mask, checked; a gone
+        # image's mask is never read
+        for img, msk in (scan, single, broken, mismatched, nan_mask):
+            assert [r for r in reads if r[0] in (img, msk)] == [
+                (img, "open"), (msk, "mask"), (img, "boxes")]
+        assert [r for r in reads if r[0] in gone] == [(gone[0], "open")]
+        assert len(reads) == 3 * 5 + 1
+        # one foreground-box labeling per scan with an unlabeled entry whose mask reads and
+        # checks, the broken image's too: its mask is read before its payload
+        assert len(labeled) == 3
         ok = {lid: good for lid, _, _, good in cases}
         assert {r.lesion_id: pl.FLAG_ERROR not in r.flags for r in records} == ok
         assert {r.lesion_id: r.error for r in records if r.lesion_id[0] in errors} == {
@@ -464,18 +482,16 @@ def test_interleaved_manifest_holds_about_one_scan_per_worker(tmp_path, monkeypa
                              mask_path=msk, click=click)
                for i, click in enumerate(centers + ((0, 0, 0),))  # a background click fails
                for s, (img, msk) in enumerate(scans)]
-    images = {img for img, _ in scans}
-    held, peak = [], []  # weak references to every image read; live images after each read
-    real_read = pl.read_volume
+    held, peak = [], []  # weak references to each scan's image boxes; scans held after each read
 
-    def read(path):
-        vol = real_read(path)
-        if path in images:
-            held.append(weakref.ref(vol.data))
-            peak.append(sum(ref() is not None for ref in held))
-        return vol
+    class Image(pl._NiftiFile):
+        def read_boxes(self, boxes):
+            arrays = super().read_boxes(boxes)
+            held.append([weakref.ref(a) for a in arrays])
+            peak.append(sum(any(ref() is not None for ref in refs) for refs in held))
+            return arrays
 
-    monkeypatch.setattr(pl, "read_volume", read)
+    monkeypatch.setattr(pl, "_NiftiFile", Image)
     manifest_path = tmp_path / "interleaved.json"
     save_manifest(Manifest(entries), manifest_path)
     gc.disable()  # a scan must be freed by reference counting, not by a later collection
@@ -508,16 +524,17 @@ def test_two_workers_read_two_scans_at_once(tmp_path, monkeypatch):
     entries = [ManifestEntry(lesion_id="s%d-%d" % (s, i), patient_id="p", image_path=img,
                              mask_path=msk, click=click)
                for s, (img, msk) in enumerate(scans) for i, click in enumerate(centers)]
-    both_reading = threading.Barrier(2, timeout=20)
-    real_read = pl.read_volume
+    both_reading, passed = threading.Barrier(2, timeout=20), []
 
-    def read(path):
-        if path in {img for img, _ in scans}:
+    class Image(pl._NiftiFile):
+        def __init__(self, path):
             both_reading.wait()  # raises BrokenBarrierError unless the other image is being read
-        return real_read(path)
+            passed.append(path)
+            super().__init__(path)
 
-    monkeypatch.setattr(pl, "read_volume", read)
+    monkeypatch.setattr(pl, "_NiftiFile", Image)
     records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=2, workers=2)
+    assert sorted(passed) == sorted(img for img, _ in scans)
     assert [(r.lesion_id, r.dice, r.robustness) for r in records] == \
         [(e.lesion_id, 1.0, 1.0) for e in entries]
 
@@ -656,7 +673,10 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     image = Volume3D(np.where(rng.random(shape) < 0.7, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
     instance = _instance_from_voxels(1, np.argwhere(lesion))
-    scan = pl._Scan(image, mask.spacing, b"mask header", {"l": instance})  # VOIs drop it
+    box = pl._image_box(instance.bbox, size, shape)  # the box a load keeps for windows of size
+    scan = pl._Scan({"l": instance}, size, shape, image.spacing, None,
+                    {box: image.data[tuple(map(slice, *box))].copy(order="F")},
+                    mask.spacing, b"mask header")  # VOIs drop it
     entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
     seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
     cfg = VOICfg(size=size, pad_value_mask=pad_value_mask)
@@ -723,7 +743,7 @@ def test_each_entry_gets_the_voxels_of_its_value(shape, seed, values, fill, conn
                                  mask_path=msk, **extra)
                    for i, extra in enumerate([{"component_label": int(v)} for v in (1, 2, -3, 5, 9)]
                                              + [{"click": c} for c in clicks] + [{}])]
-        loader = pl.ScanLoader(entries, connectivity)
+        loader = pl.ScanLoader(entries, connectivity, SMALL_CFG.size)
         for entry in entries:
             if entry.component_label is not None:
                 expected = label_voxels(labels, entry.component_label)
