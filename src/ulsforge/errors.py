@@ -45,6 +45,10 @@ class DimsMismatchError(UlsforgeError):
     """Two volumes that must share dims do not."""
 
 
+class PadValueError(UlsforgeError):
+    """A pad value that the dtype of the volume it pads cannot hold."""
+
+
 # lesions / clicks -----------------------------------------------------------
 
 class EmptyInstanceError(UlsforgeError):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import WrongKindError
-from .volume import Volume3D, VolumeKind
+from .volume import Volume3D, VolumeKind, _nonzero_spans
 
 CONNECTIVITIES = (6, 18, 26)
 
@@ -63,10 +63,7 @@ def _structure(connectivity: int) -> np.ndarray:
 
 def _foreground_box(data: np.ndarray) -> tuple[slice, slice, slice]:
     """The smallest box that holds every nonzero voxel; the whole array if none is."""
-    xy = data.any(axis=2)  # two passes over the volume: x and y spans from here, z below
-    spans = [np.flatnonzero(xy.any(axis=1)), np.flatnonzero(xy.any(axis=0)),
-             np.flatnonzero(data.any(axis=(0, 1)))]
-    return tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, None) for s in spans)
+    return tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, None) for s in _nonzero_spans(data))
 
 
 def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
@@ -74,13 +71,17 @@ def label_components(mask: Volume3D, connectivity: int = 26) -> Volume3D:
 
     Voxels share an id iff connected under ``connectivity`` (6, 18, or
     26); background stays 0. Ids run 1..C in first-encounter order of
-    the x-fastest scan.
+    the x-fastest scan. No id exceeds the count of foreground voxels, so
+    the ids are int16 when fewer than 2**15 voxels are foreground, int32
+    otherwise.
     """
     if mask.kind is not VolumeKind.BINARY_MASK:
         raise WrongKindError("label_components expects a binary mask, got %s" % mask.kind.value)
+    ids = np.int16 if np.count_nonzero(mask.data) < 2 ** 15 else np.int32
     # scipy numbers components in its C-order scan; on the [z, y, x]
     # transpose that scan is the x-fastest scan of our [x, y, z] array.
-    raw, _ = ndimage.label(np.ascontiguousarray(mask.data.T), structure=_structure(connectivity))
+    raw, _ = ndimage.label(np.ascontiguousarray(mask.data.T), structure=_structure(connectivity),
+                           output=ids)
     raw.setflags(write=False)  # read-only: with_data keeps it without a copy
     return mask.with_data(raw.T, VolumeKind.LABELED_MASK)
 

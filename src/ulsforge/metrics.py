@@ -39,7 +39,8 @@ def voi_dice(a: tuple[tuple[int, int, int], Volume3D], b: tuple[tuple[int, int, 
     ``dims`` by ``place_back``, counted in the VOIs: each mask's voxels
     inside the volume, and for the overlap the voxels in both windows and
     inside the volume. Padding never counts; windows that do not meet
-    overlap in nothing.
+    overlap in nothing. A mask may be any box of its VOI that holds its
+    voxels, its offset the box's global corner: the score is the same.
     """
     total = sum(np.count_nonzero(m.data[_overlap(dims, o, m.dims)[1]]) for o, m in (a, b))
     (oa, ma), (ob, mb) = a, b

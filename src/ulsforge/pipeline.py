@@ -23,7 +23,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +47,16 @@ from .errors import (
     UlsforgeError,
     ZeroVarianceError,
 )
-from .lesions import ClickPoint, LesionInstance, _foreground_box, _instance_from_box, label_components
-# crop_voi, dice, place_back: unused here, kept for tools that wrap them by name on pipeline
+from .lesions import ClickPoint, LesionInstance, _instance_from_box, label_components
+# tools that trace a run wrap these names on pipeline: crop_voi, dice and read_volume, unused
+# here, and segment, which is segment_box
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
-from .segmenter import SegmenterRef, segment
+from .segmenter import SegmenterRef
+from .segmenter import segment_box as segment
 from .stats import TestResult, degenerate_result, paired_ttest
 from .voi import VOICfg, VOISample, _crop, _overlap, _window_offset, crop_voi  # noqa: F401
-from .voi import isolate_central_lesion, place_back  # noqa: F401
-from .volume import Box, Volume3D, VolumeKind, _NiftiFile, read_volume
+from .voi import _full, isolate_central_lesion, place_back
+from .volume import Box, Volume3D, VolumeKind, _NiftiFile, read_volume  # noqa: F401
 
 DEFAULT_TEST_FRACTION = 0.2
 DEFAULT_SIGNIFICANCE_ALPHA = 0.0001
@@ -344,14 +345,26 @@ class _Scan:
             raise found[0](*found[1])  # a fresh error, with no traceback into the load
         return found
 
+    def take(self, entry: ManifestEntry) -> tuple[_Scan, LesionInstance]:
+        """The entry's lesion and a scan of it alone, as ``lesion`` finds it.
+        The entry leaves this scan, and so does its image box once no entry
+        left here needs it."""
+        found = self.lesions.pop(entry.lesion_id)
+        if isinstance(found, tuple):
+            raise found[0](*found[1])
+        box = _image_box(found.bbox, self.size, self.dims)
+        needed = any(_image_box(other.bbox, self.size, self.dims) == box
+                     for other in self.lesions.values() if not isinstance(other, tuple))
+        voxels = self.boxes[box] if needed else self.boxes.pop(box)
+        return replace(self, lesions={entry.lesion_id: found}, boxes={box: voxels}), found
+
     def mask(self, instance: LesionInstance, offset: tuple[int, int, int] = (0, 0, 0),
              size: tuple[int, int, int] | None = None, pad: int = 0) -> Volume3D:
         """The instance's binary mask in the window [offset, offset + size),
         by default the volume. Like a ``crop_voi`` crop of the whole mask, a
         window pads voxels outside the volume with ``pad`` and has no header."""
-        data = np.zeros(size or self.dims, dtype=np.uint8, order="F")  # x fastest, as read_volume's
+        data = _full(size or self.dims, pad, np.dtype(np.uint8), "F")  # x fastest, as read_volume's
         if pad:
-            data[...] = pad
             data[_overlap(self.dims, offset, data.shape)[1]] = 0
         start = tuple(l - o for l, o in zip(instance.bbox[0], offset))  # the box's corner in the window
         window, box = _overlap(data.shape, start, instance.mask.shape)
@@ -374,13 +387,32 @@ class _Scan:
         image = _crop(data, offset, cfg.size, cfg.pad_value_image, origin, self.dims)
         return VOISample(image=Volume3D(image, self.spacing), mask=None, offset=offset, click=click)
 
+    def truth(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
+              connectivity: int) -> tuple[tuple[int, int, int], Volume3D]:
+        """The central lesion of the instance's mask in the click's window, as
+        its global corner and a box of the window that holds it.
+
+        The box is the lesion's bounding box clipped to the window. A window
+        that leaves the volume with a nonzero mask pad keeps the whole
+        window: the padding may join parts of the lesion, and joins the
+        truth where it does.
+        """
+        offset = _window_offset(click, cfg.size)
+        lo, hi = offset, tuple(o + s for o, s in zip(offset, cfg.size))
+        if not cfg.pad_value_mask or (min(lo) >= 0 and all(h <= n for h, n in zip(hi, self.dims))):
+            lo = tuple(max(a, b) for a, b in zip(lo, instance.bbox[0]))
+            hi = tuple(min(a, b + 1) for a, b in zip(hi, instance.bbox[1]))
+        window = self.mask(instance, lo, tuple(h - l for l, h in zip(lo, hi)), cfg.pad_value_mask)
+        local = tuple(c - l for c, l in zip(click.pos, lo))
+        return lo, isolate_central_lesion(window, local, connectivity)
+
     def voi(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
             connectivity: int) -> VOISample:
-        """The click's image VOI and its ground truth, the central lesion of the
-        instance's mask in that window: ``generate_shifted_samples``'s sample."""
+        """The click's image VOI and its ground truth, ``truth`` over the whole
+        window: ``generate_shifted_samples``'s sample."""
         sample = self.crop(instance, click, cfg)
-        truth = self.mask(instance, sample.offset, cfg.size, cfg.pad_value_mask)
-        sample.mask = isolate_central_lesion(truth, sample.local_click, connectivity)
+        corner, truth = self.truth(instance, click, cfg, connectivity)
+        sample.mask = place_back(truth, cfg.size, tuple(c - o for c, o in zip(corner, sample.offset)))
         return sample
 
 
@@ -411,22 +443,19 @@ def _find_lesions(entries: list[ManifestEntry], dims: tuple[int, int, int],
     """Each entry's lesion in the entries' shared mask, or its failure; the
     mask's spacing and header.
 
-    Only the box that holds the mask's foreground is kept, searched, and
+    The mask is read a run of z-slices at a time, and only the box that holds
+    its foreground is kept (``_NiftiFile.read_foreground``), searched, and
     labeled once if some entry is clicked: its x-fastest scan meets the
     components in the whole volume's order, so their ids are the same.
     """
-    mask = read_volume(entries[0].mask_path)
-    if dims != mask.dims:
-        raise DimsMismatchError("image dims %s != mask dims %s" % (dims, mask.dims))
-    box = _foreground_box(mask.data)
-    lo = tuple(b.start for b in box)
-    values = mask.data[box].copy(order="F")
-    values.setflags(write=False)  # read-only: with_data keeps it without a copy
-    mask = mask.with_data(values)  # the decoded mask is dropped here
-    bad = values.size - np.count_nonzero(np.isfinite(values)) if values.dtype.kind == "f" else 0
+    with _NiftiFile(entries[0].mask_path) as f:
+        lo, values, bad = f.read_foreground()
+    if dims != f.dims:
+        raise DimsMismatchError("image dims %s != mask dims %s" % (dims, f.dims))
     if bad:
         raise BadMaskValuesError("mask %s has %d non-finite voxels (NaN or infinite)"
                                  % (entries[0].mask_path, bad))
+    mask = Volume3D(values, f.spacing, VolumeKind.INTENSITY, f.header)
     if any(e.component_label is None for e in entries):
         labeled = label_components(mask.as_binary_mask(), connectivity).data
         objects = ndimage.find_objects(labeled)  # each component's box, by id
@@ -454,12 +483,13 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
     the image only each lesion's box for windows of ``size`` (``_Scan``).
 
     The image is opened and its header checked first, so a missing image
-    fails before its mask is read. The labeled mask is dropped before the
-    image's payload is read in one pass. A fault of the image wins over any
-    fault of the mask, a dims mismatch or a non-finite mask voxel: on those
-    paths the image is read to its end to check it. A pair that cannot be
-    read, decoded or checked fails every entry, kept as data like an entry's
-    own failure; an OSError keeps its filename, which its message names.
+    fails before its mask is read. The mask's foreground box and its
+    labeling are dropped before the image's payload is read in one pass. A
+    fault of the image wins over any fault of the mask, a dims mismatch or a
+    non-finite mask voxel: on those paths the image is read to its end to
+    check it. A pair that cannot be read, decoded or checked fails every
+    entry, kept as data like an entry's own failure; an OSError keeps its
+    filename, which its message names.
     """
     try:
         with _NiftiFile(entries[0].image_path) as image:
@@ -500,9 +530,11 @@ class ScanLoader:
     one scan per worker, however the manifest is sorted, and a scan holds
     of its image only the boxes its lesions' windows of ``size`` reach.
     The first lesion of a scan to run loads it while the scan's other
-    lesions wait on its lock; the scan is dropped when its last lesion
-    takes it. A load that fails is kept like any other, so every lesion of
-    that scan gets the same error from one read.
+    lesions wait on its lock. Each lesion takes its own box
+    (``_Scan.take``); the scan forgets a box once the last lesion that
+    needs it has taken it, and is dropped when its last lesion takes it. A
+    load that fails is kept like any other, so every lesion of that scan
+    gets the same error from one read.
     """
 
     def __init__(self, entries: list[ManifestEntry], connectivity: int, size: tuple[int, int, int],
@@ -515,21 +547,21 @@ class ScanLoader:
         turns = [(i // workers, j, i, e) for i, group in enumerate(self._groups.values())
                  for j, e in enumerate(group)]  # (window, turn, scan, entry)
         self.entries = [e for *_, e in sorted(turns, key=lambda t: t[:3])]
-        self._left = {key: len(group) for key, group in self._groups.items()}
         self._locks = {key: threading.Lock() for key in self._groups}
         self._scans: dict[tuple[str, str], _Scan] = {}
 
     def lesion(self, entry: ManifestEntry) -> tuple[_Scan, LesionInstance]:
-        """The scan of ``entry`` and its lesion instance, as resolve_lesion finds it."""
+        """The scan of ``entry``, holding only its image box, and its lesion
+        instance, as resolve_lesion finds it."""
         key = (entry.image_path, entry.mask_path)
         with self._locks[key]:
-            self._left[key] -= 1
-            scan = self._scans.pop(key, None)
-            if scan is None:
-                scan = _load_scan(self._groups[key], self._connectivity, self._size)
-            if self._left[key]:
-                self._scans[key] = scan
-        return scan, scan.lesion(entry)
+            scan = self._scans.pop(key, None) or _load_scan(self._groups[key], self._connectivity,
+                                                            self._size)
+            try:
+                return scan.take(entry)
+            finally:
+                if scan.lesions:  # kept for the entries still to take it
+                    self._scans[key] = scan
 
 
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
@@ -547,26 +579,28 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
     Each click's image is cropped and segmented. The ground truth is the
-    centroid VOI's (``_Scan.voi``); the other clicks crop only the image.
-    Dice compares the centroid prediction with it; robustness is the mean
-    pairwise Dice of all predictions and exists only for k >= 1. The Dice
-    protocol is k = 0. Every score is counted in the VOIs themselves, over
-    their parts inside the volume (``voi_dice``), so it is the global
-    frame's score without placing any mask back.
+    centroid VOI's (``_Scan.truth``). Dice compares the centroid prediction
+    with it; robustness is the mean pairwise Dice of all predictions and
+    exists only for k >= 1. The Dice protocol is k = 0. The truth and each
+    prediction are kept as the box of their voxels, and every score is
+    counted in those boxes, over their parts inside the volume
+    (``voi_dice``), so it is the global frame's score without placing any
+    mask back.
     """
     try:
         scan, instance = loader.lesion(entry)
         plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
-        truth = scan.voi(instance, plan.normal, cfg, connectivity)
         flags: set[str] = set()
-        placed = [(truth.offset, truth.mask)]  # (offset, VOI mask): the truth, then each prediction
-        for voi in chain([truth], (scan.crop(instance, c, cfg) for c in plan.augmented)):
+        placed = [scan.truth(instance, plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
+        for click in plan.all_clicks():  # then of each prediction
+            voi = scan.crop(instance, click, cfg)
             result = segment(voi.image, voi.local_click, seg)
             if result.truncated:
                 flags.add(FLAG_TRUNCATED)
             if not result.mask.data.any():
                 flags.add(FLAG_EMPTY_PREDICTION)
-            placed.append((voi.offset, result.mask))
+            placed.append((tuple(o + c for o, c in zip(voi.offset, result.corner)), result.mask))
+            del voi  # one VOI image at a time
         gt, *preds = placed
         pair_dice = partial(voi_dice, dims=scan.dims)
         robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None

@@ -30,7 +30,8 @@ from .errors import (
     SegmenterTimeoutError,
 )
 from .lesions import CONNECTIVITIES, _foreground_box, _structure
-from .volume import Volume3D, VolumeKind, read_volume, write_volume
+from .voi import place_back
+from .volume import Volume3D, VolumeKind, _nonzero_spans, read_volume, write_volume
 
 PLACEHOLDERS = ("{image}", "{x}", "{y}", "{z}", "{output}")
 
@@ -39,6 +40,8 @@ DEFAULT_HU_WINDOW = (-160, 240)
 
 # poll(2) takes at most a C int of milliseconds; longer bounds, inf too, wait unbounded
 _MAX_WAIT_S = (2 ** 31 - 1) // 1000
+
+_WINDOW_STEP = 1 << 18  # VOI voxels the grower thresholds at a time to find its box
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class SegmenterRef(Protocol):
 
     def segment(self, voi_image: Volume3D,
                 local_click: tuple[int, int, int]) -> SegmentationResult:
-        """Segment the lesion at ``local_click`` in one VOI."""
+        """Segment the lesion at ``local_click`` in one VOI: a mask over the
+        VOI, or over a box of it at the result's ``corner``."""
         ...
 
     @staticmethod
@@ -81,7 +85,8 @@ class SegmenterRef(Protocol):
 
 @dataclass(frozen=True)
 class BuiltinSegmenter(SegmenterRef):
-    """The HU-window region grower (``segment_region_grow``)."""
+    """The HU-window region grower (``segment_region_grow``); its mask is
+    the box of the grown voxels."""
 
     kind = "builtin"
     grow_params: GrowParams = GrowParams()
@@ -92,7 +97,7 @@ class BuiltinSegmenter(SegmenterRef):
         return "builtin-grow[%g,%g]" % (lo, hi)
 
     def segment(self, voi_image, local_click):
-        return segment_region_grow(voi_image, local_click, self.grow_params)
+        return _grow(voi_image, local_click, self.grow_params)
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,11 @@ class ExternalSegmenter(SegmenterRef):
 
 @dataclass(eq=False)
 class SegmentationResult:
+    """A segmenter's mask; ``mask[0, 0, 0]`` is the VOI's voxel ``corner``."""
+
     mask: Volume3D
     truncated: bool = False
+    corner: tuple[int, int, int] = (0, 0, 0)
 
 
 def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
@@ -142,29 +150,74 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
 
     A seed voxel outside the window yields an empty mask.
     """
+    return _whole(_grow(voi_image, local_click, params), voi_image)
+
+
+def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
+          params: GrowParams) -> SegmentationResult:
+    """``segment_region_grow``'s voxels as the box that holds them, at its
+    ``corner``; an empty grow is one zero voxel at the click."""
     data = voi_image.data
     if any(c < 0 or c >= n for c, n in zip(local_click, data.shape)):
         raise ClickOutOfVolumeError("click %s outside VOI dims %s" % (local_click, data.shape))
     lo, hi = params.hu_window
     seed = tuple(int(c) for c in local_click)
-    mask = np.zeros(data.shape, dtype=np.uint8)
-    truncated = False
+    mask, corner, truncated = np.zeros((1, 1, 1), dtype=np.uint8), seed, False
     if lo <= data[seed] <= hi:
-        in_window = (data >= lo) & (data <= hi)
-        box = _foreground_box(in_window)
-        inside = in_window[box]
+        box = _window_box(data, lo, hi)
+        inside = data[box] >= lo
+        inside &= data[box] <= hi
         seed = tuple(c - b.start for c, b in zip(seed, box))  # in the box
         labeled, _ = ndimage.label(inside, structure=_structure(params.connectivity))
-        component = labeled == labeled[seed]
-        truncated = int(component.sum()) > params.max_voxels
+        comp_id = int(labeled[seed])
+        comp = ndimage.find_objects(labeled, max_label=comp_id)[comp_id - 1]  # the component's box
+        component = labeled[comp] == comp_id
+        truncated = int(np.count_nonzero(component)) > params.max_voxels
         if truncated:
-            component = _grow_bfs(inside, seed, params)
-        mask[box] = component
+            grown = _grow_bfs(inside, seed, params)
+            comp = _foreground_box(grown)
+            component = grown[comp]
+        mask = np.array(component, dtype=np.uint8, order="F")  # a copy: no view keeps the box
+        corner = tuple(b.start + c.start for b, c in zip(box, comp))
     mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-    return SegmentationResult(
-        Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
-        truncated=truncated,
-    )
+    return SegmentationResult(Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
+                              truncated=truncated, corner=corner)
+
+
+def _window_box(data: np.ndarray, lo: float, hi: float) -> tuple[slice, slice, slice]:
+    """The box of the voxels inside the window [lo, hi]; at least one is.
+    A few z-slices are thresholded at a time, so no VOI-sized temporary is made."""
+    nx, ny, nz = data.shape
+    step = max(1, _WINDOW_STEP // (nx * ny))
+    planes = [np.zeros(n, dtype=bool) for n in data.shape]
+    for z in range(0, nz, step):
+        part = data[:, :, z:z + step]
+        spans = _nonzero_spans((part >= lo) & (part <= hi))
+        for axis, span in enumerate(spans[:2]):
+            planes[axis][span] = True
+        planes[2][z + spans[2]] = True
+    return tuple(slice(s[0], s[-1] + 1) for s in map(np.flatnonzero, planes))
+
+
+def _whole(result: SegmentationResult, voi_image: Volume3D) -> SegmentationResult:
+    """``result`` with its mask over the whole VOI: its box placed into zeros."""
+    if result.corner == (0, 0, 0) and result.mask.dims == voi_image.dims:
+        return result
+    return SegmentationResult(place_back(result.mask, voi_image.dims, result.corner), result.truncated)
+
+
+def _boxed(result: SegmentationResult) -> SegmentationResult:
+    """``result`` with its mask cut to the box of its nonzero voxels; an
+    empty mask is one zero voxel at its corner."""
+    data = result.mask.data
+    spans = _nonzero_spans(data)
+    box = tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, 1) for s in spans)
+    if all(b.stop - b.start == n for b, n in zip(box, data.shape)):
+        return result
+    mask = np.array(data[box], dtype=np.uint8, order="F")  # a copy: no view keeps the VOI
+    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+    return SegmentationResult(result.mask.with_data(mask), truncated=result.truncated,
+                              corner=tuple(c + b.start for c, b in zip(result.corner, box)))
 
 
 def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowParams) -> np.ndarray:
@@ -266,5 +319,13 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
 
 def segment(voi_image: Volume3D, local_click: tuple[int, int, int],
             ref: SegmenterRef) -> SegmentationResult:
-    """Segment one VOI with ``ref``, whatever its kind."""
-    return ref.segment(voi_image, local_click)
+    """Segment one VOI with ``ref``, whatever its kind; the mask is over the whole VOI."""
+    return _whole(ref.segment(voi_image, local_click), voi_image)
+
+
+def segment_box(voi_image: Volume3D, local_click: tuple[int, int, int],
+                ref: SegmenterRef) -> SegmentationResult:
+    """``segment``, with the mask kept as the box of its nonzero voxels at the
+    result's ``corner``: the builtin grower's own box, or the cut of another
+    kind's VOI mask, so a mask outlives the call only as large as that box."""
+    return _boxed(ref.segment(voi_image, local_click))

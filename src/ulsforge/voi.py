@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClickNotOnMaskError, ClickOutOfVolumeError, DimsMismatchError
+from .errors import ClickNotOnMaskError, ClickOutOfVolumeError, DimsMismatchError, PadValueError
 from .lesions import ClickPoint, _foreground_box, label_components
 from .volume import Volume3D, VolumeKind
 
@@ -78,6 +78,13 @@ def _window_offset(click: ClickPoint, size: tuple[int, int, int]) -> tuple[int, 
     return tuple(int(c - s // 2) for c, s in zip(click.pos, size))
 
 
+def _full(size: tuple[int, ...], pad: int, dtype: np.dtype, order: str = "C") -> np.ndarray:
+    """``np.full``; a pad that ``dtype`` cannot hold, -1024 in a uint8 image, raises PadValueError."""
+    if dtype.kind in "iu" and not np.iinfo(dtype).min <= pad <= np.iinfo(dtype).max:
+        raise PadValueError("pad value %s does not fit the volume's dtype %s" % (pad, dtype))
+    return np.full(size, pad, dtype=dtype, order=order)
+
+
 def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int,
           origin: tuple[int, ...] = (0, 0, 0), dims: tuple[int, ...] | None = None) -> np.ndarray:
     """The window [offset, offset + size) of a volume of ``dims``, padded with
@@ -96,7 +103,7 @@ def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad:
                          "inside the volume" % (offset, size, origin, data.shape))
     strides = [st for st, n in zip(data.strides, data.shape) if n > 1]  # a box may be one voxel thin
     order = "C" if len(strides) > 1 and strides[0] > strides[-1] else "F"
-    out = np.full(size, pad, dtype=data.dtype, order=order)
+    out = _full(size, pad, data.dtype, order)
     out[local] = data[inner]
     out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return out

@@ -174,6 +174,13 @@ class Volume3D:
         return self.with_data(nonzero.view(np.uint8), VolumeKind.BINARY_MASK)
 
 
+def _nonzero_spans(data: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the indices of the planes that hold a nonzero voxel."""
+    xy = data.any(axis=2)  # two passes over the array: x and y spans from here, z below
+    return [np.flatnonzero(xy.any(axis=1)), np.flatnonzero(xy.any(axis=0)),
+            np.flatnonzero(data.any(axis=(0, 1)))]
+
+
 # ---------------------------------------------------------------------------
 # reading
 # ---------------------------------------------------------------------------
@@ -381,54 +388,99 @@ class _NiftiFile:
         self._f.seek(min(pos + n, self._size))
         return head + self._f.tell() - pos
 
-    def read_boxes(self, boxes: list[Box]) -> list[np.ndarray]:
-        """Each box of the volume as a read-only x-fastest array.
+    def _slabs(self, z0: int, z1: int):
+        """The z-slices ``z0 <= z < z1`` as runs of whole slices, each an
+        x-fastest view ``(z, slices)`` of one reused buffer of about ``_SLAB``
+        bytes; once they are given, the rest of the payload is read and checked.
 
-        The payload is read once: a box that is the whole volume straight
-        into its array, else a run of whole z-slices at a time into one
-        reused buffer from which each box copies its part, so only the
-        boxes and the buffer are held. A plain file seeks past the slices
-        no box holds. The rest of a gzip stream is decoded and checked
-        whatever the boxes, so a fault gives the same error for any boxes,
-        none included.
+        The slices before ``z0`` are skipped, by a seek in a plain file. The
+        rest of a gzip stream is decoded and checked whatever ``z1``, so a
+        fault gives the same error however much of the volume is kept.
         """
         nx, ny, _ = self.dims
-        whole = ((0, 0, 0), self.dims)
-        if whole in boxes:
-            data = np.empty(math.prod(self.dims), dtype=self.dtype)
-            found = self._read(memoryview(data).cast("B"))
-            volume = data.reshape(self.dims, order="F")
-            outs = [volume if box == whole else volume[tuple(map(slice, *box))].copy(order="F")
-                    for box in boxes]
-        else:
-            plane = nx * ny * self.dtype.itemsize
-            outs = [np.empty(tuple(h - l for l, h in zip(*box)), dtype=self.dtype, order="F")
-                    for box in boxes]
-            z0 = min((lo[2] for lo, _ in boxes), default=0)
-            z1 = max((hi[2] for _, hi in boxes), default=0)
-            depth = max(1, _SLAB // plane)
-            slab = np.empty(nx * ny * min(depth, z1 - z0), dtype=self.dtype)
-            found = self._skip(z0 * plane)
-            for z in range(z0, z1, depth):
-                n = min(depth, z1 - z)
-                got = self._read(memoryview(slab).cast("B")[:n * plane])
-                found += got
-                if got < n * plane:
-                    break
-                slices = slab[:nx * ny * n].reshape((nx, ny, n), order="F")
-                for (lo, hi), out in zip(boxes, outs):
-                    a, b = max(z, lo[2]), min(z + n, hi[2])
-                    if a < b:
-                        out[:, :, a - lo[2]:b - lo[2]] = slices[lo[0]:hi[0], lo[1]:hi[1], a - z:b - z]
+        plane = nx * ny * self.dtype.itemsize
+        depth = max(1, _SLAB // plane)
+        slab = np.empty(nx * ny * min(depth, z1 - z0), dtype=self.dtype)
+        found = self._skip(z0 * plane)
+        for z in range(z0, z1, depth):
+            n = min(depth, z1 - z)
+            got = self._read(memoryview(slab).cast("B")[:n * plane])
+            found += got
+            if got < n * plane:
+                break
+            yield z, slab[:nx * ny * n].reshape((nx, ny, n), order="F")
+        self._finish(found)
+
+    def _finish(self, found: int) -> None:
+        """Read and check the payload past its first ``found`` bytes and what
+        follows it in a gzip stream; a short payload raises TruncatedDataError."""
         found += self._skip(self.nbytes - found)
         if self._gz:
             self._gz.discard()  # decoded bytes past the payload, checked like the rest
         if found < self.nbytes:
             raise TruncatedDataError("%s: expected %d data bytes, found %d"
                                      % (self.path, self.nbytes, found))
+
+    def read_boxes(self, boxes: list[Box]) -> list[np.ndarray]:
+        """Each box of the volume as a read-only x-fastest array.
+
+        The payload is read once: a box that is the whole volume straight
+        into its array, else a run of whole z-slices at a time (``_slabs``)
+        from which each box copies its part, so only the boxes and the
+        buffer are held. A fault gives the same error for any boxes, none
+        included.
+        """
+        whole = ((0, 0, 0), self.dims)
+        if whole in boxes:
+            data = np.empty(math.prod(self.dims), dtype=self.dtype)
+            self._finish(self._read(memoryview(data).cast("B")))
+            volume = data.reshape(self.dims, order="F")
+            outs = [volume if box == whole else volume[tuple(map(slice, *box))].copy(order="F")
+                    for box in boxes]
+        else:
+            outs = [np.empty(tuple(h - l for l, h in zip(*box)), dtype=self.dtype, order="F")
+                    for box in boxes]
+            z0 = min((lo[2] for lo, _ in boxes), default=0)
+            z1 = max((hi[2] for _, hi in boxes), default=0)
+            for z, slices in self._slabs(z0, z1):
+                for (lo, hi), out in zip(boxes, outs):
+                    a, b = max(z, lo[2]), min(z + slices.shape[2], hi[2])
+                    if a < b:
+                        out[:, :, a - lo[2]:b - lo[2]] = slices[lo[0]:hi[0], lo[1]:hi[1], a - z:b - z]
         for out in outs:
             out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
         return outs
+
+    def read_foreground(self) -> tuple[tuple[int, int, int], np.ndarray, int]:
+        """The corner and the read-only x-fastest voxels of the box that holds
+        every nonzero voxel (NaN included), and the count of voxels that are
+        not finite.
+
+        The payload is read as ``read_boxes`` reads it, a run of whole
+        z-slices at a time, and each run keeps only the box of its nonzero
+        voxels; the runs' boxes are then pasted into the foreground box. So
+        the read holds the buffer and at most twice the foreground box, never
+        the whole volume. A volume without a nonzero voxel gives one zero
+        voxel at the origin.
+        """
+        parts = []  # (corner, voxels) of each run's nonzero box
+        bad = 0
+        for z, slices in self._slabs(0, self.dims[2]):
+            if self.dtype.kind == "f":
+                bad += slices.size - np.count_nonzero(np.isfinite(slices))
+            spans = _nonzero_spans(slices)
+            if spans[2].size:
+                box = tuple(slice(s[0], s[-1] + 1) for s in spans)
+                parts.append(((box[0].start, box[1].start, z + box[2].start),
+                              slices[box].copy(order="F")))
+        lo = tuple(int(min((c[i] for c, _ in parts), default=0)) for i in range(3))
+        hi = tuple(int(max((c[i] + a.shape[i] for c, a in parts), default=1)) for i in range(3))
+        out = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=self.dtype, order="F")
+        while parts:
+            corner, voxels = parts.pop()  # each part is dropped once pasted
+            out[tuple(slice(c - l, c - l + n) for c, l, n in zip(corner, lo, voxels.shape))] = voxels
+        out.setflags(write=False)
+        return lo, out, bad
 
 
 def read_volume(path: str | Path) -> Volume3D:

@@ -132,7 +132,8 @@ def test_extract_writes_only_inside_out_and_each_file_once(tmp_path, monkeypatch
 ])
 def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv):
     path = make_manifest(tmp_path, 1)
-    monkeypatch.setattr(pipeline, "read_volume", lambda p: pytest.fail("read %s" % p))
+    for name in ("read_volume", "_NiftiFile"):  # a scan load opens its files through _NiftiFile
+        monkeypatch.setattr(pipeline, name, lambda p: pytest.fail("read %s" % p))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--manifest", str(path), "--out", str(out)])
@@ -167,7 +168,7 @@ def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv
 ])
 def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, argv):
     path = make_manifest(tmp_path, 1)
-    for name in ("load_manifest", "read_volume", "read_records_csv"):
+    for name in ("load_manifest", "read_volume", "_NiftiFile", "read_records_csv"):
         monkeypatch.setattr(pipeline, name, lambda p, name=name: pytest.fail("%s %s" % (name, p)))
     inputs = (["--run-a", str(tmp_path), "--run-b", str(tmp_path)] if argv[0] == "compare"
               else ["--manifest", str(path)])

@@ -125,6 +125,27 @@ def test_eval_survives_scaled_volume(tmp_path):
     assert records[0].dice == records[2].dice == 1.0
 
 
+def test_a_pad_value_the_image_dtype_cannot_hold_flags_each_entry(tmp_path):
+    # the default image pad, -1024 HU, does not fit a uint8 image, even where no voxel is padded
+    shape = (20, 20, 10)
+    lesion = ball(shape, (10, 10, 5), 2)
+    write_volume(Volume3D(np.where(lesion, 120, 10).astype(np.uint8)), tmp_path / "img.nii.gz")
+    write_volume(Volume3D(lesion.astype(np.uint8)), tmp_path / "mask.nii.gz")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"lesion_id": "l", "patient_id": "p", "image_path": "img.nii.gz", "mask_path": "mask.nii.gz"}]}))
+    message = "pad value -1024 does not fit the volume's dtype uint8"
+    for command in (["eval"], ["robustness", "--k", "2"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--manifest", str(manifest), "--voi", "8x8x4", "--segmenter", "builtin",
+                     "--hu-window", "100:150", "--out", str(out)]) == 0
+        record, = read_records_csv(out / "records.csv")
+        assert (record.flags, record.error) == (frozenset({pl.FLAG_ERROR}), message)
+    out = tmp_path / "extract"
+    assert main(["extract", "--manifest", str(manifest), "--voi", "8x8x4", "--out", str(out)]) == 0
+    assert json.loads((out / "index.json").read_text())["samples"] == [{"lesion_id": "l", "error": message}]
+
+
 def touching_labels_case(tmp_path):
     """Labels 1 and 2 share a face; only label 1 lies in the grow window."""
     shape = (40, 40, 24)

@@ -425,19 +425,22 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
             pl.resolve_lesion(entry, 26)
         assert str(info.value) == errors[prefix]
     reads, labeled = [], []  # (path, step) in the order the load takes them; labeled dims
-    real_read, real_label = pl.read_volume, pl.label_components
+    real_label = pl.label_components
 
-    class Image(pl._NiftiFile):  # the image: its header read when opened, its payload into boxes
+    class Reader(pl._NiftiFile):  # a file: its header read when opened, its payload once
         def __init__(self, path):
             reads.append((path, "open"))
             super().__init__(path)
 
-        def read_boxes(self, boxes):
+        def read_boxes(self, boxes):  # the image's payload, into boxes
             reads.append((str(self.path), "boxes"))
             return super().read_boxes(boxes)
 
-    monkeypatch.setattr(pl, "_NiftiFile", Image)
-    monkeypatch.setattr(pl, "read_volume", lambda path: reads.append((path, "mask")) or real_read(path))
+        def read_foreground(self):  # the mask's payload, into its foreground box
+            reads.append((str(self.path), "mask"))
+            return super().read_foreground()
+
+    monkeypatch.setattr(pl, "_NiftiFile", Reader)
     monkeypatch.setattr(pl, "label_components",
                         lambda mask, c: labeled.append(mask.dims) or real_label(mask, c))
     csv_bytes = []
@@ -452,14 +455,14 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
                                       seed_root=3, workers=workers).result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        # a scan is read once however its load ends: the image opened, then the mask read,
-        # then the image's payload read or, after a fault of the mask, checked; a gone
-        # image's mask is never read
+        # a scan is read once however its load ends: the image opened, then the mask opened
+        # and read, then the image's payload read or, after a fault of the mask, checked; a
+        # gone image's mask is never opened
         for img, msk in (scan, single, broken, mismatched, nan_mask):
             assert [r for r in reads if r[0] in (img, msk)] == [
-                (img, "open"), (msk, "mask"), (img, "boxes")]
+                (img, "open"), (msk, "open"), (msk, "mask"), (img, "boxes")]
         assert [r for r in reads if r[0] in gone] == [(gone[0], "open")]
-        assert len(reads) == 3 * 5 + 1
+        assert len(reads) == 4 * 5 + 1
         # one foreground-box labeling per scan with an unlabeled entry whose mask reads and
         # checks, the broken image's too: its mask is read before its payload
         assert len(labeled) == 3
@@ -526,15 +529,15 @@ def test_two_workers_read_two_scans_at_once(tmp_path, monkeypatch):
                for s, (img, msk) in enumerate(scans) for i, click in enumerate(centers)]
     both_reading, passed = threading.Barrier(2, timeout=20), []
 
-    class Image(pl._NiftiFile):
+    class Reader(pl._NiftiFile):  # each load opens its image, then its mask
         def __init__(self, path):
-            both_reading.wait()  # raises BrokenBarrierError unless the other image is being read
+            both_reading.wait()  # raises BrokenBarrierError unless the other scan is being read
             passed.append(path)
             super().__init__(path)
 
-    monkeypatch.setattr(pl, "_NiftiFile", Image)
+    monkeypatch.setattr(pl, "_NiftiFile", Reader)
     records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=2, workers=2)
-    assert sorted(passed) == sorted(img for img, _ in scans)
+    assert sorted(passed) == sorted(path for scan in scans for path in scan)
     assert [(r.lesion_id, r.dice, r.robustness) for r in records] == \
         [(e.lesion_id, 1.0, 1.0) for e in entries]
 
@@ -590,8 +593,13 @@ def test_a_fault_of_the_image_wins_over_any_fault_of_its_mask(tmp_path, monkeypa
                for how, extra in (("click", {"click": (24, 24, 16)}), ("label", {"component_label": 1}),
                                   ("none", {}))]
     reads = Counter()
-    real_read = pl.read_volume
-    monkeypatch.setattr(pl, "read_volume", lambda path: reads.update([path]) or real_read(path))
+
+    class Reader(pl._NiftiFile):
+        def __init__(self, path):
+            reads.update([str(path)])
+            super().__init__(path)
+
+    monkeypatch.setattr(pl, "_NiftiFile", Reader)
     for workers in (1, 2):
         records = run_robustness_eval(Manifest(entries), BUILTIN, SMALL_CFG, seed_root=1,
                                       workers=workers)
@@ -601,7 +609,8 @@ def test_a_fault_of_the_image_wins_over_any_fault_of_its_mask(tmp_path, monkeypa
         with pytest.raises((UlsforgeError, OSError)) as info:
             pl.resolve_lesion(entry, 26)
         assert (type(info.value), str(info.value)) == expected[entry.lesion_id.split("-")[0]]
-    if image_fault == "gone":  # the image is opened first, so its mask is never read
+    assert reads.keys() >= {str(img) for img, _ in pairs.values()}  # every load opens through here
+    if image_fault == "gone":  # the image is opened first, so its mask is never opened
         assert not reads.keys() & {str(msk) for _, msk in pairs.values()}
 
 
