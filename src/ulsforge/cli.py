@@ -328,7 +328,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "workers"):  # checked like --workers, before any file is read
+        try:
+            pipeline._workers_cap()
+        except ValueError as e:
+            parser.error(str(e))
     try:
         return _COMMANDS[args.command](args)
     except (UlsforgeError, OSError, ValueError) as e:

@@ -380,11 +380,13 @@ class _Scan:
 
     def crop(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg) -> VOISample:
         """The image VOI of a click on the instance, cut from its box: the
-        ``crop_voi`` crop of the whole image. A window that leaves the box
+        ``crop_voi`` crop of the whole image. A window inside the volume is a
+        read-only view of the box, so a segmenter may receive a view; one
+        that leaves the volume is a padded copy. A window that leaves the box
         inside the volume, as one larger than ``size`` can, raises ValueError."""
         origin, data = self.image_box(instance)
         offset = _window_offset(click, cfg.size)
-        image = _crop(data, offset, cfg.size, cfg.pad_value_image, origin, self.dims)
+        image = _crop(data, offset, cfg.size, cfg.pad_value_image, origin, self.dims, view=True)
         return VOISample(image=Volume3D(image, self.spacing), mask=None, offset=offset, click=click)
 
     def truth(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
@@ -612,12 +614,19 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
         return _error_record(entry, model_id, seed_root, e)
 
 
-def _effective_workers(requested: int | None) -> int:
+def _workers_cap() -> int | None:
+    """``ULSFORGE_WORKERS`` as a positive integer, None when it is unset; any
+    other value raises ValueError."""
     cap = os.environ.get("ULSFORGE_WORKERS")
+    if cap is not None and (not cap.isdecimal() or int(cap) == 0):
+        raise ValueError("ULSFORGE_WORKERS must be a positive integer, got %r" % cap)
+    return None if cap is None else int(cap)
+
+
+def _effective_workers(requested: int | None) -> int:
+    cap = _workers_cap()
     n = requested if requested is not None else (os.cpu_count() or 1)
-    if cap:
-        n = min(n, max(1, int(cap)))
-    return max(1, n)
+    return max(1, n if cap is None else min(n, cap))
 
 
 def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,

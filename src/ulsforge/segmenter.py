@@ -41,7 +41,7 @@ DEFAULT_HU_WINDOW = (-160, 240)
 # poll(2) takes at most a C int of milliseconds; longer bounds, inf too, wait unbounded
 _MAX_WAIT_S = (2 ** 31 - 1) // 1000
 
-_WINDOW_STEP = 1 << 18  # VOI voxels the grower thresholds at a time to find its box
+_FIRST_HALF_WIDTH = 16  # voxels on each side of the click the grower thresholds first
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,17 @@ def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
 
 def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
                         params: GrowParams) -> SegmentationResult:
-    """Flood fill from the click over voxels inside the HU window.
+    """Flood fill from the click over voxels inside the HU window;
+    ``voi_image`` may hold a read-only view, as a run's VOIs inside the
+    volume do.
 
     Growth is breadth-first with neighbors visited in lexicographic
     (dx, dy, dz) order, so the voxel set kept when ``max_voxels``
     truncates is deterministic. The grower is translation-equivariant:
     shifting content and click together shifts the output identically.
-    Only the box that holds the window's voxels is labeled and grown;
-    no component leaves that box, so the grow is the same voxels as in
-    the whole VOI.
+    Only a box around the click is thresholded and labeled, widened
+    where the component reaches its faces, so the grow is the same voxels
+    as in the whole VOI.
 
     A seed voxel outside the window yields an empty mask.
     """
@@ -156,7 +158,13 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
 def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
           params: GrowParams) -> SegmentationResult:
     """``segment_region_grow``'s voxels as the box that holds them, at its
-    ``corner``; an empty grow is one zero voxel at the click."""
+    ``corner``; an empty grow is one zero voxel at the click.
+
+    The grow starts in a small box around the click and widens each side
+    its component touches to the VOI's face: a path out of the box passes
+    a voxel on one of its faces, so a component that touches no inner face
+    is the whole VOI's, and the work follows the lesion, not the VOI.
+    """
     data = voi_image.data
     if any(c < 0 or c >= n for c, n in zip(local_click, data.shape)):
         raise ClickOutOfVolumeError("click %s outside VOI dims %s" % (local_click, data.shape))
@@ -164,17 +172,25 @@ def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
     seed = tuple(int(c) for c in local_click)
     mask, corner, truncated = np.zeros((1, 1, 1), dtype=np.uint8), seed, False
     if lo <= data[seed] <= hi:
-        box = _window_box(data, lo, hi)
-        inside = data[box] >= lo
-        inside &= data[box] <= hi
-        seed = tuple(c - b.start for c, b in zip(seed, box))  # in the box
-        labeled, _ = ndimage.label(inside, structure=_structure(params.connectivity))
-        comp_id = int(labeled[seed])
-        comp = ndimage.find_objects(labeled, max_label=comp_id)[comp_id - 1]  # the component's box
-        component = labeled[comp] == comp_id
+        box = tuple(slice(max(0, c - _FIRST_HALF_WIDTH), min(n, c + _FIRST_HALF_WIDTH + 1))
+                    for c, n in zip(seed, data.shape))
+        while True:
+            inside = data[box] >= lo
+            inside &= data[box] <= hi
+            tight = _foreground_box(inside)  # only the box of the in-window voxels is labeled
+            labeled, _ = ndimage.label(inside[tight], structure=_structure(params.connectivity))
+            comp_id = int(labeled[tuple(c - b.start - t.start for c, b, t in zip(seed, box, tight))])
+            found = ndimage.find_objects(labeled, max_label=comp_id)[comp_id - 1]
+            comp = tuple(slice(t.start + f.start, t.start + f.stop) for t, f in zip(tight, found))
+            wider = tuple(slice(0 if c.start == 0 else b.start, n if b.start + c.stop == b.stop else b.stop)
+                          for b, c, n in zip(box, comp, data.shape))  # each touched inner face widened
+            if wider == box:
+                break
+            box = wider
+        component = labeled[found] == comp_id
         truncated = int(np.count_nonzero(component)) > params.max_voxels
         if truncated:
-            grown = _grow_bfs(inside, seed, params)
+            grown = _grow_bfs(inside, tuple(c - b.start for c, b in zip(seed, box)), params)
             comp = _foreground_box(grown)
             component = grown[comp]
         mask = np.array(component, dtype=np.uint8, order="F")  # a copy: no view keeps the box
@@ -182,21 +198,6 @@ def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
     mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return SegmentationResult(Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
                               truncated=truncated, corner=corner)
-
-
-def _window_box(data: np.ndarray, lo: float, hi: float) -> tuple[slice, slice, slice]:
-    """The box of the voxels inside the window [lo, hi]; at least one is.
-    A few z-slices are thresholded at a time, so no VOI-sized temporary is made."""
-    nx, ny, nz = data.shape
-    step = max(1, _WINDOW_STEP // (nx * ny))
-    planes = [np.zeros(n, dtype=bool) for n in data.shape]
-    for z in range(0, nz, step):
-        part = data[:, :, z:z + step]
-        spans = _nonzero_spans((part >= lo) & (part <= hi))
-        for axis, span in enumerate(spans[:2]):
-            planes[axis][span] = True
-        planes[2][z + spans[2]] = True
-    return tuple(slice(s[0], s[-1] + 1) for s in map(np.flatnonzero, planes))
 
 
 def _whole(result: SegmentationResult, voi_image: Volume3D) -> SegmentationResult:
@@ -226,14 +227,17 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
     Grows one layer at a time, parent by parent in discovery order and
     offset by offset, keeping each voxel's first hit: the smallest
     position at which it occurs in the layer's candidates, found without
-    sorting. A False border one voxel wide keeps every flat neighbour
-    index inside the array.
+    sorting. Every candidate is open, so it was a candidate in no earlier
+    layer: the table of first hits is filled once, not reset per layer. A
+    False border one voxel wide keeps every flat neighbour index inside
+    the array.
     """
     padded = np.pad(in_window, 1)
     shape = padded.shape
     flat_off = np.array(_neighbor_offsets(params.connectivity)) @ (shape[1] * shape[2], shape[2], 1)
     is_open = padded.ravel()  # in the window and not yet accepted
-    first = np.empty(is_open.size, dtype=np.intp)  # read only where a layer set it
+    dtype = np.int32 if flat_off.size * is_open.size < 2 ** 31 else np.intp  # holds every position
+    first = np.full(is_open.size, np.iinfo(dtype).max, dtype=dtype)
     frontier = np.array([np.ravel_multi_index(tuple(c + 1 for c in seed), shape)])
     is_open[frontier] = False
     layers = [frontier]
@@ -241,8 +245,7 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
     while frontier.size and count < params.max_voxels:
         cand = (frontier[:, None] + flat_off).ravel()
         cand = cand[is_open[cand]]
-        position = np.arange(cand.size)
-        first[cand] = cand.size
+        position = np.arange(cand.size, dtype=dtype)
         np.minimum.at(first, cand, position)
         cand = cand[first[cand] == position]
         frontier = cand[:params.max_voxels - count]

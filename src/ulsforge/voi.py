@@ -86,11 +86,13 @@ def _full(size: tuple[int, ...], pad: int, dtype: np.dtype, order: str = "C") ->
 
 
 def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int,
-          origin: tuple[int, ...] = (0, 0, 0), dims: tuple[int, ...] | None = None) -> np.ndarray:
+          origin: tuple[int, ...] = (0, 0, 0), dims: tuple[int, ...] | None = None,
+          view: bool = False) -> np.ndarray:
     """The window [offset, offset + size) of a volume of ``dims``, padded with
     ``pad``, laid out in memory as ``data`` is, so the copy reads it in order;
     x fastest where ``data`` has at most one axis longer than 1, for either
-    layout holds it.
+    layout holds it. With ``view``, a window inside the volume is a
+    read-only view of ``data``, not a copy; ``pad`` is checked either way.
 
     ``data`` is the volume's box whose corner is at ``origin``, by default
     the whole volume. Every voxel of the window inside the volume must lie
@@ -101,6 +103,11 @@ def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad:
     if any(s.start < s.stop and (s.start < 0 or s.stop > n) for s, n in zip(inner, data.shape)):
         raise ValueError("window at %s of size %s reaches outside the box at %s of shape %s "
                          "inside the volume" % (offset, size, origin, data.shape))
+    if view and all(l.stop - l.start == s for l, s in zip(local, size)):
+        _full((0, 0, 0), pad, data.dtype)  # raises PadValueError as the padded copy would
+        out = data[inner]
+        out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+        return out
     strides = [st for st, n in zip(data.strides, data.shape) if n > 1]  # a box may be one voxel thin
     order = "C" if len(strides) > 1 and strides[0] > strides[-1] else "F"
     out = _full(size, pad, data.dtype, order)

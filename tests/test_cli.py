@@ -180,6 +180,21 @@ def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2", ""])
+@pytest.mark.parametrize("command", [["eval"], ["robustness", "--k", "1"]])
+def test_a_bad_workers_variable_exits_before_reading(tmp_path, monkeypatch, capsys, command, value):
+    path = make_manifest(tmp_path, 1)
+    monkeypatch.setenv("ULSFORGE_WORKERS", value)
+    for name in ("load_manifest", "read_volume", "_NiftiFile"):
+        monkeypatch.setattr(pipeline, name, lambda p, name=name: pytest.fail("%s %s" % (name, p)))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--manifest", str(path), "--segmenter", "builtin", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "ULSFORGE_WORKERS must be a positive integer, got %r" % value in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5"])
 def test_bad_test_fraction_exits_before_reading(tmp_path, monkeypatch, capsys, fraction):
     path = make_manifest(tmp_path, 1)

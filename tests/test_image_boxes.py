@@ -3,8 +3,9 @@
 Every click is a voxel of its lesion, so the box that every window of the
 VOI size around a voxel of the lesion's bounding box reaches holds each
 window's voxels inside the volume. The properties check that a crop cut
-from the box is the crop of the whole image, offset, dtype, memory layout
-and padding included; that the box reader gives slices of ``read_volume``
+from the box is the crop of the whole image, offset, dtype and padding
+included, a read-only view of the box inside the volume and a copy in
+``crop_voi``'s memory layout where it leaves the volume; that the box reader gives slices of ``read_volume``
 for plain and gzip files, however its slabs fall; and that a faulty file
 gives the same error whatever boxes are asked for. The pins check that a
 box sized for a smaller VOI fails loudly, and that ``extract`` with a VOI
@@ -27,7 +28,7 @@ from ulsforge import ManifestEntry, VOICfg, Volume3D, crop_voi, generate_shifted
 from ulsforge import volume as vol_module
 from ulsforge import write_volume
 from ulsforge.cli import main
-from ulsforge.errors import UlsforgeError
+from ulsforge.errors import PadValueError, UlsforgeError
 from ulsforge.lesions import ClickPoint
 from ulsforge.volume import _NiftiFile
 
@@ -79,8 +80,12 @@ def test_a_crop_from_the_lesion_box_is_the_crop_of_the_whole_image(
                 (want.image.spacing, want.image.kind, None)
             a, b = got.image.data, want.image.data
             assert a.dtype == b.dtype and a.shape == b.shape == size
-            assert (a.flags.f_contiguous, a.flags.c_contiguous, a.flags.writeable) == \
-                (b.flags.f_contiguous, b.flags.c_contiguous, b.flags.writeable)
+            inside = all(0 <= o and o + s <= n for o, s, n in zip(got.offset, size, shape))
+            assert not a.flags.writeable and not b.flags.writeable
+            assert np.shares_memory(a, scan.image_box(instance)[1]) == inside  # a view inside
+            if not inside:  # a padded copy, laid out as crop_voi's
+                assert (a.flags.f_contiguous, a.flags.c_contiguous) == \
+                    (b.flags.f_contiguous, b.flags.c_contiguous)
             assert np.array_equal(a, b)
 
 
@@ -205,3 +210,37 @@ def test_extract_with_a_voi_larger_than_the_default_writes_the_whole_image_crops
             write_volume(vol, expected)
             written = gzip.decompress((out / ("%s_%s.nii.gz" % (stem, part))).read_bytes())
             assert written == expected.read_bytes(), (stem, part)
+
+
+def _two_lesion_scan(tmp_path, dtype):
+    """A lesion whose 8x8x4 windows stay inside the volume and one on its x face."""
+    shape = (40, 30, 20)
+    labels = np.zeros(shape, dtype=np.uint8)
+    labels[ball(shape, (20, 15, 10), 2)] = 1
+    labels[ball(shape, (1, 15, 10), 1)] = 2
+    img = _write(tmp_path / "img.nii.gz", _image(shape, dtype, np.random.default_rng(3)))
+    msk = _write(tmp_path / "msk.nii.gz", labels)
+    entries = [ManifestEntry(lesion_id="l%d" % v, patient_id="p", image_path=img, mask_path=msk,
+                             component_label=v) for v in (1, 2)]
+    scan = pl._load_scan(entries, 26, (8, 8, 4))
+    return scan, [scan.lesion(e) for e in entries], read_volume(img)
+
+
+def test_a_crop_inside_the_volume_is_a_view_and_one_that_leaves_it_a_padded_copy(tmp_path):
+    scan, (inner, edge), whole = _two_lesion_scan(tmp_path, "int16")
+    cfg = VOICfg(size=(8, 8, 4))
+    view = scan.crop(inner, inner.center, cfg).image.data
+    assert not view.flags.writeable and np.shares_memory(view, scan.image_box(inner)[1])
+    assert np.array_equal(view, crop_voi(whole, None, inner.center, cfg).image.data)
+    padded = scan.crop(edge, edge.center, cfg)
+    assert padded.offset[0] < 0
+    assert not padded.image.data.flags.writeable
+    assert not np.shares_memory(padded.image.data, scan.image_box(edge)[1])
+    assert padded.image == crop_voi(whole, None, edge.center, cfg).image
+
+
+def test_a_pad_the_image_dtype_cannot_hold_raises_on_the_view_and_the_copy(tmp_path):
+    scan, lesions, _ = _two_lesion_scan(tmp_path, "uint8")
+    for instance in lesions:  # a view inside the volume, a padded copy on its face
+        with pytest.raises(PadValueError, match="pad value -1024 does not fit"):
+            scan.crop(instance, instance.center, VOICfg(size=(8, 8, 4)))

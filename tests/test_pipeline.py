@@ -367,6 +367,13 @@ def test_worker_env_cap(tmp_path, monkeypatch):
     assert pl._effective_workers(3) == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "abc", ""])
+def test_a_worker_cap_that_is_not_a_positive_integer_raises(monkeypatch, value):
+    monkeypatch.setenv("ULSFORGE_WORKERS", value)
+    with pytest.raises(ValueError, match="ULSFORGE_WORKERS must be a positive integer"):
+        pl._effective_workers(3)
+
+
 def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
     shape = (48, 48, 32)
     image = np.full(shape, BACKGROUND_HU, dtype=np.int16)

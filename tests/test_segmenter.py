@@ -19,7 +19,7 @@ from adapters import (
     WRONG_DIMS,
     write_adapter,
 )
-from oracles import bfs_grow_oracle, component_voxel_sets, oracle_offsets
+from oracles import bfs_grow_oracle, component_voxel_sets, oracle_offsets, whole_voi_grow_oracle
 from synth import BACKGROUND_HU, LESION_HU, ball
 from ulsforge import (
     ClickPoint,
@@ -43,7 +43,8 @@ from ulsforge.errors import (
     SegmenterTimeoutError,
 )
 from ulsforge.lesions import CONNECTIVITIES
-from ulsforge.segmenter import _grow_bfs, _neighbor_offsets
+from ulsforge import segmenter
+from ulsforge.segmenter import _FIRST_HALF_WIDTH, _grow_bfs, _neighbor_offsets
 
 WINDOW = (50, 150)
 
@@ -264,6 +265,103 @@ def test_truncated_grow_property(data, shape, rng_seed, fill, connectivity):
                                                       max_voxels=in_window.size))
     assert not res.truncated
     assert np.array_equal(res.mask.data, component)
+
+
+def mark_runs(in_window, start, moves):
+    """Mark a one-voxel path from ``start``: one straight run per (axis, signed
+    length) move, each stopped at the VOI's face."""
+    pos = list(start)
+    for axis, length in moves:
+        step = 1 if length > 0 else -1
+        for _ in range(abs(length)):
+            if not 0 <= pos[axis] + step < in_window.shape[axis]:
+                break
+            pos[axis] += step
+            in_window[tuple(pos)] = True
+
+
+def first_box(seed, shape):
+    """The box the grower thresholds first, around the seed."""
+    return tuple(slice(max(0, c - _FIRST_HALF_WIDTH), min(n, c + _FIRST_HALF_WIDTH + 1))
+                 for c, n in zip(seed, shape))
+
+
+MOVE = st.tuples(st.integers(0, 2), st.integers(-30, 30))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["one face", "snake", "faces", "truncated"]),
+       shape=st.tuples(*[st.integers(2 * _FIRST_HALF_WIDTH + 2, 2 * _FIRST_HALF_WIDTH + 8)] * 3),
+       rng_seed=st.integers(0, 2 ** 16), noise=st.sampled_from([0.0, 0.03, 0.08]),
+       connectivity=st.sampled_from(CONNECTIVITIES))
+def test_grow_past_its_first_box_equals_the_whole_voi_grow(data, kind, shape, rng_seed, noise,
+                                                           connectivity):
+    """VOIs wider than the grower's first box: components that leave it
+    through one face, snakes that leave and come back, components that
+    reach the VOI's faces, and truncated grows that reach past the box."""
+    rng = np.random.default_rng(rng_seed)
+    in_window = rng.random(shape) < (0.0 if kind == "truncated" else noise)
+    axis, side = data.draw(st.integers(0, 2)), data.draw(st.sampled_from([-1, 1]))
+    reach = _FIRST_HALF_WIDTH + 2  # a run this long from the seed ends two voxels out of the first box
+    seed = [data.draw(st.integers(0, n - 1)) for n in shape]
+    seed[axis] = data.draw(st.integers(reach, shape[axis] - 1) if side < 0
+                           else st.integers(0, shape[axis] - 1 - reach))  # the box's side is inside
+    seed = tuple(seed)
+    in_window[seed] = True
+    leave = (axis, side * (reach + data.draw(st.integers(0, 12))))
+    if kind == "one face":  # a slab, thinner than the box, out of one of its faces
+        lo = [c - data.draw(st.integers(0, 3)) for c in seed]
+        hi = [c + data.draw(st.integers(1, 4)) for c in seed]
+        ends = sorted((seed[axis], seed[axis] + leave[1]))
+        lo[axis], hi[axis] = ends[0], ends[1] + 1
+        part = tuple(slice(max(0, l), h) for l, h in zip(lo, hi))
+        in_window[part] |= rng.random(in_window[part].shape) < 0.8
+        mark_runs(in_window, seed, [leave])
+    elif kind == "faces":  # a cross through the seed to all six faces of the VOI
+        for a, n in enumerate(shape):
+            mark_runs(in_window, seed, [(a, -n)])
+            mark_runs(in_window, seed, [(a, n)])
+        mark_runs(in_window, seed, data.draw(st.lists(MOVE, max_size=4)))
+    else:  # out of the box, then runs that may turn back into it
+        back = (axis, -leave[1] - side * data.draw(st.integers(0, 2 * _FIRST_HALF_WIDTH)))
+        mark_runs(in_window, seed, [leave, *data.draw(st.lists(MOVE, min_size=1, max_size=4)), back])
+    cap = in_window.size
+    if kind == "truncated":  # more voxels than the component has in the first box
+        component = bfs_grow_oracle(in_window, seed, connectivity, in_window.size)
+        in_box = int(component[first_box(seed, shape)].sum())
+        cap = data.draw(st.integers(in_box + 1, int(component.sum()) - 1))
+    image = Volume3D(np.where(in_window, LESION_HU, BACKGROUND_HU).astype(np.int16))
+    res = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW, connectivity=connectivity,
+                                                      max_voxels=cap))
+    expected, truncated = whole_voi_grow_oracle(in_window, seed, connectivity, cap)
+    assert truncated == (kind == "truncated")
+    assert res.truncated == truncated
+    assert np.array_equal(res.mask.data, expected)
+    outside = expected.copy()
+    outside[first_box(seed, shape)] = 0
+    assert outside.any()  # the grow reached past the first box
+
+
+def test_the_grower_labels_a_small_lesion_not_its_voi(monkeypatch):
+    """A lesion about 20 voxels wide in a 256x256x128 VOI, with other
+    in-window voxels far from it: what is labeled is about its box."""
+    shape, center = (256, 256, 128), (100, 140, 60)
+    lesion = ball(shape, center, 10)
+    image = np.full(shape, BACKGROUND_HU, dtype=np.int16)
+    image[lesion] = LESION_HU
+    image[200:230, 20:40, 100:120] = LESION_HU  # another in-window blob, far away
+    sizes = []
+    label = segmenter.ndimage.label
+
+    def counted(input, *args, **kwargs):
+        sizes.append(np.asarray(input).size)
+        return label(input, *args, **kwargs)
+
+    monkeypatch.setattr(segmenter.ndimage, "label", counted)
+    res = segment_region_grow(Volume3D(image), center, GrowParams(hu_window=WINDOW))
+    assert np.array_equal(res.mask.data, lesion)
+    box = np.prod(np.ptp(np.argwhere(lesion), axis=0) + 1)
+    assert 0 < sum(sizes) <= 2 * box
 
 
 def test_translation_equivariance_on_interior_content():
