@@ -104,14 +104,6 @@ def extract_instances(labeled: Volume3D) -> list[LesionInstance]:
             if box is not None]
 
 
-def _instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:
-    """The instance of (n, 3) global indices, scattered into their box."""
-    lo = voxels.min(axis=0)
-    mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=bool, order="F")
-    mask[tuple((voxels - lo).T)] = True
-    return _instance_from_box(comp_id, mask, tuple(int(v) for v in lo))
-
-
 def _instance_from_box(comp_id: int, mask: np.ndarray, lo: tuple[int, ...]) -> LesionInstance:
     """The instance of ``mask``'s true voxels; ``mask[0, 0, 0]`` is global ``lo``.
 

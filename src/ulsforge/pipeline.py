@@ -349,9 +349,10 @@ class _Scan:
         """The entry's lesion and a scan of it alone, as ``lesion`` finds it.
         The entry leaves this scan, and so does its image box once no entry
         left here needs it."""
-        found = self.lesions.pop(entry.lesion_id)
-        if isinstance(found, tuple):
-            raise found[0](*found[1])
+        try:
+            found = self.lesion(entry)
+        finally:
+            del self.lesions[entry.lesion_id]
         box = _image_box(found.bbox, self.size, self.dims)
         needed = any(_image_box(other.bbox, self.size, self.dims) == box
                      for other in self.lesions.values() if not isinstance(other, tuple))

@@ -152,7 +152,7 @@ def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
 
     A seed voxel outside the window yields an empty mask.
     """
-    return _whole(_grow(voi_image, local_click, params), voi_image)
+    return segment(voi_image, local_click, BuiltinSegmenter(params))
 
 
 def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
@@ -198,27 +198,6 @@ def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
     mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return SegmentationResult(Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
                               truncated=truncated, corner=corner)
-
-
-def _whole(result: SegmentationResult, voi_image: Volume3D) -> SegmentationResult:
-    """``result`` with its mask over the whole VOI: its box placed into zeros."""
-    if result.corner == (0, 0, 0) and result.mask.dims == voi_image.dims:
-        return result
-    return SegmentationResult(place_back(result.mask, voi_image.dims, result.corner), result.truncated)
-
-
-def _boxed(result: SegmentationResult) -> SegmentationResult:
-    """``result`` with its mask cut to the box of its nonzero voxels; an
-    empty mask is one zero voxel at its corner."""
-    data = result.mask.data
-    spans = _nonzero_spans(data)
-    box = tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, 1) for s in spans)
-    if all(b.stop - b.start == n for b, n in zip(box, data.shape)):
-        return result
-    mask = np.array(data[box], dtype=np.uint8, order="F")  # a copy: no view keeps the VOI
-    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-    return SegmentationResult(result.mask.with_data(mask), truncated=result.truncated,
-                              corner=tuple(c + b.start for c, b in zip(result.corner, box)))
 
 
 def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowParams) -> np.ndarray:
@@ -322,13 +301,26 @@ def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
 
 def segment(voi_image: Volume3D, local_click: tuple[int, int, int],
             ref: SegmenterRef) -> SegmentationResult:
-    """Segment one VOI with ``ref``, whatever its kind; the mask is over the whole VOI."""
-    return _whole(ref.segment(voi_image, local_click), voi_image)
+    """Segment one VOI with ``ref``, whatever its kind; the mask is over the
+    whole VOI, a box mask placed into zeros."""
+    result = ref.segment(voi_image, local_click)
+    if result.corner == (0, 0, 0) and result.mask.dims == voi_image.dims:
+        return result
+    return SegmentationResult(place_back(result.mask, voi_image.dims, result.corner), result.truncated)
 
 
 def segment_box(voi_image: Volume3D, local_click: tuple[int, int, int],
                 ref: SegmenterRef) -> SegmentationResult:
     """``segment``, with the mask kept as the box of its nonzero voxels at the
     result's ``corner``: the builtin grower's own box, or the cut of another
-    kind's VOI mask, so a mask outlives the call only as large as that box."""
-    return _boxed(ref.segment(voi_image, local_click))
+    kind's VOI mask, so a mask outlives the call only as large as that box.
+    An empty mask is one zero voxel at its corner."""
+    result = ref.segment(voi_image, local_click)
+    data = result.mask.data
+    box = tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, 1) for s in _nonzero_spans(data))
+    if all(b.stop - b.start == n for b, n in zip(box, data.shape)):
+        return result
+    mask = np.array(data[box], dtype=np.uint8, order="F")  # a copy: no view keeps the VOI
+    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+    return SegmentationResult(result.mask.with_data(mask), truncated=result.truncated,
+                              corner=tuple(c + b.start for c, b in zip(result.corner, box)))

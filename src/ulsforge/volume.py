@@ -313,7 +313,10 @@ def _parse_header(head: bytes, path: Path) -> tuple[np.dtype, tuple[int, int, in
     vox_offset = float(hdr["vox_offset"])
     if not all(math.isfinite(v) for v in (*spacing, vox_offset)):
         raise BadHeaderError("%s: non-finite pixdim %s or vox_offset %g" % (path, spacing, vox_offset))
-    return _CODE_TO_DTYPE[code], dims, spacing, max(int(vox_offset), HEADER_SIZE)
+    if vox_offset < VOX_OFFSET:  # NIfTI-1: a single file's payload follows the extension flag
+        raise BadHeaderError("%s: vox_offset %g is below %d, the end of a single file's header"
+                             % (path, vox_offset, VOX_OFFSET))
+    return _CODE_TO_DTYPE[code], dims, spacing, int(vox_offset)
 
 
 _SLAB = 1 << 21  # decoded bytes of whole z-slices read at a time when only boxes are kept
@@ -365,28 +368,15 @@ class _NiftiFile:
             total = len(head) + self._gz.discard() if self._gz else self._size
             raise TruncatedDataError("%s: expected %d data bytes, found %d"
                                      % (path, self.nbytes, max(0, total - offset)))
-        self._head = memoryview(head)[offset:offset + self.nbytes]  # payload read with the header
         self._skip(offset - len(head))
-
-    def _read(self, buf: memoryview) -> int:
-        """Payload bytes read into ``buf``; fewer than it holds only where the file ends."""
-        n = min(len(self._head), len(buf))
-        buf[:n] = self._head[:n]
-        self._head = self._head[n:]
-        return n + _fill(self._src, buf[n:])
 
     def _skip(self, n: int) -> int:
         """Drop up to ``n`` payload bytes, decoding a gzip stream; how many there were."""
-        head = min(len(self._head), max(0, n))
-        self._head = self._head[head:]
-        n -= head
-        if n <= 0:
-            return head
         if self._gz:
-            return head + self._gz.discard(n)
+            return self._gz.discard(n)
         pos = self._f.tell()
         self._f.seek(min(pos + n, self._size))
-        return head + self._f.tell() - pos
+        return self._f.tell() - pos
 
     def _slabs(self, z0: int, z1: int):
         """The z-slices ``z0 <= z < z1`` as runs of whole slices, each an
@@ -404,7 +394,7 @@ class _NiftiFile:
         found = self._skip(z0 * plane)
         for z in range(z0, z1, depth):
             n = min(depth, z1 - z)
-            got = self._read(memoryview(slab).cast("B")[:n * plane])
+            got = _fill(self._src, memoryview(slab).cast("B")[:n * plane])
             found += got
             if got < n * plane:
                 break
@@ -433,7 +423,7 @@ class _NiftiFile:
         whole = ((0, 0, 0), self.dims)
         if whole in boxes:
             data = np.empty(math.prod(self.dims), dtype=self.dtype)
-            self._finish(self._read(memoryview(data).cast("B")))
+            self._finish(_fill(self._src, memoryview(data).cast("B")))
             volume = data.reshape(self.dims, order="F")
             outs = [volume if box == whole else volume[tuple(map(slice, *box))].copy(order="F")
                     for box in boxes]

@@ -2,15 +2,34 @@
 
 Everything here is deliberately written from first principles (plain
 Python sets, loops, and mpmath) so it shares no code path with the
-package being tested.
+package being tested. The one exception, ``instance_from_voxels``, is a
+test helper that builds the package's own lesion type.
 """
 
 from __future__ import annotations
 
+import gzip
 from collections import deque
 
 import mpmath as mp
 import numpy as np
+
+from ulsforge.lesions import LesionInstance, _instance_from_box
+
+# NIfTI-1 datatype codes and their little-endian dtypes
+NIFTI_DTYPES = {2: "u1", 4: "<i2", 8: "<i4", 16: "<f4"}
+
+
+def nifti_voxels(raw: bytes) -> np.ndarray:
+    """The voxels of a single-file NIfTI-1 file's bytes, plain or gzip: the
+    header's dims, datatype and ``vox_offset`` read at their byte offsets, and
+    the payload read from ``int(vox_offset)`` on, x fastest."""
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
+    dims = tuple(int(d) for d in np.frombuffer(raw, "<i2", 3, 42))
+    dtype = NIFTI_DTYPES[int(np.frombuffer(raw, "<i2", 1, 70)[0])]
+    offset = int(np.frombuffer(raw, "<f4", 1, 108)[0])
+    return np.frombuffer(raw, dtype, int(np.prod(dims)), offset).reshape(dims, order="F")
 
 
 def oracle_offsets(connectivity: int) -> list[tuple[int, int, int]]:
@@ -118,6 +137,14 @@ def instance_oracle(voxels: np.ndarray) -> tuple:
         center = tuple(int(v) for v in voxels[int(np.argmin(d2))])
     bbox = (tuple(int(v) for v in voxels.min(axis=0)), tuple(int(v) for v in voxels.max(axis=0)))
     return bbox, int(voxels.shape[0]), center
+
+
+def instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:
+    """The instance of (n, 3) global indices, scattered into their box."""
+    lo = voxels.min(axis=0)
+    mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=bool, order="F")
+    mask[tuple((voxels - lo).T)] = True
+    return _instance_from_box(comp_id, mask, tuple(int(v) for v in lo))
 
 
 def scatter_window(voxels: np.ndarray, dims, offset, size, pad: int) -> np.ndarray:

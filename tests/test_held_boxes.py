@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import ulsforge.pipeline as pl
+from oracles import instance_from_voxels
 from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, make_case
 from ulsforge import (
     GrowParams,
@@ -38,7 +39,7 @@ from ulsforge import (
 )
 from ulsforge import volume as vol_module
 from ulsforge.errors import UlsforgeError
-from ulsforge.lesions import ClickPoint, _foreground_box, _instance_from_voxels
+from ulsforge.lesions import ClickPoint, _foreground_box
 from ulsforge.segmenter import segment_box
 from ulsforge.volume import _NiftiFile
 
@@ -180,7 +181,7 @@ def test_a_nonzero_mask_pad_joins_the_truth_through_the_padding():
     lesion[0:6, 2, 2] = lesion[0:6, 8, 2] = lesion[5, 2:9, 2] = True
     image = Volume3D(np.where(lesion, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
-    instance = _instance_from_voxels(1, np.argwhere(lesion))
+    instance = instance_from_voxels(1, np.argwhere(lesion))
     size = (4, 16, 4)
     box = pl._image_box(instance.bbox, size, shape)
     scan = pl._Scan({"l": instance}, size, shape, image.spacing, None,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import component_voxel_sets, flood_fill_components, instance_oracle
+from oracles import component_voxel_sets, flood_fill_components, instance_from_voxels, instance_oracle
 from ulsforge import (
     LesionInstance,
     Volume3D,
@@ -15,7 +15,7 @@ from ulsforge import (
     label_components,
 )
 from ulsforge.errors import EmptyInstanceError, WrongKindError
-from ulsforge.lesions import CENTROID, _foreground_box, _instance_from_voxels
+from ulsforge.lesions import CENTROID, _foreground_box, _instance_from_box
 
 
 def binary(arr):
@@ -205,7 +205,7 @@ def test_center_of_cube_rounds_half_up():
 
 def test_center_snaps_with_lexicographic_tie_break():
     voxels = np.array([[1, 1, 1], [3, 1, 1]])  # centroid (2,1,1) is background
-    assert _instance_from_voxels(1, voxels).center.pos == (1, 1, 1)
+    assert instance_from_voxels(1, voxels).center.pos == (1, 1, 1)
 
 
 def test_center_snaps_into_non_convex_shape():
@@ -226,7 +226,11 @@ def test_center_always_inside_mask():
         for inst in extract_instances(label_components(binary(mask), 26)):
             voxels = set(map(tuple, inst.voxels.tolist()))
             assert inst.center.pos in voxels
-            assert _instance_from_voxels(inst.label, inst.voxels).center.pos == inst.center.pos
+            # the same lesion in a box one voxel wider on every side is trimmed to the same instance
+            again = _instance_from_box(inst.label, np.pad(inst.mask, 1),
+                                       tuple(v - 1 for v in inst.bbox[0]))
+            assert (again.bbox, again.size_vox, again.center) == (inst.bbox, inst.size_vox, inst.center)
+            assert np.array_equal(again.mask, inst.mask)
 
 
 def test_empty_instance_rejected():

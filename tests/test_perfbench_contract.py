@@ -1,6 +1,8 @@
 """The benchmark tracer wraps module attributes by name; they must all exist,
-and a traced run must finish with the untraced run's records."""
+every import kept unused in the package must be one of them, and a traced run
+must finish with the untraced run's records."""
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -11,6 +13,7 @@ from synth import make_case
 from ulsforge.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ulsforge"
 
 
 def test_every_traced_attribute_exists(monkeypatch):
@@ -21,6 +24,33 @@ def test_every_traced_attribute_exists(monkeypatch):
     missing = ["%s.%s" % (getattr(owner, "__name__", owner), attr)
                for owner, attr in pairs if not hasattr(owner, attr)]
     assert missing == []
+
+
+def unused_kept_imports(path: Path) -> set[str]:
+    """The names that an import marked ``# noqa: F401`` binds in the module at
+    ``path`` and that the module's code never reads."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    kept = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            kept.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return kept - read
+
+
+def test_every_unused_import_is_one_the_tracer_wraps(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    wrapped = {(getattr(owner, "__name__", None), attr)
+               for _, owners, *_ in tracer._targets() for owner, attr in owners}
+    kept = {("ulsforge." + path.stem, name)
+            for path in sorted(PACKAGE.glob("*.py")) for name in unused_kept_imports(path)}
+    assert kept  # the tracer-only imports: they go once the tracer no longer wraps names
+    assert kept - wrapped == set()
 
 
 @pytest.mark.parametrize("command, lesion_segments", [

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import ulsforge.pipeline as pl
 from adapters import COPY_MASK, EMPTY_MASK, WRONG_DIMS, write_adapter
-from oracles import flood_fill_components, label_voxels
+from oracles import flood_fill_components, instance_from_voxels, label_voxels
 from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, ball, make_case, make_manifest
 from ulsforge import (
     EvalRecord,
@@ -66,7 +66,6 @@ from ulsforge.errors import (
     PairingMismatchError,
     UlsforgeError,
 )
-from ulsforge.lesions import _instance_from_voxels
 
 BUILTIN = SegmenterRef.builtin(GrowParams(hu_window=GROW_WINDOW))
 SMALL_CFG = VOICfg(size=(32, 32, 16))
@@ -688,7 +687,7 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     lesion[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = True
     image = Volume3D(np.where(rng.random(shape) < 0.7, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
-    instance = _instance_from_voxels(1, np.argwhere(lesion))
+    instance = instance_from_voxels(1, np.argwhere(lesion))
     box = pl._image_box(instance.bbox, size, shape)  # the box a load keeps for windows of size
     scan = pl._Scan({"l": instance}, size, shape, image.spacing, None,
                     {box: image.data[tuple(map(slice, *box))].copy(order="F")},
