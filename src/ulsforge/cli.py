@@ -205,7 +205,7 @@ def _cmd_extract(args) -> int:
     for entry in loader.entries:
         entry_rows = rows[entry.lesion_id] = []
         try:
-            scan, instance = loader.lesion(entry)
+            lesion = loader.lesion(entry)
             stems = [entry.lesion_id] + ["%s_aug%d" % (entry.lesion_id, i)
                                          for i in range(1, args.augment + 1)]
             if Path(entry.lesion_id).name != entry.lesion_id:
@@ -213,8 +213,8 @@ def _cmd_extract(args) -> int:
             if written.intersection(stems):
                 raise UlsforgeError("lesion %r would overwrite files written in this run"
                                     % entry.lesion_id)
-            plan = build_click_plan(instance, args.seed, entry.lesion_id, k=args.augment)
-            samples = [scan.voi(instance, c, cfg, args.connectivity) for c in plan.all_clicks()]
+            plan = build_click_plan(lesion.instance, args.seed, entry.lesion_id, k=args.augment)
+            samples = [lesion.voi(c, cfg, args.connectivity) for c in plan.all_clicks()]
             if args.augment > 0:
                 plans[entry.lesion_id] = plan.to_record()
             written.update(stems)

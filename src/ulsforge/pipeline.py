@@ -184,7 +184,7 @@ def load_manifest(path: str | Path) -> Manifest:
     base = path.parent
     try:
         if path.suffix.lower() == ".csv":
-            with open(path, newline="", encoding="utf-8") as f:
+            with open(path, newline="", encoding="utf-8-sig") as f:
                 rows = list(csv.DictReader(f))
             records = []
             for row in rows:
@@ -194,7 +194,7 @@ def load_manifest(path: str | Path) -> Manifest:
                     rec["click"] = [c if c is None else int(c) for c in click]
                 records.append(rec)
         else:
-            with open(path, encoding="utf-8") as f:
+            with open(path, encoding="utf-8-sig") as f:
                 doc = json.load(f)
             records = list(doc["entries"] if isinstance(doc, dict) else doc)
     except (json.JSONDecodeError, csv.Error, KeyError, TypeError, ValueError) as e:
@@ -297,8 +297,13 @@ def write_records_csv(records: list[EvalRecord], path: str | Path) -> None:
 
 
 def read_records_csv(path: str | Path) -> list[EvalRecord]:
-    with open(path, newline="", encoding="utf-8") as f:
-        return [EvalRecord.from_row(row) for row in csv.DictReader(f)]
+    """A records.csv's records; a file without a column from_row requires raises ValueError."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.DictReader(f, restval="")  # a short row's missing cells read as empty
+        missing = [c for c in CSV_COLUMN_ORDER[:5] if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError("%s lacks the column(s) %s" % (path, ", ".join(missing)))
+        return [EvalRecord.from_row(row) for row in reader]
 
 
 # ---------------------------------------------------------------------------
@@ -317,82 +322,57 @@ def _image_box(bbox: Box, size: tuple[int, int, int] | None, dims: tuple[int, in
 
 
 @dataclass
-class _Scan:
-    """One image/mask pair as loaded for the manifest entries that share it.
+class _Lesion:
+    """One manifest entry's lesion as loaded from its scan.
 
     A lesion is the voxels of one value in one label map: the mask and the
     entry's component_label, or the mask's components and the clicked or
-    single one's id. ``lesions`` holds each entry's instance or the error
-    class and arguments of its failure; of the mask only spacing and header.
-    Of the image it keeps dims, spacing and header and, per lesion, the box
-    that every window of ``size`` around a voxel of the lesion reaches
-    inside the volume; every click is such a voxel. A pair that cannot be
-    read holds neither, and every entry's failure is the pair's.
+    single one's id. Of the image it keeps dims, spacing and header and the
+    box that every window of the VOI size around a voxel of the lesion
+    reaches inside the volume, as its corner and voxels; every click is such
+    a voxel. Of the mask it keeps spacing and header. Lesions with equal
+    boxes share one array.
     """
 
-    lesions: dict[str, LesionInstance | tuple[type, tuple]]
-    size: tuple[int, int, int] | None = None  # the VOI size the boxes serve; None: the whole volume
-    dims: tuple[int, int, int] | None = None
-    spacing: tuple[float, float, float] | None = None
-    header: bytes | None = None
-    boxes: dict[Box, np.ndarray] = field(default_factory=dict)  # image voxels, x fastest
-    mask_spacing: tuple[float, float, float] | None = None
-    mask_header: bytes | None = None
+    instance: LesionInstance
+    corner: tuple[int, int, int]  # of the image box
+    voxels: np.ndarray  # the image box, x fastest
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    header: bytes | None
+    mask_spacing: tuple[float, float, float]
+    mask_header: bytes | None
 
-    def lesion(self, entry: ManifestEntry) -> LesionInstance:
-        found = self.lesions[entry.lesion_id]
-        if isinstance(found, tuple):
-            raise found[0](*found[1])  # a fresh error, with no traceback into the load
-        return found
-
-    def take(self, entry: ManifestEntry) -> tuple[_Scan, LesionInstance]:
-        """The entry's lesion and a scan of it alone, as ``lesion`` finds it.
-        The entry leaves this scan, and so does its image box once no entry
-        left here needs it."""
-        try:
-            found = self.lesion(entry)
-        finally:
-            del self.lesions[entry.lesion_id]
-        box = _image_box(found.bbox, self.size, self.dims)
-        needed = any(_image_box(other.bbox, self.size, self.dims) == box
-                     for other in self.lesions.values() if not isinstance(other, tuple))
-        voxels = self.boxes[box] if needed else self.boxes.pop(box)
-        return replace(self, lesions={entry.lesion_id: found}, boxes={box: voxels}), found
-
-    def mask(self, instance: LesionInstance, offset: tuple[int, int, int] = (0, 0, 0),
-             size: tuple[int, int, int] | None = None, pad: int = 0) -> Volume3D:
-        """The instance's binary mask in the window [offset, offset + size),
+    def mask(self, offset: tuple[int, int, int] = (0, 0, 0), size: tuple[int, int, int] | None = None,
+             pad: int = 0) -> Volume3D:
+        """The lesion's binary mask in the window [offset, offset + size),
         by default the volume. Like a ``crop_voi`` crop of the whole mask, a
         window pads voxels outside the volume with ``pad`` and has no header."""
         data = _full(size or self.dims, pad, np.dtype(np.uint8), "F")  # x fastest, as read_volume's
         if pad:
             data[_overlap(self.dims, offset, data.shape)[1]] = 0
-        start = tuple(l - o for l, o in zip(instance.bbox[0], offset))  # the box's corner in the window
-        window, box = _overlap(data.shape, start, instance.mask.shape)
-        data[window] = instance.mask[box]  # the box lies inside the volume, where the window holds 0
+        start = tuple(l - o for l, o in zip(self.instance.bbox[0], offset))  # its corner in the window
+        window, box = _overlap(data.shape, start, self.instance.mask.shape)
+        data[window] = self.instance.mask[box]  # the box lies inside the volume, where the window holds 0
         data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
         header = self.mask_header if size is None else None
         return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, header)
 
-    def image_box(self, instance: LesionInstance) -> tuple[tuple[int, int, int], np.ndarray]:
-        """The corner and the voxels of the instance's image box."""
-        box = _image_box(instance.bbox, self.size, self.dims)
-        return box[0], self.boxes[box]
-
-    def crop(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg) -> VOISample:
-        """The image VOI of a click on the instance, cut from its box: the
+    def crop(self, click: ClickPoint, cfg: VOICfg) -> VOISample:
+        """The image VOI of a click on the lesion, cut from its box: the
         ``crop_voi`` crop of the whole image. A window inside the volume is a
         read-only view of the box, so a segmenter may receive a view; one
         that leaves the volume is a padded copy. A window that leaves the box
-        inside the volume, as one larger than ``size`` can, raises ValueError."""
-        origin, data = self.image_box(instance)
+        inside the volume, as one larger than the load's VOI size can, raises
+        ValueError."""
         offset = _window_offset(click, cfg.size)
-        image = _crop(data, offset, cfg.size, cfg.pad_value_image, origin, self.dims, view=True)
+        image = _crop(self.voxels, offset, cfg.size, cfg.pad_value_image, self.corner, self.dims,
+                      view=True)
         return VOISample(image=Volume3D(image, self.spacing), mask=None, offset=offset, click=click)
 
-    def truth(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
+    def truth(self, click: ClickPoint, cfg: VOICfg,
               connectivity: int) -> tuple[tuple[int, int, int], Volume3D]:
-        """The central lesion of the instance's mask in the click's window, as
+        """The central lesion of the lesion's mask in the click's window, as
         its global corner and a box of the window that holds it.
 
         The box is the lesion's bounding box clipped to the window. A window
@@ -403,18 +383,17 @@ class _Scan:
         offset = _window_offset(click, cfg.size)
         lo, hi = offset, tuple(o + s for o, s in zip(offset, cfg.size))
         if not cfg.pad_value_mask or (min(lo) >= 0 and all(h <= n for h, n in zip(hi, self.dims))):
-            lo = tuple(max(a, b) for a, b in zip(lo, instance.bbox[0]))
-            hi = tuple(min(a, b + 1) for a, b in zip(hi, instance.bbox[1]))
-        window = self.mask(instance, lo, tuple(h - l for l, h in zip(lo, hi)), cfg.pad_value_mask)
+            lo = tuple(max(a, b) for a, b in zip(lo, self.instance.bbox[0]))
+            hi = tuple(min(a, b + 1) for a, b in zip(hi, self.instance.bbox[1]))
+        window = self.mask(lo, tuple(h - l for l, h in zip(lo, hi)), cfg.pad_value_mask)
         local = tuple(c - l for c, l in zip(click.pos, lo))
         return lo, isolate_central_lesion(window, local, connectivity)
 
-    def voi(self, instance: LesionInstance, click: ClickPoint, cfg: VOICfg,
-            connectivity: int) -> VOISample:
+    def voi(self, click: ClickPoint, cfg: VOICfg, connectivity: int) -> VOISample:
         """The click's image VOI and its ground truth, ``truth`` over the whole
         window: ``generate_shifted_samples``'s sample."""
-        sample = self.crop(instance, click, cfg)
-        corner, truth = self.truth(instance, click, cfg, connectivity)
+        sample = self.crop(click, cfg)
+        corner, truth = self.truth(click, cfg, connectivity)
         sample.mask = place_back(truth, cfg.size, tuple(c - o for c, o in zip(corner, sample.offset)))
         return sample
 
@@ -481,9 +460,11 @@ def _find_lesions(entries: list[ManifestEntry], dims: tuple[int, int, int],
 
 
 def _load_scan(entries: list[ManifestEntry], connectivity: int,
-               size: tuple[int, int, int] | None) -> _Scan:
+               size: tuple[int, int, int] | None) -> dict[str, _Lesion | tuple[type, tuple]]:
     """Read the entries' shared mask, find each entry's lesion, then keep of
-    the image only each lesion's box for windows of ``size`` (``_Scan``).
+    the image only each lesion's box for windows of ``size``, the whole
+    volume when it is None: each entry's ``_Lesion``, or the error class and
+    arguments of its failure.
 
     The image is opened and its header checked first, so a missing image
     fails before its mask is read. The mask's foreground box and its
@@ -492,7 +473,8 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
     non-finite mask voxel: on those paths the image is read to its end to
     check it. A pair that cannot be read, decoded or checked fails every
     entry, kept as data like an entry's own failure; an OSError keeps its
-    filename, which its message names.
+    filename, which its message names. Lesions with equal boxes share one
+    array, which lives as long as the last of them.
     """
     try:
         with _NiftiFile(entries[0].image_path) as image:
@@ -501,13 +483,24 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
             except (UlsforgeError, OSError):
                 image.read_boxes([])  # raises the image's fault, if it has one
                 raise
-            boxes = list(dict.fromkeys(_image_box(found.bbox, size, image.dims)
-                                       for found in lesions.values() if not isinstance(found, tuple)))
-            boxes = dict(zip(boxes, image.read_boxes(boxes)))
+            boxes = {lesion_id: _image_box(found.bbox, size, image.dims)
+                     for lesion_id, found in lesions.items() if not isinstance(found, tuple)}
+            distinct = list(dict.fromkeys(boxes.values()))
+            voxels = dict(zip(distinct, image.read_boxes(distinct)))
     except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
         args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
-        return _Scan(dict.fromkeys((e.lesion_id for e in entries), (type(exc), args)))
-    return _Scan(lesions, size, image.dims, image.spacing, image.header, boxes, *mask_meta)
+        return dict.fromkeys((e.lesion_id for e in entries), (type(exc), args))
+    for lesion_id, box in boxes.items():
+        lesions[lesion_id] = _Lesion(lesions[lesion_id], box[0], voxels[box], image.dims,
+                                     image.spacing, image.header, *mask_meta)
+    return lesions
+
+
+def _found(found: _Lesion | tuple[type, tuple]) -> _Lesion:
+    """A loaded lesion, or its kept failure raised afresh, with no traceback into the load."""
+    if isinstance(found, tuple):
+        raise found[0](*found[1])
+    return found
 
 
 def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
@@ -518,10 +511,9 @@ def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, V
     lesion with another label never joins it. Otherwise it is the component
     holding the entry's recorded click, else the mask's single one.
     """
-    scan = _load_scan([entry], connectivity, None)
-    instance = scan.lesion(entry)
-    image = Volume3D(scan.image_box(instance)[1], scan.spacing, VolumeKind.INTENSITY, scan.header)
-    return image, scan.mask(instance), instance
+    lesion = _found(_load_scan([entry], connectivity, None)[entry.lesion_id])
+    image = Volume3D(lesion.voxels, lesion.spacing, VolumeKind.INTENSITY, lesion.header)
+    return image, lesion.mask(), lesion.instance
 
 
 class ScanLoader:
@@ -533,11 +525,11 @@ class ScanLoader:
     one scan per worker, however the manifest is sorted, and a scan holds
     of its image only the boxes its lesions' windows of ``size`` reach.
     The first lesion of a scan to run loads it while the scan's other
-    lesions wait on its lock. Each lesion takes its own box
-    (``_Scan.take``); the scan forgets a box once the last lesion that
-    needs it has taken it, and is dropped when its last lesion takes it. A
-    load that fails is kept like any other, so every lesion of that scan
-    gets the same error from one read.
+    lesions wait on its lock. Each entry takes its ``_Lesion`` out of the
+    scan's, which is dropped when its last entry takes it; a box lives as
+    long as the last lesion that holds it. A load that fails is kept like
+    any other, so every lesion of that scan gets the same error from one
+    read.
     """
 
     def __init__(self, entries: list[ManifestEntry], connectivity: int, size: tuple[int, int, int],
@@ -551,20 +543,18 @@ class ScanLoader:
                  for j, e in enumerate(group)]  # (window, turn, scan, entry)
         self.entries = [e for *_, e in sorted(turns, key=lambda t: t[:3])]
         self._locks = {key: threading.Lock() for key in self._groups}
-        self._scans: dict[tuple[str, str], _Scan] = {}
+        self._scans: dict[tuple[str, str], dict[str, _Lesion | tuple[type, tuple]]] = {}
 
-    def lesion(self, entry: ManifestEntry) -> tuple[_Scan, LesionInstance]:
-        """The scan of ``entry``, holding only its image box, and its lesion
-        instance, as resolve_lesion finds it."""
+    def lesion(self, entry: ManifestEntry) -> _Lesion:
+        """The lesion of ``entry`` with its image box, as resolve_lesion finds it."""
         key = (entry.image_path, entry.mask_path)
         with self._locks[key]:
             scan = self._scans.pop(key, None) or _load_scan(self._groups[key], self._connectivity,
                                                             self._size)
-            try:
-                return scan.take(entry)
-            finally:
-                if scan.lesions:  # kept for the entries still to take it
-                    self._scans[key] = scan
+            found = scan.pop(entry.lesion_id)
+            if scan:  # kept for the entries still to take theirs
+                self._scans[key] = scan
+        return _found(found)
 
 
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
@@ -582,7 +572,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     """Score one lesion over its click plan: the centroid plus k sampled clicks.
 
     Each click's image is cropped and segmented. The ground truth is the
-    centroid VOI's (``_Scan.truth``). Dice compares the centroid prediction
+    centroid VOI's (``_Lesion.truth``). Dice compares the centroid prediction
     with it; robustness is the mean pairwise Dice of all predictions and
     exists only for k >= 1. The Dice protocol is k = 0. The truth and each
     prediction are kept as the box of their voxels, and every score is
@@ -591,12 +581,12 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     mask back.
     """
     try:
-        scan, instance = loader.lesion(entry)
-        plan = build_click_plan(instance, seed_root, entry.lesion_id, k=k)
+        lesion = loader.lesion(entry)
+        plan = build_click_plan(lesion.instance, seed_root, entry.lesion_id, k=k)
         flags: set[str] = set()
-        placed = [scan.truth(instance, plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
+        placed = [lesion.truth(plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
         for click in plan.all_clicks():  # then of each prediction
-            voi = scan.crop(instance, click, cfg)
+            voi = lesion.crop(click, cfg)
             result = segment(voi.image, voi.local_click, seg)
             if result.truncated:
                 flags.add(FLAG_TRUNCATED)
@@ -605,7 +595,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
             placed.append((tuple(o + c for o, c in zip(voi.offset, result.corner)), result.mask))
             del voi  # one VOI image at a time
         gt, *preds = placed
-        pair_dice = partial(voi_dice, dims=scan.dims)
+        pair_dice = partial(voi_dice, dims=lesion.dims)
         robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None
         return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=pair_dice(preds[0], gt),
                           robustness=robust, location=entry.location,
@@ -878,9 +868,13 @@ def emit_report(report: StratifiedReport, format: str, path: str | Path) -> None
 
 
 def read_report(path: str | Path) -> StratifiedReport:
-    """Parse a JSON report written by emit_report."""
-    with open(path, encoding="utf-8") as f:
+    """Parse a JSON report written by emit_report; a missing key raises ValueError."""
+    with open(path, encoding="utf-8-sig") as f:
         doc = json.load(f)
+    missing = [k for k in ("metadata", "groups", "comparisons", "records")
+               if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise ValueError("%s lacks the key(s) %s" % (path, ", ".join(missing)))
     return StratifiedReport(
         groups=[StratumStats.from_record(g, "location") for g in doc["groups"]],
         summary=[StratumStats.from_record(s, "dataset") for s in doc.get("summary", [])],

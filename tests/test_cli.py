@@ -1,3 +1,4 @@
+import codecs
 import gzip
 import json
 from pathlib import Path
@@ -298,6 +299,57 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["validate", "--manifest", str(tmp_path / "missing.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _read_back(command, run, out):
+    """The argv of ``compare`` (a run against itself) or ``report`` over ``run``."""
+    if command == "compare":
+        return ["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(out)]
+    return ["report", "--run", str(run), "--format", "json", "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("records, named", [
+    ("lesion_id,model_id,dataset,dice\nl1,m,d,0.5\n", ["records.csv", "location"]),
+    ("", ["records.csv", "lesion_id, model_id, dataset, location, dice"]),
+    (",".join(pipeline.CSV_COLUMN_ORDER) + "\nl1,m\n", []),
+], ids=["no-location", "empty", "short-row"])
+def test_a_records_csv_it_cannot_read_is_an_error_not_a_traceback(tmp_path, capsys, command,
+                                                                  records, named):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "records.csv").write_text(records)
+    assert main(_read_back(command, run, tmp_path / "out.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(word in err for word in named), err
+
+
+def test_a_report_json_without_its_groups_is_an_error_not_a_traceback(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "records.csv").write_text(",".join(pipeline.CSV_COLUMN_ORDER) + "\nl1,m,d,liver,0.5,,,,\n")
+    (run / "report.json").write_text(json.dumps({"metadata": {}, "comparisons": [], "records": []}))
+    assert main(_read_back("report", run, tmp_path / "out.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report.json" in err and "groups" in err, err
+
+
+def test_run_files_with_a_byte_order_mark_read_as_without_one(tmp_path):
+    path = make_manifest(tmp_path, 3)
+    run = tmp_path / "run"
+    assert main(["eval", "--manifest", str(path), "--voi", "32x32x16", "--out", str(run),
+                 *GROW_ARGS]) == 0
+    for command in ("compare", "report"):
+        assert main(_read_back(command, run, tmp_path / ("%s.json" % command))) == 0
+    for name in ("records.csv", "report.json"):
+        (run / name).write_bytes(codecs.BOM_UTF8 + (run / name).read_bytes())
+    for command in ("compare", "report"):
+        assert main(_read_back(command, run, tmp_path / ("%s_bom.json" % command))) == 0
+    assert (tmp_path / "report_bom.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+    assert (tmp_path / "report_bom_records.csv").read_bytes() == \
+        (tmp_path / "report_records.csv").read_bytes()
+    cmp, cmp_bom = (json.loads((tmp_path / n).read_text()) for n in ("compare.json", "compare_bom.json"))
+    assert cmp_bom["comparisons"] == cmp["comparisons"] != []
 
 
 def test_extract_writes_isolated_masks(tmp_path):

@@ -1,15 +1,16 @@
 """A run holds boxes, not volumes or whole VOIs.
 
 The mask is read a run of z-slices at a time into its foreground box; the
-ground truth and every prediction are kept as the box of their voxels; a
-scan forgets each image box once the last lesion that needs it has taken
-it; and labels take int16 where they fit. The properties check that each
-box is the cut of what the whole-volume or whole-VOI path gives. The pins
-check what is held, with ``tracemalloc``.
+ground truth and every prediction are kept as the box of their voxels; an
+image box lives as long as the last lesion that holds it; and labels take
+int16 where they fit. The properties check that each box is the cut of
+what the whole-volume or whole-VOI path gives. The pins check what is
+held, with ``tracemalloc`` and ``weakref``.
 """
 
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -118,7 +119,7 @@ def test_a_scan_load_holds_far_less_than_its_decoded_mask(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(not isinstance(found, tuple) for found in scan.lesions.values())
+    assert all(not isinstance(found, tuple) for found in scan.values())
     # one slab buffer of about 2 MB, the runs' foreground boxes and the image boxes;
     # a whole decoded mask alone would be 8.4 MB
     mask_bytes = int(np.prod(shape))
@@ -184,19 +185,19 @@ def test_a_nonzero_mask_pad_joins_the_truth_through_the_padding():
     instance = instance_from_voxels(1, np.argwhere(lesion))
     size = (4, 16, 4)
     box = pl._image_box(instance.bbox, size, shape)
-    scan = pl._Scan({"l": instance}, size, shape, image.spacing, None,
-                    {box: image.data[tuple(map(slice, *box))].copy(order="F")}, mask.spacing, None)
+    lesion = pl._Lesion(instance, box[0], image.data[tuple(map(slice, *box))].copy(order="F"), shape,
+                        image.spacing, None, mask.spacing, None)
     click = ClickPoint((0, 2, 2))  # the window is x -2..1: two columns of padding
     arms = {}
     for pad in (0, 1):
         cfg = VOICfg(size=size, pad_value_mask=pad)
-        corner, truth = scan.truth(instance, click, cfg, 26)
+        corner, truth = lesion.truth(click, cfg, 26)
         crop = crop_voi(image, mask, click, cfg)
         whole = isolate_central_lesion(crop.mask, crop.local_click, 26)
         start = tuple(c - o for c, o in zip(corner, crop.offset))
         assert np.array_equal(truth.data, whole.data[tuple(slice(s, s + n) for s, n in zip(start, truth.dims))])
         assert np.count_nonzero(truth.data) == np.count_nonzero(whole.data)
-        assert scan.voi(instance, click, cfg, 26).mask == whole
+        assert lesion.voi(click, cfg, 26).mask == whole
         arms[pad] = (corner, truth.dims, int(whole.data[2:, 14].sum()))  # the other arm, y = 8
     # no padding: the truth is one arm, in the lesion's box clipped to the window
     assert arms[0] == ((0, 2, 2), (2, 7, 1), 0)
@@ -250,18 +251,18 @@ def test_a_scan_forgets_an_image_box_once_its_last_lesion_took_it(tmp_path):
                for lid, c in (("a", centers[0]), ("a-again", centers[0]), ("b", centers[1]))]
     loader = pl.ScanLoader(entries, 26, (16, 16, 8), workers=1)
     key = (str(img), str(msk))
-    taken = {}
+    lesions = {}
     for entry in entries:
-        scan, instance = loader.lesion(entry)
-        assert list(scan.boxes) == [pl._image_box(instance.bbox, (16, 16, 8), scan.dims)]
-        taken[entry.lesion_id] = scan.boxes
-        held = loader._scans.get(key)
-        if entry.lesion_id == "a":  # "a-again" still needs the box
-            assert held.boxes.keys() == {*taken["a"], pl._image_box(
-                held.lesion(entries[2]).bbox, (16, 16, 8), held.dims)}
-        elif entry.lesion_id == "a-again":
-            assert list(held.boxes) == [pl._image_box(held.lesion(entries[2]).bbox, (16, 16, 8),
-                                                      held.dims)]
-        else:
-            assert held is None  # the scan is dropped with its last lesion
-    assert [*taken["a"].values()][0] is [*taken["a-again"].values()][0]  # one box, shared
+        lesion = lesions[entry.lesion_id] = loader.lesion(entry)
+        lo, hi = pl._image_box(lesion.instance.bbox, (16, 16, 8), lesion.dims)
+        assert lesion.corner == lo and lesion.voxels.shape == tuple(h - l for l, h in zip(lo, hi))
+        held = loader._scans.get(key, {})
+        assert list(held) == [e.lesion_id for e in entries][len(lesions):]  # the entries still to take
+    assert not loader._scans  # the scan is dropped with its last lesion
+    assert lesions["a"].voxels is lesions["a-again"].voxels  # one box, shared
+    assert lesions["b"].voxels is not lesions["a"].voxels
+    box = weakref.ref(lesions["a"].voxels)
+    del lesions["a"]
+    assert box() is not None  # "a-again" still holds it
+    del lesions["a-again"]
+    assert box() is None

@@ -68,13 +68,13 @@ def test_a_crop_from_the_lesion_box_is_the_crop_of_the_whole_image(
         whole = read_volume(img)
     for entry in entries:
         try:
-            instance = scan.lesion(entry)
+            lesion = pl._found(scan[entry.lesion_id])
         except UlsforgeError:  # label 2 may be absent
             continue
-        voxels = instance.voxels
+        voxels = lesion.instance.voxels
         for i in rng.choice(len(voxels), size=min(len(voxels), 6), replace=False):
             click = ClickPoint(tuple(int(v) for v in voxels[i]))
-            got, want = scan.crop(instance, click, cfg), crop_voi(whole, None, click, cfg)
+            got, want = lesion.crop(click, cfg), crop_voi(whole, None, click, cfg)
             assert got.offset == want.offset
             assert (got.image.spacing, got.image.kind, got.image.header_meta) == \
                 (want.image.spacing, want.image.kind, None)
@@ -82,7 +82,7 @@ def test_a_crop_from_the_lesion_box_is_the_crop_of_the_whole_image(
             assert a.dtype == b.dtype and a.shape == b.shape == size
             inside = all(0 <= o and o + s <= n for o, s, n in zip(got.offset, size, shape))
             assert not a.flags.writeable and not b.flags.writeable
-            assert np.shares_memory(a, scan.image_box(instance)[1]) == inside  # a view inside
+            assert np.shares_memory(a, lesion.voxels) == inside  # a view inside
             if not inside:  # a padded copy, laid out as crop_voi's
                 assert (a.flags.f_contiguous, a.flags.c_contiguous) == \
                     (b.flags.f_contiguous, b.flags.c_contiguous)
@@ -169,17 +169,16 @@ def test_a_faulty_file_gives_one_error_whatever_boxes_are_read(data, shape, seed
 def test_a_box_for_a_smaller_voi_fails_loudly(tmp_path):
     img, msk = make_case(tmp_path, "edge", shape=(96, 40, 24), centers=((90, 20, 12),))
     entry = ManifestEntry(lesion_id="e", patient_id="p", image_path=str(img), mask_path=str(msk))
-    scan = pl._load_scan([entry], 26, (16, 16, 8))
-    instance = scan.lesion(entry)
+    lesion = pl._found(pl._load_scan([entry], 26, (16, 16, 8))["e"])
+    center = lesion.instance.center
     whole = read_volume(img)
     small, large = VOICfg(size=(8, 8, 4)), VOICfg(size=(64, 16, 8))
-    assert scan.crop(instance, instance.center, small).image == crop_voi(whole, None, instance.center,
-                                                                         small).image
+    assert lesion.crop(center, small).image == crop_voi(whole, None, center, small).image
     # the large window reaches x = 58, inside the volume but 20 voxels outside the box
     with pytest.raises(ValueError, match="reaches outside the box"):
-        scan.crop(instance, instance.center, large)
+        lesion.crop(center, large)
     with pytest.raises(ValueError, match="reaches outside the box"):
-        scan.voi(instance, instance.center, large, 26)
+        lesion.voi(center, large, 26)
 
 
 def test_extract_with_a_voi_larger_than_the_default_writes_the_whole_image_crops(tmp_path):
@@ -223,24 +222,24 @@ def _two_lesion_scan(tmp_path, dtype):
     entries = [ManifestEntry(lesion_id="l%d" % v, patient_id="p", image_path=img, mask_path=msk,
                              component_label=v) for v in (1, 2)]
     scan = pl._load_scan(entries, 26, (8, 8, 4))
-    return scan, [scan.lesion(e) for e in entries], read_volume(img)
+    return [scan[e.lesion_id] for e in entries], read_volume(img)
 
 
 def test_a_crop_inside_the_volume_is_a_view_and_one_that_leaves_it_a_padded_copy(tmp_path):
-    scan, (inner, edge), whole = _two_lesion_scan(tmp_path, "int16")
+    (inner, edge), whole = _two_lesion_scan(tmp_path, "int16")
     cfg = VOICfg(size=(8, 8, 4))
-    view = scan.crop(inner, inner.center, cfg).image.data
-    assert not view.flags.writeable and np.shares_memory(view, scan.image_box(inner)[1])
-    assert np.array_equal(view, crop_voi(whole, None, inner.center, cfg).image.data)
-    padded = scan.crop(edge, edge.center, cfg)
+    view = inner.crop(inner.instance.center, cfg).image.data
+    assert not view.flags.writeable and np.shares_memory(view, inner.voxels)
+    assert np.array_equal(view, crop_voi(whole, None, inner.instance.center, cfg).image.data)
+    padded = edge.crop(edge.instance.center, cfg)
     assert padded.offset[0] < 0
     assert not padded.image.data.flags.writeable
-    assert not np.shares_memory(padded.image.data, scan.image_box(edge)[1])
-    assert padded.image == crop_voi(whole, None, edge.center, cfg).image
+    assert not np.shares_memory(padded.image.data, edge.voxels)
+    assert padded.image == crop_voi(whole, None, edge.instance.center, cfg).image
 
 
 def test_a_pad_the_image_dtype_cannot_hold_raises_on_the_view_and_the_copy(tmp_path):
-    scan, lesions, _ = _two_lesion_scan(tmp_path, "uint8")
-    for instance in lesions:  # a view inside the volume, a padded copy on its face
+    lesions, _ = _two_lesion_scan(tmp_path, "uint8")
+    for lesion in lesions:  # a view inside the volume, a padded copy on its face
         with pytest.raises(PadValueError, match="pad value -1024 does not fit"):
-            scan.crop(instance, instance.center, VOICfg(size=(8, 8, 4)))
+            lesion.crop(lesion.instance.center, VOICfg(size=(8, 8, 4)))

@@ -102,10 +102,11 @@ def test_box_masks_give_the_coordinate_list_instances(shape, seed, values, fill,
             else:
                 expected = label_voxels(components, 1 if components.max() == 1 else -1)
             try:
-                scan, instance = loader.lesion(entry)
+                lesion = loader.lesion(entry)
             except (EmptyInstanceError, ClickNotOnMaskError, AmbiguousLesionError):
                 assert expected.shape[0] == 0
                 continue
+            instance = lesion.instance
             voxels = instance.voxels
             assert voxels.dtype == expected.dtype
             assert np.array_equal(voxels, expected)
@@ -114,9 +115,9 @@ def test_box_masks_give_the_coordinate_list_instances(shape, seed, values, fill,
             assert instance.mask.shape == tuple(h - l + 1 for l, h in zip(lo, hi))
             for offset in _windows(shape, instance.center.pos, size):
                 for pad in (0, 1):
-                    window = scan.mask(instance, offset, size, pad).data
+                    window = lesion.mask(offset, size, pad).data
                     assert np.array_equal(window, scatter_window(expected, shape, offset, size, pad))
-            assert np.array_equal(scan.mask(instance).data,
+            assert np.array_equal(lesion.mask().data,
                                   scatter_window(expected, shape, (0, 0, 0), shape, 0))
 
 
@@ -155,15 +156,15 @@ def test_loaded_lesions_are_read_only_box_masks(tmp_path):
     entries = _large_lesion_scan(tmp_path)
     scan = pl._load_scan(entries, 26, (32, 32, 16))
     for entry in entries:
-        instance = scan.lesion(entry)
+        instance = scan[entry.lesion_id].instance
         lo, hi = instance.bbox
         assert instance.mask.dtype == np.bool_
         assert not instance.mask.flags.writeable
         assert instance.mask.flags.f_contiguous  # x fastest
         assert instance.mask.shape == tuple(h - l + 1 for l, h in zip(lo, hi))
         assert int(instance.mask.sum()) == instance.size_vox
-    assert scan.lesion(entries[0]).bbox == ((22, 22, 6), (58, 58, 42))
-    assert scan.lesion(entries[1]).mask.shape == (1, 1, 1)
+    assert scan["big"].instance.bbox == ((22, 22, 6), (58, 58, 42))
+    assert scan["small"].instance.mask.shape == (1, 1, 1)
 
 
 def test_scan_keeps_no_coordinate_list(tmp_path):
@@ -188,12 +189,13 @@ def test_a_load_keeps_the_image_and_the_lesion_boxes(tmp_path):
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        instance = scan.lesion(entries[0])
+        lesion = scan[entries[0].lesion_id]
+        instance = lesion.instance
         # 20,000 voxels of the lesion; as int64 coordinates they would take 480 KB
         assert instance.size_vox > 20_000
         lo, hi = instance.bbox
         box = tuple(min(n, h + s // 2) - max(0, l - s // 2) for l, h, s, n in zip(lo, hi, size, shape))
-        _, image = scan.image_box(instance)
+        image = lesion.voxels
         assert image.shape == box and image.dtype == np.int16
         assert kept <= image.nbytes + instance.mask.nbytes + 16_384
         if suffix == ".nii.gz":

@@ -1,6 +1,7 @@
 """The benchmark tracer wraps module attributes by name; they must all exist,
 every import kept unused in the package must be one of them, and a traced run
-must finish with the untraced run's records."""
+must finish with the untraced run's records. Every private module-level name
+of the package is read by the package itself, not by tests alone."""
 
 import ast
 import importlib
@@ -26,14 +27,21 @@ def test_every_traced_attribute_exists(monkeypatch):
     assert missing == []
 
 
+def names_read(tree: ast.AST, attributes: bool = False) -> set[str]:
+    """The names that the code of ``tree`` reads; with ``attributes``, also
+    the names of the attributes it reads."""
+    kinds = (ast.Name, ast.Attribute) if attributes else ast.Name
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
+
+
 def unused_kept_imports(path: Path) -> set[str]:
     """The names that an import marked ``# noqa: F401`` binds in the module at
     ``path`` and that the module's code never reads."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = names_read(tree)
     kept = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
@@ -51,6 +59,27 @@ def test_every_unused_import_is_one_the_tracer_wraps(monkeypatch):
             for path in sorted(PACKAGE.glob("*.py")) for name in unused_kept_imports(path)}
     assert kept  # the tracer-only imports: they go once the tracer no longer wraps names
     assert kept - wrapped == set()
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The private names that the module's top level defines or assigns."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_module_level_name_is_read_by_the_package():
+    """A private helper that only tests call belongs with the tests."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(names_read(tree, attributes=True) for tree in trees.values()))
+    defined = {(stem, name) for stem, tree in trees.items() for name in private_definitions(tree)}
+    assert len(defined) > 10
+    assert {(stem, name) for stem, name in defined if name not in read} == set()
 
 
 @pytest.mark.parametrize("command, lesion_segments", [

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import gzip
 import json
@@ -118,13 +119,18 @@ def test_missing_files_listed_exhaustively(tmp_path):
 def test_csv_import(tmp_path):
     img, msk = make_case(tmp_path, "c0")
     csv_path = tmp_path / "m.csv"
-    csv_path.write_text(
-        "lesion_id,patient_id,dataset,location,image_path,mask_path,click_x,click_y,click_z\n"
-        "l1,p1,setA,liver,%s,%s,24,24,16\n" % (img.name, msk.name)
-    )
+    text = ("lesion_id,patient_id,dataset,location,image_path,mask_path,click_x,click_y,click_z\n"
+            "l1,p1,setA,liver,%s,%s,24,24,16\n" % (img.name, msk.name))
+    csv_path.write_text(text)
     manifest = load_manifest(csv_path)
     assert manifest.entries[0].click == (24, 24, 16)
     assert manifest.entries[0].dataset == "setA"
+    # a byte-order mark, as Excel's "CSV UTF-8" writes one, reads as none, in CSV and JSON
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    assert load_manifest(tmp_path / "bom.csv") == manifest
+    save_manifest(manifest, tmp_path / "m.json")
+    (tmp_path / "bom.json").write_bytes(codecs.BOM_UTF8 + (tmp_path / "m.json").read_bytes())
+    assert load_manifest(tmp_path / "bom.json") == manifest
 
 
 def test_table_style_row_counts(tmp_path):
@@ -655,14 +661,14 @@ def test_voi_box_scores_equal_global_frame_scores(tmp_path):
                 [global_frame(e, cfg, seed_root, k) for e in entries]
 
 
-class OneScanLoader:
-    """A ScanLoader stand-in serving one in-memory scan."""
+class OneLesionLoader:
+    """A ScanLoader stand-in serving one in-memory lesion."""
 
-    def __init__(self, scan):
-        self.scan = scan
+    def __init__(self, lesion):
+        self._lesion = lesion
 
     def lesion(self, entry):
-        return self.scan, self.scan.lesion(entry)
+        return self._lesion
 
 
 @seed(20240607)
@@ -689,14 +695,13 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
     instance = instance_from_voxels(1, np.argwhere(lesion))
     box = pl._image_box(instance.bbox, size, shape)  # the box a load keeps for windows of size
-    scan = pl._Scan({"l": instance}, size, shape, image.spacing, None,
-                    {box: image.data[tuple(map(slice, *box))].copy(order="F")},
-                    mask.spacing, b"mask header")  # VOIs drop it
+    lesion = pl._Lesion(instance, box[0], image.data[tuple(map(slice, *box))].copy(order="F"), shape,
+                        image.spacing, None, mask.spacing, b"mask header")  # VOIs drop it
     entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
     seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
     cfg = VOICfg(size=size, pad_value_mask=pad_value_mask)
     seed_root = data.draw(st.integers(0, 99)) if k else None
-    record = pl._eval_one(entry, OneScanLoader(scan), seg, cfg, connectivity, "m", seed_root, k)
+    record = pl._eval_one(entry, OneLesionLoader(lesion), seg, cfg, connectivity, "m", seed_root, k)
     assert pl.FLAG_ERROR not in record.flags, record.error
     assert (record.dice, record.robustness) == global_frame_scores(
         image, mask, instance, "l", seg, cfg, seed_root, k, connectivity)
@@ -704,7 +709,7 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     for click in build_click_plan(instance, seed_root, "l", k=k).all_clicks():
         crop = crop_voi(image, mask, click, cfg)
         truth = isolate_central_lesion(crop.mask, crop.local_click, connectivity)
-        voi = scan.voi(instance, click, cfg, connectivity)
+        voi = lesion.voi(click, cfg, connectivity)
         assert (voi.image, voi.offset, voi.mask) == (crop.image, crop.offset, truth)
         assert voi.mask.header_meta is truth.header_meta is None
 
@@ -767,7 +772,7 @@ def test_each_entry_gets_the_voxels_of_its_value(shape, seed, values, fill, conn
             else:
                 expected = label_voxels(components, 1 if components.max() == 1 else -1)
             try:
-                instance = loader.lesion(entry)[-1]
+                instance = loader.lesion(entry).instance
             except (EmptyInstanceError, ClickNotOnMaskError, AmbiguousLesionError):
                 assert expected.shape[0] == 0
             else:
