@@ -48,15 +48,15 @@ from .errors import (
     ZeroVarianceError,
 )
 from .lesions import ClickPoint, LesionInstance, _instance_from_box, label_components
-# tools that trace a run wrap these names on pipeline: crop_voi, dice and read_volume, unused
-# here, and segment, which is segment_box
+# tools that trace a run wrap these names on pipeline: crop_voi and dice, unused here, and
+# segment, which is segment_box
 from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef
 from .segmenter import segment_box as segment
 from .stats import TestResult, degenerate_result, paired_ttest
-from .voi import VOICfg, VOISample, _crop, _overlap, _window_offset, crop_voi  # noqa: F401
-from .voi import _full, isolate_central_lesion, place_back
-from .volume import Box, Volume3D, VolumeKind, _NiftiFile, read_volume  # noqa: F401
+from .voi import VOICfg, VOISample, _crop, _window_offset, crop_voi  # noqa: F401
+from .voi import isolate_central_lesion, place_back
+from .volume import Box, Volume3D, VolumeKind, _NiftiFile, read_volume
 
 DEFAULT_TEST_FRACTION = 0.2
 DEFAULT_SIGNIFICANCE_ALPHA = 0.0001
@@ -311,12 +311,9 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _image_box(bbox: Box, size: tuple[int, int, int] | None, dims: tuple[int, int, int]) -> Box:
+def _image_box(bbox: Box, size: tuple[int, int, int], dims: tuple[int, int, int]) -> Box:
     """The part of the volume a window of ``size`` around any voxel of
-    ``bbox``, whose corners are inclusive, can reach; the whole volume when
-    ``size`` is None."""
-    if size is None:
-        return (0, 0, 0), dims
+    ``bbox``, whose corners are inclusive, can reach."""
     return (tuple(max(0, lo - s // 2) for lo, s in zip(bbox[0], size)),
             tuple(min(n, hi + s // 2) for hi, s, n in zip(bbox[1], size, dims)))
 
@@ -327,11 +324,10 @@ class _Lesion:
 
     A lesion is the voxels of one value in one label map: the mask and the
     entry's component_label, or the mask's components and the clicked or
-    single one's id. Of the image it keeps dims, spacing and header and the
-    box that every window of the VOI size around a voxel of the lesion
-    reaches inside the volume, as its corner and voxels; every click is such
-    a voxel. Of the mask it keeps spacing and header. Lesions with equal
-    boxes share one array.
+    single one's id. Of the image it keeps dims and spacing and the box that
+    every window of the VOI size around a voxel of the lesion reaches inside
+    the volume, as its corner and voxels; every click is such a voxel. Of
+    the mask it keeps spacing. Lesions with equal boxes share one array.
     """
 
     instance: LesionInstance
@@ -339,24 +335,7 @@ class _Lesion:
     voxels: np.ndarray  # the image box, x fastest
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
-    header: bytes | None
     mask_spacing: tuple[float, float, float]
-    mask_header: bytes | None
-
-    def mask(self, offset: tuple[int, int, int] = (0, 0, 0), size: tuple[int, int, int] | None = None,
-             pad: int = 0) -> Volume3D:
-        """The lesion's binary mask in the window [offset, offset + size),
-        by default the volume. Like a ``crop_voi`` crop of the whole mask, a
-        window pads voxels outside the volume with ``pad`` and has no header."""
-        data = _full(size or self.dims, pad, np.dtype(np.uint8), "F")  # x fastest, as read_volume's
-        if pad:
-            data[_overlap(self.dims, offset, data.shape)[1]] = 0
-        start = tuple(l - o for l, o in zip(self.instance.bbox[0], offset))  # its corner in the window
-        window, box = _overlap(data.shape, start, self.instance.mask.shape)
-        data[window] = self.instance.mask[box]  # the box lies inside the volume, where the window holds 0
-        data.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-        header = self.mask_header if size is None else None
-        return Volume3D(data, self.mask_spacing, VolumeKind.BINARY_MASK, header)
 
     def crop(self, click: ClickPoint, cfg: VOICfg) -> VOISample:
         """The image VOI of a click on the lesion, cut from its box: the
@@ -373,19 +352,14 @@ class _Lesion:
     def truth(self, click: ClickPoint, cfg: VOICfg,
               connectivity: int) -> tuple[tuple[int, int, int], Volume3D]:
         """The central lesion of the lesion's mask in the click's window, as
-        its global corner and a box of the window that holds it.
-
-        The box is the lesion's bounding box clipped to the window. A window
-        that leaves the volume with a nonzero mask pad keeps the whole
-        window: the padding may join parts of the lesion, and joins the
-        truth where it does.
-        """
+        its global corner and a box of the window that holds it: the lesion's
+        bounding box clipped to the window, isolated in a read-only view."""
         offset = _window_offset(click, cfg.size)
-        lo, hi = offset, tuple(o + s for o, s in zip(offset, cfg.size))
-        if not cfg.pad_value_mask or (min(lo) >= 0 and all(h <= n for h, n in zip(hi, self.dims))):
-            lo = tuple(max(a, b) for a, b in zip(lo, self.instance.bbox[0]))
-            hi = tuple(min(a, b + 1) for a, b in zip(hi, self.instance.bbox[1]))
-        window = self.mask(lo, tuple(h - l for l, h in zip(lo, hi)), cfg.pad_value_mask)
+        bbox = self.instance.bbox
+        lo = tuple(max(o, b) for o, b in zip(offset, bbox[0]))
+        hi = tuple(min(o + s, b + 1) for o, s, b in zip(offset, cfg.size, bbox[1]))
+        window = self.instance.mask[tuple(slice(l - b, h - b) for l, h, b in zip(lo, hi, bbox[0]))]
+        window = Volume3D(window.view(np.uint8), self.mask_spacing, VolumeKind.BINARY_MASK)
         local = tuple(c - l for c, l in zip(click.pos, lo))
         return lo, isolate_central_lesion(window, local, connectivity)
 
@@ -460,11 +434,10 @@ def _find_lesions(entries: list[ManifestEntry], dims: tuple[int, int, int],
 
 
 def _load_scan(entries: list[ManifestEntry], connectivity: int,
-               size: tuple[int, int, int] | None) -> dict[str, _Lesion | tuple[type, tuple]]:
+               size: tuple[int, int, int]) -> dict[str, _Lesion | tuple[type, tuple]]:
     """Read the entries' shared mask, find each entry's lesion, then keep of
-    the image only each lesion's box for windows of ``size``, the whole
-    volume when it is None: each entry's ``_Lesion``, or the error class and
-    arguments of its failure.
+    the image only each lesion's box for windows of ``size``: each entry's
+    ``_Lesion``, or the error class and arguments of its failure.
 
     The image is opened and its header checked first, so a missing image
     fails before its mask is read. The mask's foreground box and its
@@ -479,7 +452,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
     try:
         with _NiftiFile(entries[0].image_path) as image:
             try:
-                lesions, *mask_meta = _find_lesions(entries, image.dims, connectivity)
+                lesions, mask_spacing, _ = _find_lesions(entries, image.dims, connectivity)
             except (UlsforgeError, OSError):
                 image.read_boxes([])  # raises the image's fault, if it has one
                 raise
@@ -492,7 +465,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
         return dict.fromkeys((e.lesion_id for e in entries), (type(exc), args))
     for lesion_id, box in boxes.items():
         lesions[lesion_id] = _Lesion(lesions[lesion_id], box[0], voxels[box], image.dims,
-                                     image.spacing, image.header, *mask_meta)
+                                     image.spacing, mask_spacing)
     return lesions
 
 
@@ -504,16 +477,23 @@ def _found(found: _Lesion | tuple[type, tuple]) -> _Lesion:
 
 
 def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, Volume3D, LesionInstance]:
-    """Load one entry's volumes and identify its lesion instance.
+    """Read one entry's volumes whole and identify its lesion instance: the
+    whole-volume reference that runs, which keep boxes, are pinned against.
 
     Returns (image, binary mask, instance); the mask holds the lesion's own
-    voxels. With a component_label the lesion is that label, so a touching
-    lesion with another label never joins it. Otherwise it is the component
-    holding the entry's recorded click, else the mask's single one.
+    voxels, with the mask file's spacing and header. With a component_label
+    the lesion is that label, so a touching lesion with another label never
+    joins it. Otherwise it is the component holding the entry's recorded
+    click, else the mask's single one. The image is read to its end before
+    the mask is opened, so, as in a run, a fault of the image wins.
     """
-    lesion = _found(_load_scan([entry], connectivity, None)[entry.lesion_id])
-    image = Volume3D(lesion.voxels, lesion.spacing, VolumeKind.INTENSITY, lesion.header)
-    return image, lesion.mask(), lesion.instance
+    image = read_volume(entry.image_path)
+    lesions, spacing, header = _find_lesions([entry], image.dims, connectivity)
+    instance = _found(lesions[entry.lesion_id])
+    mask = np.zeros(image.dims, dtype=np.uint8, order="F")  # x fastest, as read_volume's
+    mask[tuple(slice(l, l + n) for l, n in zip(instance.bbox[0], instance.mask.shape))] = instance.mask
+    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+    return image, Volume3D(mask, spacing, VolumeKind.BINARY_MASK, header), instance
 
 
 class ScanLoader:
@@ -814,7 +794,7 @@ def run_metadata(seg: SegmenterRef, cfg: VOICfg, connectivity: int,
         "model_id": seg.model_id,
         "voi_size": list(cfg.size),
         "pad_value_image": cfg.pad_value_image,
-        "pad_value_mask": cfg.pad_value_mask,
+        "pad_value_mask": 0,
         "connectivity": connectivity,
         "seed_root": seed_root,
         "k": k,
@@ -868,17 +848,21 @@ def emit_report(report: StratifiedReport, format: str, path: str | Path) -> None
 
 
 def read_report(path: str | Path) -> StratifiedReport:
-    """Parse a JSON report written by emit_report; a missing key raises ValueError."""
+    """Parse a JSON report written by emit_report; a missing key, or an entry
+    that is not a record of its kind, raises ValueError that names the file."""
     with open(path, encoding="utf-8-sig") as f:
         doc = json.load(f)
     missing = [k for k in ("metadata", "groups", "comparisons", "records")
                if not isinstance(doc, dict) or k not in doc]
     if missing:
         raise ValueError("%s lacks the key(s) %s" % (path, ", ".join(missing)))
-    return StratifiedReport(
-        groups=[StratumStats.from_record(g, "location") for g in doc["groups"]],
-        summary=[StratumStats.from_record(s, "dataset") for s in doc.get("summary", [])],
-        comparisons=[TestResult(**t) for t in doc["comparisons"]],
-        metadata=doc["metadata"],
-        records=[EvalRecord(**dict(r, flags=frozenset(r["flags"]))) for r in doc["records"]],
-    )
+    try:
+        return StratifiedReport(
+            groups=[StratumStats.from_record(g, "location") for g in doc["groups"]],
+            summary=[StratumStats.from_record(s, "dataset") for s in doc.get("summary", [])],
+            comparisons=[TestResult(**t) for t in doc["comparisons"]],
+            metadata=doc["metadata"],
+            records=[EvalRecord(**dict(r, flags=frozenset(r["flags"]))) for r in doc["records"]],
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError("%s has a malformed entry: %s: %s" % (path, type(e).__name__, e))

@@ -57,7 +57,8 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]) -> TestResult:
 
     Raises
     ------
-    LengthMismatchError, TooFewPairsError, ZeroVarianceError
+    LengthMismatchError, TooFewPairsError, ZeroVarianceError, and
+    ValueError for a pair that holds a NaN or infinite value
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -65,6 +66,9 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]) -> TestResult:
         raise LengthMismatchError("paired samples must be 1-D and equal length, got %s vs %s"
                                   % (x.shape, y.shape))
     n = int(x.size)
+    bad = n - int(np.count_nonzero(np.isfinite(x) & np.isfinite(y)))
+    if bad:
+        raise ValueError("%d of %d pairs hold a NaN or infinite value" % (bad, n))
     if n < 2:
         raise TooFewPairsError("need at least 2 pairs, got %d" % n)
     d = x - y

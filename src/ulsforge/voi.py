@@ -3,7 +3,7 @@
 The window along each axis is [c - s/2, c - s/2 + s) in global voxel
 indices, where c is the click coordinate and s the (even) VOI size, so
 the click always lands at local index s/2. Out-of-bounds voxels are
-filled with the configured pad values.
+filled with the configured image pad value, or 0 in a mask.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ DEFAULT_VOI_SIZE = (128, 128, 64)
 
 @dataclass(frozen=True)
 class VOICfg:
-    """Crop geometry and padding intensities.
+    """Crop geometry and the image's padding intensity.
 
     The image pad default is -1024 HU (air). Literal zero-padding is
     available by configuring ``pad_value_image=0``; whichever is used
-    is recorded in run metadata.
+    is recorded in run metadata. A mask always pads with 0.
     """
 
     size: tuple[int, int, int] = DEFAULT_VOI_SIZE
     pad_value_image: int = -1024
-    pad_value_mask: int = 0
 
     def __post_init__(self):
         if len(self.size) != 3 or any(s < 2 or s % 2 for s in self.size):
@@ -122,8 +121,8 @@ def crop_voi(image: Volume3D, mask: Volume3D | None, click: ClickPoint,
 
     The offset (global index of the VOI's (0,0,0) corner) is
     c - s/2 per axis and may be negative; padded voxels take
-    ``cfg.pad_value_image`` / ``cfg.pad_value_mask``. Without a mask
-    only the image is cropped and the sample's mask is None.
+    ``cfg.pad_value_image`` in the image and 0 in the mask. Without a
+    mask only the image is cropped and the sample's mask is None.
     """
     if mask is not None and image.dims != mask.dims:
         raise DimsMismatchError("image dims %s != mask dims %s" % (image.dims, mask.dims))
@@ -134,7 +133,7 @@ def crop_voi(image: Volume3D, mask: Volume3D | None, click: ClickPoint,
         image=Volume3D(_crop(image.data, offset, cfg.size, cfg.pad_value_image),
                        spacing=image.spacing, kind=VolumeKind.INTENSITY),
         mask=None if mask is None else Volume3D(
-            _crop(mask.data, offset, cfg.size, cfg.pad_value_mask),
+            _crop(mask.data, offset, cfg.size, 0),
             spacing=mask.spacing, kind=VolumeKind.BINARY_MASK),
         offset=offset,
         click=click,

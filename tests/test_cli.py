@@ -334,6 +334,38 @@ def test_a_report_json_without_its_groups_is_an_error_not_a_traceback(tmp_path, 
     assert err.startswith("error: ") and "report.json" in err and "groups" in err, err
 
 
+@pytest.mark.parametrize("entry, named", [
+    ({"groups": [{"model_id": "m", "n": 1}]}, "KeyError: 'location'"),
+    ({"comparisons": [{"n_pairs": 2, "t_stat": None, "df": 1, "p_two_tailed": None,
+                       "p_adjusted": None, "mystery": 1}]}, "TypeError"),
+    ({"summary": ["ab"]}, "ValueError"),
+], ids=["group-without-location", "comparison-with-unknown-key", "summary-entry-not-an-object"])
+def test_a_report_json_with_a_malformed_entry_is_an_error_not_a_traceback(tmp_path, capsys, entry,
+                                                                          named):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "records.csv").write_text(",".join(pipeline.CSV_COLUMN_ORDER) + "\nl1,m,d,liver,0.5,,,,\n")
+    doc = dict({"metadata": {}, "groups": [], "comparisons": [], "records": []}, **entry)
+    (run / "report.json").write_text(json.dumps(doc))
+    assert main(_read_back("report", run, tmp_path / "out.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report.json" in err and named in err, err
+
+
+def test_a_nan_score_is_an_error_not_p_0(tmp_path, capsys):
+    header = ",".join(pipeline.CSV_COLUMN_ORDER)
+    for name, cells in (("a", ["0.%d" % (50 + i) for i in range(16)]),
+                        ("b", ["0.%d" % (60 + 2 * i) for i in range(15)] + ["nan"])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "records.csv").write_text(
+            "\n".join([header] + ["l%02d,m,d,liver,%s,,,," % (i, c) for i, c in enumerate(cells)]) + "\n")
+    rc = main(["compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b"),
+               "--out", str(tmp_path / "cmp.json")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "p=" not in out
+    assert err.startswith("error: ") and "1 of 16 pairs hold a NaN or infinite value" in err, err
+
+
 def test_run_files_with_a_byte_order_mark_read_as_without_one(tmp_path):
     path = make_manifest(tmp_path, 3)
     run = tmp_path / "run"

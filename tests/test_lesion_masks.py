@@ -3,8 +3,9 @@
 A loaded lesion is its box mask, not a list of coordinates. The
 properties check that every kind of manifest entry gets the voxels, box,
 size and center that the coordinate-list formulas give on the label map,
-and that ground-truth windows built from the box equal a voxel-by-voxel
-scatter of those coordinates. The pins check what a load keeps.
+and that the whole-volume mask ``resolve_lesion`` builds from the box, and
+its windows, equal a voxel-by-voxel scatter of those coordinates. The pins
+check what a load keeps.
 """
 
 import tempfile
@@ -19,6 +20,7 @@ from oracles import flood_fill_components, instance_oracle, label_voxels, scatte
 from synth import ball
 from ulsforge import ManifestEntry, Volume3D, write_volume
 from ulsforge.errors import AmbiguousLesionError, ClickNotOnMaskError, EmptyInstanceError
+from ulsforge.voi import _crop
 
 SHAPE_LABEL = 11  # the value of the drawn ring, U or pair
 
@@ -113,12 +115,12 @@ def test_box_masks_give_the_coordinate_list_instances(shape, seed, values, fill,
             assert (instance.bbox, instance.size_vox, instance.center.pos) == instance_oracle(expected)
             lo, hi = instance.bbox
             assert instance.mask.shape == tuple(h - l + 1 for l, h in zip(lo, hi))
+            _, whole, reference = pl.resolve_lesion(entry, connectivity)
+            assert np.array_equal(reference.voxels, voxels)
+            assert np.array_equal(whole.data, scatter_window(expected, shape, (0, 0, 0), shape, 0))
             for offset in _windows(shape, instance.center.pos, size):
-                for pad in (0, 1):
-                    window = lesion.mask(offset, size, pad).data
-                    assert np.array_equal(window, scatter_window(expected, shape, offset, size, pad))
-            assert np.array_equal(lesion.mask().data,
-                                  scatter_window(expected, shape, (0, 0, 0), shape, 0))
+                window = _crop(whole.data, offset, size, 0)
+                assert np.array_equal(window, scatter_window(expected, shape, offset, size, 0))
 
 
 def _arrays_in(obj, seen):

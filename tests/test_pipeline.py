@@ -55,6 +55,7 @@ from ulsforge import (
 from ulsforge.cli import main
 from ulsforge.errors import (
     AmbiguousLesionError,
+    BadMagicError,
     BadMaskValuesError,
     ClickNotOnMaskError,
     ClickOutOfVolumeError,
@@ -65,6 +66,7 @@ from ulsforge.errors import (
     MissingFileError,
     NoPatientsError,
     PairingMismatchError,
+    TruncatedDataError,
     UlsforgeError,
 )
 
@@ -235,12 +237,28 @@ def test_builtin_dice_run_is_perfect(tmp_path):
     ("click-background", ClickNotOnMaskError, r"recorded click \(0, 0, 0\) is background in "),
     ("ambiguous", AmbiguousLesionError,
      "has 2 components; set component_label or click to disambiguate"),
+    ("truncated-image-gone-mask", TruncatedDataError, "broken_image.nii.gz: gzip stream ends early"),
+    ("corrupt-image-nan-mask", BadMagicError, "broken_image.nii.gz: corrupt gzip stream"),
+    ("short-plain-image-dims", TruncatedDataError, r"short\.nii: expected 122880 data bytes, found"),
+    ("gone-image", FileNotFoundError, r"No such file or directory: .*gone\.nii"),
 ])
 def test_resolve_lesion_error_classes(tmp_path, case, error, message):
+    """The reference raises each fault, and a run's record of the entry names it alike."""
     two = [str(p) for p in make_case(tmp_path, "two", centers=((12, 12, 8), (36, 36, 24)))]
     empty = [str(p) for p in make_case(tmp_path, "empty", centers=())]
     small_image = str(make_case(tmp_path, "small", shape=(40, 48, 32))[0])
-    paths = {"dims": (small_image, two[1]), "empty-mask": tuple(empty)}.get(case, tuple(two))
+    broken = make_case(tmp_path, "broken")
+    faults = {"truncated-image-gone-mask": ("truncated", "gone"), "corrupt-image-nan-mask": ("crc", "nan")}
+    if case in faults:
+        _break_image(broken[0], faults[case][0])
+        _break_mask(broken[1], faults[case][1])
+    short = tmp_path / "short.nii"  # plain, 40x48x32, 100 bytes short
+    write_volume(read_volume(small_image), short)
+    short.write_bytes(short.read_bytes()[:-100])
+    paths = {"dims": (small_image, two[1]), "empty-mask": tuple(empty),
+             "short-plain-image-dims": (str(short), two[1]),
+             "gone-image": (str(tmp_path / "gone.nii"), two[1]),
+             **dict.fromkeys(faults, tuple(map(str, broken)))}.get(case, tuple(two))
     extra = {"absent-label": {"component_label": 5}, "click-outside": {"click": (48, 0, 0)},
              "click-background": {"click": (0, 0, 0)}}.get(case, {})
     entry = ManifestEntry(lesion_id="x", patient_id="p", image_path=paths[0],
@@ -248,6 +266,8 @@ def test_resolve_lesion_error_classes(tmp_path, case, error, message):
     with pytest.raises(error, match=message) as info:
         pl.resolve_lesion(entry, 26)
     assert type(info.value) is error
+    record, = run_dice_eval(Manifest([entry]), BUILTIN, SMALL_CFG)
+    assert record.error == " ".join(str(info.value).split())
 
 
 def test_copy_adapter_echoes_ground_truth(tmp_path):
@@ -652,13 +672,12 @@ def test_voi_box_scores_equal_global_frame_scores(tmp_path):
         image, mask, instance = pl.resolve_lesion(entry, 26)
         return global_frame_scores(image, mask, instance, entry.lesion_id, seg, cfg, seed_root, k)
 
-    for cfg in (SMALL_CFG, VOICfg(size=SMALL_CFG.size, pad_value_mask=1)):
-        runs = [(run_dice_eval(Manifest(entries), seg, cfg), None, 0),
-                (run_robustness_eval(Manifest(entries), seg, cfg, seed_root=5), 5, 2)]
-        for records, seed_root, k in runs:
-            assert all(not r.flags for r in records)
-            assert [(r.dice, r.robustness) for r in records] == \
-                [global_frame(e, cfg, seed_root, k) for e in entries]
+    runs = [(run_dice_eval(Manifest(entries), seg, SMALL_CFG), None, 0),
+            (run_robustness_eval(Manifest(entries), seg, SMALL_CFG, seed_root=5), 5, 2)]
+    for records, seed_root, k in runs:
+        assert all(not r.flags for r in records)
+        assert [(r.dice, r.robustness) for r in records] == \
+            [global_frame(e, SMALL_CFG, seed_root, k) for e in entries]
 
 
 class OneLesionLoader:
@@ -675,18 +694,17 @@ class OneLesionLoader:
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(data=st.data(), shape=st.tuples(*[st.integers(2, 14)] * 3),
        size=st.tuples(*[st.sampled_from([2, 4, 6, 10])] * 3), rng_seed=st.integers(0, 2 ** 16),
-       fill=st.sampled_from([0.05, 0.3, 0.9]), pad_value_mask=st.sampled_from([0, 1]),
+       fill=st.sampled_from([0.05, 0.3, 0.9]),
        hu_window=st.sampled_from([(-1100, 200), GROW_WINDOW]), k=st.integers(0, 3),
        connectivity=st.sampled_from([6, 18, 26]))
 def test_voi_frame_scores_equal_global_frame_scores_property(
-        data, shape, size, rng_seed, fill, pad_value_mask, hu_window, k, connectivity):
-    """Any lesion voxel set, VOI size and padding: the record's scores, counted
-    in the VOIs, are the scores of the masks placed back into the volume.
+        data, shape, size, rng_seed, fill, hu_window, k, connectivity):
+    """Any lesion voxel set and VOI size: the record's scores, counted in the
+    VOIs, are the scores of the masks placed back into the volume.
 
     Scattered lesions give windows that hang off faces or miss each other;
     background clicks give empty predictions; the (-1100, 200) window grows
-    over the -1024 image padding, and pad_value_mask=1 joins the mask's
-    padding to lesions on a face.
+    over the -1024 image padding.
     """
     rng = np.random.default_rng(rng_seed)
     lesion = rng.random(shape) < fill
@@ -696,10 +714,10 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     instance = instance_from_voxels(1, np.argwhere(lesion))
     box = pl._image_box(instance.bbox, size, shape)  # the box a load keeps for windows of size
     lesion = pl._Lesion(instance, box[0], image.data[tuple(map(slice, *box))].copy(order="F"), shape,
-                        image.spacing, None, mask.spacing, b"mask header")  # VOIs drop it
+                        image.spacing, mask.spacing)
     entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
     seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
-    cfg = VOICfg(size=size, pad_value_mask=pad_value_mask)
+    cfg = VOICfg(size=size)
     seed_root = data.draw(st.integers(0, 99)) if k else None
     record = pl._eval_one(entry, OneLesionLoader(lesion), seg, cfg, connectivity, "m", seed_root, k)
     assert pl.FLAG_ERROR not in record.flags, record.error

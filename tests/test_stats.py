@@ -38,6 +38,15 @@ def test_length_and_size_guards():
         paired_ttest([1.0], [0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_value_raises_rather_than_giving_p_0(bad):
+    # max(0.0, nan) is 0.0: a NaN difference once read as p = 0
+    with pytest.raises(ValueError, match="1 of 3 pairs hold a NaN or infinite value"):
+        paired_ttest([0.9, bad, 0.8], [0.5, 0.6, 0.7])
+    with pytest.raises(ValueError, match="2 of 2 pairs"):
+        paired_ttest([bad, 0.4], [0.5, bad])
+
+
 def test_antisymmetry():
     x = [0.3, 0.5, 0.9, 0.2, 0.8]
     y = [0.1, 0.6, 0.4, 0.4, 0.3]

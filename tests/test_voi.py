@@ -35,7 +35,6 @@ def test_default_cfg():
     cfg = VOICfg()
     assert cfg.size == (128, 128, 64)
     assert cfg.pad_value_image == -1024
-    assert cfg.pad_value_mask == 0
 
 
 @pytest.mark.parametrize("size", [(3, 4, 4), (0, 4, 4), (4, 4, 5)])
