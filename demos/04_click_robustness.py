@@ -13,6 +13,7 @@ import numpy as np
 
 from ulsforge import (
     GrowParams,
+    SegmenterRef,
     Volume3D,
     VOICfg,
     VolumeKind,
@@ -22,7 +23,7 @@ from ulsforge import (
     label_components,
     mean_pairwise_dice,
     place_back,
-    segment_region_grow,
+    segment,
 )
 
 shape = (48, 48, 32)
@@ -51,7 +52,7 @@ for s in samples:
 params = GrowParams(hu_window=(50, 150))
 placed = []
 for s in samples:
-    result = segment_region_grow(s.image, s.local_click, params)
+    result = segment(s.image, s.local_click, SegmenterRef.builtin(params))
     placed.append(place_back(result.mask, shape, s.offset))
 
 print("\npairwise Dice:")

@@ -48,8 +48,6 @@ from .segmenter import (
     SegmentationResult,
     SegmenterRef,
     segment,
-    segment_external,
-    segment_region_grow,
 )
 from .stats import TestResult, bonferroni, paired_ttest
 from .voi import VOICfg, VOISample, crop_voi, isolate_central_lesion, place_back
@@ -67,7 +65,7 @@ __all__ = [
     "dice", "mean_pairwise_dice",
     "TestResult", "paired_ttest", "bonferroni",
     "GrowParams", "SegmenterRef", "SegmentationResult",
-    "segment", "segment_region_grow", "segment_external",
+    "segment",
     "Manifest", "ManifestEntry", "EvalRecord", "StratumStats", "StratifiedReport",
     "load_manifest", "save_manifest", "split_patients", "resolve_lesion",
     "run_dice_eval", "run_robustness_eval", "run_metadata",

@@ -696,6 +696,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _metric_stats(recs: list[EvalRecord]) -> dict:
+    bad = sum(not math.isfinite(r.dice) or not math.isfinite(r.robustness or 0) for r in recs)
+    if bad:  # a mean over them would be written as NaN, which strict JSON refuses
+        raise ValueError("%d of %d records hold a NaN or infinite dice or robustness" % (bad, len(recs)))
     dice_mean, dice_std = _mean_std([r.dice for r in recs])
     robust = [r.robustness for r in recs if r.robustness is not None]
     if robust:
@@ -732,9 +735,10 @@ def aggregate_by_location(records: list[EvalRecord], metadata: dict | None = Non
             by_loc.setdefault(loc, []).append(rec)
             by_ds.setdefault(rec.dataset, []).append(rec)
         locations = sorted(by_loc, key=lambda l: (l == UNDEFINED_LOCATION, l))
+        overall = _metric_stats(recs)  # first, so a non-finite score's count is the model's
         for loc in locations:
             groups.append(StratumStats(model_id, "location", loc, **_metric_stats(by_loc[loc])))
-        groups.append(StratumStats(model_id, "location", OVERALL_LOCATION, **_metric_stats(recs)))
+        groups.append(StratumStats(model_id, "location", OVERALL_LOCATION, **overall))
         for dataset in sorted(by_ds):
             summary.append(StratumStats(model_id, "dataset", dataset,
                                         **_metric_stats(by_ds[dataset])))

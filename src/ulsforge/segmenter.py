@@ -1,11 +1,12 @@
 """Pluggable segmenters.
 
 Each kind of segmenter is one frozen type that checks its own settings,
-names its model and segments one VOI (the ``SegmenterRef`` protocol), so
-a new kind is a new type and no code branches on the kind. Two ship: a
-deterministic HU-window region grower for pipeline verification and
-known-answer tests, and an external-process adapter that sends VOIs to a
-real model through a five-placeholder command template (``PLACEHOLDERS``).
+names its model and segments one VOI in its ``segment`` method (the
+``SegmenterRef`` protocol), so a new kind is a new type and nothing more;
+``segment`` and ``segment_box`` run any kind. Two ship: a deterministic
+HU-window region grower for known-answer tests, and an external-process
+adapter that sends VOIs to a real model through a five-placeholder command
+template (``PLACEHOLDERS``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     ClickOutOfVolumeError,
     ProcessFailedError,
     SegmenterTimeoutError,
+    UlsforgeError,
 )
 from .lesions import CONNECTIVITIES, _foreground_box, _structure
 from .voi import place_back
@@ -85,8 +87,16 @@ class SegmenterRef(Protocol):
 
 @dataclass(frozen=True)
 class BuiltinSegmenter(SegmenterRef):
-    """The HU-window region grower (``segment_region_grow``); its mask is
-    the box of the grown voxels."""
+    """The HU-window region grower: a flood fill from the click over voxels
+    inside the window, breadth-first with neighbors in lexicographic
+    (dx, dy, dz) order, so the voxels kept when ``max_voxels`` truncates
+    are deterministic and shifting content and click together shifts the
+    mask alike. ``voi_image`` may be a read-only view. The grow starts in a
+    small box around the click and widens each side its component touches
+    to the VOI's face: a path out of the box passes a voxel on one of its
+    faces, so the grow is the whole VOI's, and the work follows the lesion.
+    The mask is the box of the grown voxels at the result's ``corner``; a
+    seed outside the window gives one zero voxel at the click."""
 
     kind = "builtin"
     grow_params: GrowParams = GrowParams()
@@ -97,12 +107,53 @@ class BuiltinSegmenter(SegmenterRef):
         return "builtin-grow[%g,%g]" % (lo, hi)
 
     def segment(self, voi_image, local_click):
-        return _grow(voi_image, local_click, self.grow_params)
+        params = self.grow_params
+        data = voi_image.data
+        if any(c < 0 or c >= n for c, n in zip(local_click, data.shape)):
+            raise ClickOutOfVolumeError("click %s outside VOI dims %s" % (local_click, data.shape))
+        lo, hi = params.hu_window
+        seed = tuple(int(c) for c in local_click)
+        mask, corner, truncated = np.zeros((1, 1, 1), dtype=np.uint8), seed, False
+        if lo <= data[seed] <= hi:
+            box = tuple(slice(max(0, c - _FIRST_HALF_WIDTH), min(n, c + _FIRST_HALF_WIDTH + 1))
+                        for c, n in zip(seed, data.shape))
+            while True:
+                inside = data[box] >= lo
+                inside &= data[box] <= hi
+                tight = _foreground_box(inside)  # only the box of the in-window voxels is labeled
+                labeled, _ = ndimage.label(inside[tight], structure=_structure(params.connectivity))
+                comp_id = int(labeled[tuple(c - b.start - t.start for c, b, t in zip(seed, box, tight))])
+                found = ndimage.find_objects(labeled, max_label=comp_id)[comp_id - 1]
+                comp = tuple(slice(t.start + f.start, t.start + f.stop) for t, f in zip(tight, found))
+                wider = tuple(slice(0 if c.start == 0 else b.start,  # each touched inner face widened
+                                    n if b.start + c.stop == b.stop else b.stop)
+                              for b, c, n in zip(box, comp, data.shape))
+                if wider == box:
+                    break
+                box = wider
+            component = labeled[found] == comp_id
+            truncated = int(np.count_nonzero(component)) > params.max_voxels
+            if truncated:
+                grown = _grow_bfs(inside, tuple(c - b.start for c, b in zip(seed, box)), params)
+                comp = _foreground_box(grown)
+                component = grown[comp]
+            mask = np.array(component, dtype=np.uint8, order="F")  # a copy: no view keeps the box
+            corner = tuple(b.start + c.start for b, c in zip(box, comp))
+        mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+        return SegmentationResult(Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
+                                  truncated=truncated, corner=corner)
 
 
 @dataclass(frozen=True)
 class ExternalSegmenter(SegmenterRef):
-    """A model run as one process per VOI (``segment_external``)."""
+    """A model run as one process per VOI: the VOI is written to a private
+    temp directory, the command template runs with ``PLACEHOLDERS``
+    substituted, and the mask is checked (NIfTI, VOI dims, values in
+    {0, 1}) before it reaches any metric. Messages name the two files
+    ``{image}`` and ``{output}``, never their temp paths, so a failing
+    model's records read the same on every run. Raises ProcessFailedError,
+    SegmenterTimeoutError, BadMaskDimsError, BadMaskValuesError or the
+    mask's read error."""
 
     kind = "external"
     model_id = "external"
@@ -118,7 +169,58 @@ class ExternalSegmenter(SegmenterRef):
         shlex.split(self.command)  # raises ValueError on an unclosed quote
 
     def segment(self, voi_image, local_click):
-        return segment_external(voi_image, local_click, self)
+        with tempfile.TemporaryDirectory(prefix="ulsforge-seg-") as tmp:
+            image_path = Path(tmp) / "input.nii.gz"
+            output_path = Path(tmp) / "output.nii.gz"
+            write_volume(voi_image, image_path)
+
+            def named(text: str) -> str:  # a message names the two files, never the temp directory
+                return text.replace(str(image_path), "{image}").replace(str(output_path), "{output}")
+
+            subs = {
+                "{image}": str(image_path),
+                "{x}": str(int(local_click[0])),
+                "{y}": str(int(local_click[1])),
+                "{z}": str(int(local_click[2])),
+                "{output}": str(output_path),
+            }
+            argv = []
+            for token in shlex.split(self.command):
+                for key, value in subs.items():
+                    token = token.replace(key, value)
+                argv.append(token)
+            # a session of its own lets us kill the model together with any workers it forked
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  start_new_session=True) as proc:
+                try:
+                    _, stderr = proc.communicate(
+                        timeout=self.timeout_s if self.timeout_s <= _MAX_WAIT_S else None)
+                except BaseException as e:
+                    try:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                    if isinstance(e, subprocess.TimeoutExpired):
+                        raise SegmenterTimeoutError("segmenter exceeded %gs: %s" % (self.timeout_s, argv[0]))
+                    raise
+            if proc.returncode != 0:
+                raise ProcessFailedError("segmenter exited %d: %s\nstderr: %s" % (
+                    proc.returncode, named(" ".join(argv)), named(stderr.decode(errors="replace"))[-2000:]))
+            if not output_path.exists():
+                raise ProcessFailedError("segmenter exited 0 but wrote no mask at {output}")
+            try:
+                out = read_volume(output_path)
+            except (UlsforgeError, OSError) as e:
+                raise type(e)(named(str(e))) from None
+            if out.dims != voi_image.dims:
+                raise BadMaskDimsError("mask dims %s != VOI dims %s" % (out.dims, voi_image.dims))
+            data = out.data
+            if not (np.issubdtype(data.dtype, np.integer) and data.min() >= 0 and data.max() <= 1):
+                values = np.unique(data)  # a float mask is checked value by value
+                if not np.isin(values, (0, 1)).all():
+                    raise BadMaskValuesError("mask values outside {0, 1}: %s" % values[:10])
+            mask = out.as_binary_mask()  # the values are {0, 1}, so nonzero is the mask
+        return SegmentationResult(mask)
 
 
 @dataclass(eq=False)
@@ -134,70 +236,6 @@ def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     """The labeling's own neighbourhood minus its center, in lexicographic order."""
     offsets = np.argwhere(_structure(connectivity)) - 1
     return [tuple(int(d) for d in o) for o in offsets if o.any()]
-
-
-def segment_region_grow(voi_image: Volume3D, local_click: tuple[int, int, int],
-                        params: GrowParams) -> SegmentationResult:
-    """Flood fill from the click over voxels inside the HU window;
-    ``voi_image`` may hold a read-only view, as a run's VOIs inside the
-    volume do.
-
-    Growth is breadth-first with neighbors visited in lexicographic
-    (dx, dy, dz) order, so the voxel set kept when ``max_voxels``
-    truncates is deterministic. The grower is translation-equivariant:
-    shifting content and click together shifts the output identically.
-    Only a box around the click is thresholded and labeled, widened
-    where the component reaches its faces, so the grow is the same voxels
-    as in the whole VOI.
-
-    A seed voxel outside the window yields an empty mask.
-    """
-    return segment(voi_image, local_click, BuiltinSegmenter(params))
-
-
-def _grow(voi_image: Volume3D, local_click: tuple[int, int, int],
-          params: GrowParams) -> SegmentationResult:
-    """``segment_region_grow``'s voxels as the box that holds them, at its
-    ``corner``; an empty grow is one zero voxel at the click.
-
-    The grow starts in a small box around the click and widens each side
-    its component touches to the VOI's face: a path out of the box passes
-    a voxel on one of its faces, so a component that touches no inner face
-    is the whole VOI's, and the work follows the lesion, not the VOI.
-    """
-    data = voi_image.data
-    if any(c < 0 or c >= n for c, n in zip(local_click, data.shape)):
-        raise ClickOutOfVolumeError("click %s outside VOI dims %s" % (local_click, data.shape))
-    lo, hi = params.hu_window
-    seed = tuple(int(c) for c in local_click)
-    mask, corner, truncated = np.zeros((1, 1, 1), dtype=np.uint8), seed, False
-    if lo <= data[seed] <= hi:
-        box = tuple(slice(max(0, c - _FIRST_HALF_WIDTH), min(n, c + _FIRST_HALF_WIDTH + 1))
-                    for c, n in zip(seed, data.shape))
-        while True:
-            inside = data[box] >= lo
-            inside &= data[box] <= hi
-            tight = _foreground_box(inside)  # only the box of the in-window voxels is labeled
-            labeled, _ = ndimage.label(inside[tight], structure=_structure(params.connectivity))
-            comp_id = int(labeled[tuple(c - b.start - t.start for c, b, t in zip(seed, box, tight))])
-            found = ndimage.find_objects(labeled, max_label=comp_id)[comp_id - 1]
-            comp = tuple(slice(t.start + f.start, t.start + f.stop) for t, f in zip(tight, found))
-            wider = tuple(slice(0 if c.start == 0 else b.start, n if b.start + c.stop == b.stop else b.stop)
-                          for b, c, n in zip(box, comp, data.shape))  # each touched inner face widened
-            if wider == box:
-                break
-            box = wider
-        component = labeled[found] == comp_id
-        truncated = int(np.count_nonzero(component)) > params.max_voxels
-        if truncated:
-            grown = _grow_bfs(inside, tuple(c - b.start for c, b in zip(seed, box)), params)
-            comp = _foreground_box(grown)
-            component = grown[comp]
-        mask = np.array(component, dtype=np.uint8, order="F")  # a copy: no view keeps the box
-        corner = tuple(b.start + c.start for b, c in zip(box, comp))
-    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-    return SegmentationResult(Volume3D(mask, spacing=voi_image.spacing, kind=VolumeKind.BINARY_MASK),
-                              truncated=truncated, corner=corner)
 
 
 def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowParams) -> np.ndarray:
@@ -234,69 +272,6 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
     accepted = np.zeros(shape, dtype=np.uint8)
     np.put(accepted, np.concatenate(layers), 1)
     return accepted[1:-1, 1:-1, 1:-1]
-
-
-def segment_external(voi_image: Volume3D, local_click: tuple[int, int, int],
-                     ref: ExternalSegmenter) -> SegmentationResult:
-    """Run an external segmenter process on one VOI.
-
-    The VOI is written to a private temp directory, the command template
-    is invoked with ``{image} {x} {y} {z} {output}`` substituted, and the
-    produced mask is validated (NIfTI, VOI dims, values in {0, 1})
-    before it can reach any metric.
-
-    Raises
-    ------
-    ProcessFailedError, SegmenterTimeoutError, BadMaskDimsError,
-    BadMaskValuesError
-    """
-    with tempfile.TemporaryDirectory(prefix="ulsforge-seg-") as tmp:
-        image_path = Path(tmp) / "input.nii.gz"
-        output_path = Path(tmp) / "output.nii.gz"
-        write_volume(voi_image, image_path)
-        subs = {
-            "{image}": str(image_path),
-            "{x}": str(int(local_click[0])),
-            "{y}": str(int(local_click[1])),
-            "{z}": str(int(local_click[2])),
-            "{output}": str(output_path),
-        }
-        argv = []
-        for token in shlex.split(ref.command):
-            for key, value in subs.items():
-                token = token.replace(key, value)
-            argv.append(token)
-        # a session of its own lets us kill the model together with any workers it forked
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              start_new_session=True) as proc:
-            try:
-                _, stderr = proc.communicate(
-                    timeout=ref.timeout_s if ref.timeout_s <= _MAX_WAIT_S else None)
-            except BaseException as e:
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                if isinstance(e, subprocess.TimeoutExpired):
-                    raise SegmenterTimeoutError("segmenter exceeded %gs: %s" % (ref.timeout_s, argv[0]))
-                raise
-        if proc.returncode != 0:
-            raise ProcessFailedError(
-                "segmenter exited %d: %s\nstderr: %s"
-                % (proc.returncode, " ".join(argv), stderr.decode(errors="replace")[-2000:])
-            )
-        if not output_path.exists():
-            raise ProcessFailedError("segmenter exited 0 but wrote no mask at %s" % output_path)
-        out = read_volume(output_path)
-        if out.dims != voi_image.dims:
-            raise BadMaskDimsError("mask dims %s != VOI dims %s" % (out.dims, voi_image.dims))
-        data = out.data
-        if not (np.issubdtype(data.dtype, np.integer) and data.min() >= 0 and data.max() <= 1):
-            values = np.unique(data)  # a float mask is checked value by value
-            if not np.isin(values, (0, 1)).all():
-                raise BadMaskValuesError("mask values outside {0, 1}: %s" % values[:10])
-        mask = out.as_binary_mask()  # the values are {0, 1}, so nonzero is the mask
-    return SegmentationResult(mask)
 
 
 def segment(voi_image: Volume3D, local_click: tuple[int, int, int],

@@ -22,6 +22,25 @@ sys.stderr.write("synthetic failure\\n")
 sys.exit(3)
 """
 
+# exits nonzero and names its input VOI's path on stderr
+ECHO_IMAGE_AND_FAIL = """
+import sys
+sys.stderr.write("cannot segment %s\\n" % sys.argv[1])
+sys.exit(3)
+"""
+
+# exits 0 without writing a mask
+WRITES_NO_MASK = """
+import sys
+"""
+
+# writes a mask file that is not NIfTI
+NOT_NIFTI_MASK = """
+import sys
+with open(sys.argv[5], "wb") as f:
+    f.write(b"not a mask")
+"""
+
 # writes an all-zero mask with the input's dims
 EMPTY_MASK = """
 import sys

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adapters import CLICK_DOT, write_adapter
+from adapters import CLICK_DOT, ECHO_IMAGE_AND_FAIL, NOT_NIFTI_MASK, WRITES_NO_MASK, write_adapter
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
 from ulsforge import (
@@ -166,6 +166,8 @@ def test_negative_counts_exit_before_reading(tmp_path, monkeypatch, capsys, argv
     ["eval", "--segmenter", "exec:cmd {image}"],
     ["eval", "--segmenter", "exec:cmd {image} {x} {y} {output}"],  # {z} missing
     ["robustness", "--segmenter", "exec:cmd '{image} {x} {y} {z} {output}"],  # unclosed quote
+    ["eval", "--segmenter", "builtin", "--timeout", "abc"],
+    ["compare", "--alpha", "abc"],
 ])
 def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, argv):
     path = make_manifest(tmp_path, 1)
@@ -196,7 +198,7 @@ def test_a_bad_workers_variable_exits_before_reading(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5"])
+@pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5", "abc"])
 def test_bad_test_fraction_exits_before_reading(tmp_path, monkeypatch, capsys, fraction):
     path = make_manifest(tmp_path, 1)
     monkeypatch.setattr(pipeline, "load_manifest", lambda p: pytest.fail("load_manifest %s" % p))
@@ -295,6 +297,25 @@ def test_external_timeout_beyond_the_os_wait_scores(tmp_path, timeout):
     assert 0 < record.dice < 1  # one voxel of the lesion
 
 
+@pytest.mark.parametrize("body, named", [
+    (ECHO_IMAGE_AND_FAIL, "{image} 16 16 8 {output} stderr: cannot segment {image}"),
+    (WRITES_NO_MASK, "segmenter exited 0 but wrote no mask at {output}"),
+    (NOT_NIFTI_MASK, "{output}: file shorter than a NIfTI-1 header"),
+], ids=["exits-3", "no-mask", "not-nifti"])
+def test_a_failing_external_model_writes_the_same_records_on_every_run(tmp_path, body, named):
+    path = make_manifest(tmp_path, 2)
+    segmenter = "exec:" + write_adapter(tmp_path, body)
+    written = set()
+    for i, workers in enumerate(["1", "1", "2", "2"]):
+        run_dir = tmp_path / ("run%d" % i)
+        assert main(["eval", "--manifest", str(path), "--voi", "32x32x16", "--out", str(run_dir),
+                     "--segmenter", segmenter, "--workers", workers]) == 0
+        written.add((run_dir / "records.csv").read_bytes())
+    assert len(written) == 1  # no temp directory reaches a record
+    for record in read_records_csv(run_dir / "records.csv"):
+        assert named in record.error and "ulsforge-seg-" not in record.error, record.error
+
+
 def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["validate", "--manifest", str(tmp_path / "missing.json")])
     assert rc == 1
@@ -364,6 +385,19 @@ def test_a_nan_score_is_an_error_not_p_0(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 1 and "p=" not in out
     assert err.startswith("error: ") and "1 of 16 pairs hold a NaN or infinite value" in err, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_over_a_non_finite_score_is_an_error_not_a_nan(tmp_path, capsys, fmt):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "records.csv").write_text(",".join(pipeline.CSV_COLUMN_ORDER) + "\nl1,m,d,liver,0.5,,,,\n"
+                                     "l2,m,d,liver,nan,,,,\nl3,m,d,lung,0.7,inf,,,\n")
+    out = tmp_path / ("agg." + fmt)
+    assert main(["report", "--run", str(run), "--format", fmt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2 of 3 records hold a NaN or infinite" in err, err
+    assert not out.exists()
 
 
 def test_run_files_with_a_byte_order_mark_read_as_without_one(tmp_path):

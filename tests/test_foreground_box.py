@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import whole_voi_grow_oracle, whole_voi_isolation_oracle
 from synth import BACKGROUND_HU, LESION_HU
-from ulsforge import GrowParams, Volume3D, VolumeKind, isolate_central_lesion, segment_region_grow
+from ulsforge import GrowParams, SegmenterRef, Volume3D, VolumeKind, isolate_central_lesion, segment
 from ulsforge.lesions import CONNECTIVITIES
 
 WINDOW = (50, 150)
@@ -25,8 +25,8 @@ def check_both(mask, click, connectivity, max_voxels):
     assert np.array_equal(isolated.data, whole_voi_isolation_oracle(mask, click, connectivity))
 
     image = Volume3D(np.where(mask != 0, LESION_HU, BACKGROUND_HU).astype(np.int16))
-    res = segment_region_grow(image, click, GrowParams(hu_window=WINDOW, connectivity=connectivity,
-                                                       max_voxels=max_voxels))
+    res = segment(image, click, SegmenterRef.builtin(GrowParams(hu_window=WINDOW, connectivity=connectivity,
+                                                                max_voxels=max_voxels)))
     expected, truncated = whole_voi_grow_oracle(mask != 0, click, connectivity, max_voxels)
     assert res.truncated == truncated
     assert res.mask.data.dtype == np.uint8

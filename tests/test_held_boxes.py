@@ -35,7 +35,6 @@ from ulsforge import (
     label_components,
     read_volume,
     segment,
-    segment_region_grow,
     write_volume,
 )
 from ulsforge import volume as vol_module
@@ -210,7 +209,7 @@ def test_a_boxed_prediction_pastes_back_into_the_whole_voi_mask(shape, seed, fil
     image = Volume3D(np.where(rng.random(shape) < fill, LESION_HU, BACKGROUND_HU).astype(np.int16))
     click = tuple(int(rng.integers(n)) for n in shape)
     params = GrowParams(hu_window=GROW_WINDOW, connectivity=connectivity, max_voxels=max_voxels)
-    whole = segment_region_grow(image, click, params)
+    whole = segment(image, click, SegmenterRef.builtin(params))
     threshold = ThresholdSegmenter()
     for ref, expected in ((SegmenterRef.builtin(params), whole),
                           (threshold, threshold.segment(image, click))):

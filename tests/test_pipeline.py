@@ -85,6 +85,11 @@ def test_load_manifest_json(tmp_path):
     assert len(manifest.entries) == 4
     assert manifest.patients() == ["pat000", "pat001"]
     assert manifest.datasets() == ["synthetic"]
+    img, msk = make_case(tmp_path, "c0")  # integer ids read as their decimal text, as in a CSV
+    (tmp_path / "ints.json").write_text(json.dumps({"entries": [
+        {"lesion_id": 7, "patient_id": 12, "image_path": img.name, "mask_path": msk.name}]}))
+    entry, = load_manifest(tmp_path / "ints.json").entries
+    assert (entry.lesion_id, entry.patient_id) == ("7", "12")
 
 
 def test_empty_manifest_is_valid(tmp_path):
@@ -227,6 +232,37 @@ def test_builtin_dice_run_is_perfect(tmp_path):
         assert r.dice == 1.0
         assert r.flags == frozenset()
         assert r.robustness is None
+
+
+def _cube_entry(tmp_path, z0):
+    """A 20x18x12 int16 scan and its mask, with a 4x4x4 lesion at z0 to z0 + 4."""
+    image = np.full((20, 18, 12), BACKGROUND_HU, dtype=np.int16)
+    image[8:12, 7:11, z0:z0 + 4] = LESION_HU
+    img, msk = tmp_path / "cube_image.nii.gz", tmp_path / "cube_mask.nii.gz"
+    write_volume(Volume3D(image), img)
+    write_volume(Volume3D((image == LESION_HU).astype(np.uint8), kind=VolumeKind.BINARY_MASK), msk)
+    return ManifestEntry(lesion_id="cube", patient_id="p", image_path=str(img), mask_path=str(msk))
+
+
+@pytest.mark.parametrize("max_voxels, flags, expected", [(8, {pl.FLAG_TRUNCATED}, 2 * 8 / (8 + 64)),
+                                                        (64, set(), 1.0)])
+def test_a_grow_cut_at_max_voxels_is_flagged_truncated(tmp_path, max_voxels, flags, expected):
+    entry = _cube_entry(tmp_path, z0=4)  # inside the 8x8x4 VOI of its centroid
+    seg = SegmenterRef.builtin(GrowParams(hu_window=GROW_WINDOW, max_voxels=max_voxels))
+    record, = run_dice_eval(Manifest([entry]), seg, VOICfg(size=(8, 8, 4)))
+    assert record.flags == flags and not record.error
+    assert record.dice == expected
+
+
+def test_a_gzip_image_one_slice_short_fails_as_read_volume_does(tmp_path):
+    entry = _cube_entry(tmp_path, z0=8)  # the 8x8x4 VOI's image box reaches the last slice
+    img = tmp_path / "cube_image.nii.gz"
+    img.write_bytes(gzip.compress(gzip.decompress(img.read_bytes())[:-20 * 18 * 2]))  # a valid stream
+    with pytest.raises(TruncatedDataError) as info:
+        read_volume(img)
+    assert str(info.value).endswith("expected 8640 data bytes, found 7920")
+    record, = run_dice_eval(Manifest([entry]), BUILTIN, VOICfg(size=(8, 8, 4)))
+    assert record.error == str(info.value)
 
 
 @pytest.mark.parametrize("case, error, message", [

@@ -1,6 +1,8 @@
+import inspect
 import os
 import signal
 import time
+import typing
 
 import numpy as np
 import pytest
@@ -31,8 +33,6 @@ from ulsforge import (
     crop_voi,
     read_volume,
     segment,
-    segment_external,
-    segment_region_grow,
     write_volume,
 )
 from ulsforge.errors import (
@@ -58,7 +58,7 @@ def lesion_image(shape=(16, 16, 16), center=(8, 8, 8), radius=3):
 
 def test_grow_recovers_exact_component():
     image, blob = lesion_image()
-    res = segment_region_grow(image, (8, 8, 8), GrowParams(hu_window=WINDOW))
+    res = segment(image, (8, 8, 8), SegmenterRef.builtin(GrowParams(hu_window=WINDOW)))
     assert not res.truncated
     grown = {tuple(v) for v in np.argwhere(res.mask.data).tolist()}
     expected = next(s for s in component_voxel_sets(blob, 26) if (8, 8, 8) in s)
@@ -70,19 +70,19 @@ def test_grow_respects_connectivity():
     image_arr[2, 2, 2] = LESION_HU
     image_arr[3, 3, 3] = LESION_HU  # corner contact only
     image = Volume3D(image_arr)
-    r26 = segment_region_grow(image, (2, 2, 2), GrowParams(hu_window=WINDOW, connectivity=26))
-    r6 = segment_region_grow(image, (2, 2, 2), GrowParams(hu_window=WINDOW, connectivity=6))
+    r26 = segment(image, (2, 2, 2), SegmenterRef.builtin(GrowParams(hu_window=WINDOW, connectivity=26)))
+    r6 = segment(image, (2, 2, 2), SegmenterRef.builtin(GrowParams(hu_window=WINDOW, connectivity=6)))
     assert int(r26.mask.data.sum()) == 2
     assert int(r6.mask.data.sum()) == 1
 
 
 def test_background_seed_yields_empty_mask():
     image, _ = lesion_image()
-    res = segment_region_grow(image, (0, 0, 0), GrowParams(hu_window=WINDOW))
+    res = segment(image, (0, 0, 0), SegmenterRef.builtin(GrowParams(hu_window=WINDOW)))
     assert not res.mask.data.any()
     assert not res.truncated
     with pytest.raises(ClickOutOfVolumeError):
-        segment_region_grow(image, (99, 0, 0), GrowParams(hu_window=WINDOW))
+        segment(image, (99, 0, 0), SegmenterRef.builtin(GrowParams(hu_window=WINDOW)))
 
 
 def test_truncation_cap_is_deterministic():
@@ -90,10 +90,10 @@ def test_truncation_cap_is_deterministic():
     image_arr[2:5, 2:5, 2:5] = LESION_HU  # 27 voxels
     image = Volume3D(image_arr)
     params = GrowParams(hu_window=WINDOW, max_voxels=8)
-    res = segment_region_grow(image, (3, 3, 3), params)
+    res = segment(image, (3, 3, 3), SegmenterRef.builtin(params))
     assert res.truncated
     assert int(res.mask.data.sum()) == 8
-    again = segment_region_grow(image, (3, 3, 3), params)
+    again = segment(image, (3, 3, 3), SegmenterRef.builtin(params))
     assert np.array_equal(res.mask.data, again.mask.data)
 
 
@@ -102,7 +102,7 @@ def test_truncation_follows_lexicographic_bfs_order():
     image_arr = np.full((9, 3, 3), BACKGROUND_HU, dtype=np.int16)
     image_arr[4:7, 1, 1] = LESION_HU
     image = Volume3D(image_arr)
-    res = segment_region_grow(image, (5, 1, 1), GrowParams(hu_window=WINDOW, max_voxels=2))
+    res = segment(image, (5, 1, 1), SegmenterRef.builtin(GrowParams(hu_window=WINDOW, max_voxels=2)))
     kept = {tuple(v) for v in np.argwhere(res.mask.data).tolist()}
     assert kept == {(4, 1, 1), (5, 1, 1)}
 
@@ -221,16 +221,16 @@ def test_cap_equal_to_the_component_is_not_truncated(connectivity):
     image = Volume3D(np.where(in_window, LESION_HU, BACKGROUND_HU).astype(np.int16))
     component = seed_component(in_window, seed, connectivity)
     size = int(component.sum())
-    exact = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW,
-                                                        connectivity=connectivity,
-                                                        max_voxels=size))
+    exact = segment(image, seed, SegmenterRef.builtin(GrowParams(hu_window=WINDOW,
+                                                                 connectivity=connectivity,
+                                                                 max_voxels=size)))
     assert not exact.truncated
     assert np.array_equal(exact.mask.data, component)
     assert np.array_equal(grow_both(in_window, seed, connectivity, size), component)
     if size > 1:
-        cut = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW,
-                                                          connectivity=connectivity,
-                                                          max_voxels=size - 1))
+        cut = segment(image, seed, SegmenterRef.builtin(GrowParams(hu_window=WINDOW,
+                                                                   connectivity=connectivity,
+                                                                   max_voxels=size - 1)))
         assert cut.truncated
         assert np.array_equal(cut.mask.data,
                               bfs_grow_oracle(in_window, seed, connectivity, size - 1))
@@ -260,9 +260,9 @@ def test_truncated_grow_property(data, shape, rng_seed, fill, connectivity):
     component = seed_component(in_window, seed, connectivity)
     assert np.array_equal(grow_both(in_window, seed, connectivity, in_window.size), component)
     image = Volume3D(np.where(in_window, LESION_HU, BACKGROUND_HU).astype(np.int16))
-    res = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW,
-                                                      connectivity=connectivity,
-                                                      max_voxels=in_window.size))
+    res = segment(image, seed, SegmenterRef.builtin(GrowParams(hu_window=WINDOW,
+                                                               connectivity=connectivity,
+                                                               max_voxels=in_window.size)))
     assert not res.truncated
     assert np.array_equal(res.mask.data, component)
 
@@ -331,8 +331,8 @@ def test_grow_past_its_first_box_equals_the_whole_voi_grow(data, kind, shape, rn
         in_box = int(component[first_box(seed, shape)].sum())
         cap = data.draw(st.integers(in_box + 1, int(component.sum()) - 1))
     image = Volume3D(np.where(in_window, LESION_HU, BACKGROUND_HU).astype(np.int16))
-    res = segment_region_grow(image, seed, GrowParams(hu_window=WINDOW, connectivity=connectivity,
-                                                      max_voxels=cap))
+    res = segment(image, seed, SegmenterRef.builtin(GrowParams(hu_window=WINDOW, connectivity=connectivity,
+                                                               max_voxels=cap)))
     expected, truncated = whole_voi_grow_oracle(in_window, seed, connectivity, cap)
     assert truncated == (kind == "truncated")
     assert res.truncated == truncated
@@ -358,7 +358,7 @@ def test_the_grower_labels_a_small_lesion_not_its_voi(monkeypatch):
         return label(input, *args, **kwargs)
 
     monkeypatch.setattr(segmenter.ndimage, "label", counted)
-    res = segment_region_grow(Volume3D(image), center, GrowParams(hu_window=WINDOW))
+    res = segment(Volume3D(image), center, SegmenterRef.builtin(GrowParams(hu_window=WINDOW)))
     assert np.array_equal(res.mask.data, lesion)
     box = np.prod(np.ptp(np.argwhere(lesion), axis=0) + 1)
     assert 0 < sum(sizes) <= 2 * box
@@ -374,8 +374,8 @@ def test_translation_equivariance_on_interior_content():
         base = np.full(shape, BACKGROUND_HU, dtype=np.int16)
         ox, oy, oz = (4 + s for s in shift)
         base[ox:ox + 6, oy:oy + 6, oz:oz + 6] = pattern
-        res = segment_region_grow(Volume3D(base), (ox + 3, oy + 3, oz + 3),
-                                  GrowParams(hu_window=WINDOW))
+        res = segment(Volume3D(base), (ox + 3, oy + 3, oz + 3),
+                      SegmenterRef.builtin(GrowParams(hu_window=WINDOW)))
         voxels = np.argwhere(res.mask.data) - np.array([ox, oy, oz])
         if shift == (0, 0, 0):
             reference = {tuple(v) for v in voxels.tolist()}
@@ -392,6 +392,17 @@ def test_grow_params_validation():
         GrowParams(max_voxels=0)
     with pytest.raises(ValueError):
         GrowParams(connectivity=4)
+
+
+def test_every_public_segmenter_function_takes_any_kind():
+    """A kind is its type alone: each public function of the module takes a
+    ``SegmenterRef``, so none is tied to one kind."""
+    public = [f for name, f in vars(segmenter).items() if inspect.isfunction(f)
+              and f.__module__ == segmenter.__name__ and not name.startswith("_")]
+    assert public
+    for f in public:
+        hints = typing.get_type_hints(f)
+        assert any(hints.get(p) is SegmenterRef for p in inspect.signature(f).parameters), f.__name__
 
 
 def test_segmenter_ref_validation():
@@ -416,7 +427,7 @@ def test_external_copy_adapter_returns_reference_mask(tmp_path):
     gt_path = tmp_path / "gt.nii.gz"
     write_volume(gt, gt_path)
     command = write_adapter(tmp_path, COPY_MASK) + " " + str(gt_path)
-    res = segment_external(image, (5, 5, 3), SegmenterRef.external(command))
+    res = SegmenterRef.external(command).segment(image, (5, 5, 3))
     assert np.array_equal(res.mask.data, gt.data)
     assert res.mask.kind is VolumeKind.BINARY_MASK
 
@@ -427,7 +438,7 @@ def test_external_model_reads_the_voi_crop_as_gzip_nifti(tmp_path):
     voi = crop_voi(image, mask, ClickPoint((12, 7, 4)), VOICfg(size=(16, 16, 8)))
     copy = tmp_path / "input-copy.nii.gz"
     command = write_adapter(tmp_path, COPY_IMAGE_ASIDE) + " " + str(copy)
-    segment_external(voi.image, (8, 8, 4), SegmenterRef.external(command))
+    SegmenterRef.external(command).segment(voi.image, (8, 8, 4))
     assert copy.read_bytes()[:2] == b"\x1f\x8b"
     assert read_volume(copy) == voi.image
 
@@ -444,19 +455,14 @@ def test_external_failure_modes(tmp_path):
     image, _ = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
     click = (4, 4, 2)
     with pytest.raises(ProcessFailedError) as err:
-        segment_external(image, click,
-                         SegmenterRef.external(write_adapter(tmp_path, ALWAYS_FAIL)))
+        SegmenterRef.external(write_adapter(tmp_path, ALWAYS_FAIL)).segment(image, click)
     assert "synthetic failure" in str(err.value)
     with pytest.raises(BadMaskDimsError):
-        segment_external(image, click,
-                         SegmenterRef.external(write_adapter(tmp_path, WRONG_DIMS)))
+        SegmenterRef.external(write_adapter(tmp_path, WRONG_DIMS)).segment(image, click)
     with pytest.raises(BadMaskValuesError):
-        segment_external(image, click,
-                         SegmenterRef.external(write_adapter(tmp_path, BAD_VALUES)))
+        SegmenterRef.external(write_adapter(tmp_path, BAD_VALUES)).segment(image, click)
     with pytest.raises(SegmenterTimeoutError):
-        segment_external(image, click,
-                         SegmenterRef.external(write_adapter(tmp_path, SLEEPER),
-                                               timeout_s=1.0))
+        SegmenterRef.external(write_adapter(tmp_path, SLEEPER), timeout_s=1.0).segment(image, click)
 
 
 @pytest.mark.parametrize("values, message", [
@@ -472,7 +478,7 @@ def test_external_mask_values_outside_zero_one_are_rejected(tmp_path, values, me
     write_volume(Volume3D(out), mask_path)
     command = write_adapter(tmp_path, COPY_MASK) + " " + str(mask_path)
     with pytest.raises(BadMaskValuesError) as err:
-        segment_external(image, (4, 4, 2), SegmenterRef.external(command))
+        SegmenterRef.external(command).segment(image, (4, 4, 2))
     assert str(err.value) == message
 
 
@@ -482,7 +488,7 @@ def test_external_mask_of_zeros_and_ones_in_any_dtype_is_accepted(tmp_path, dtyp
     mask_path = tmp_path / "mask.nii.gz"
     write_volume(Volume3D(blob.astype(dtype)), mask_path)
     command = write_adapter(tmp_path, COPY_MASK) + " " + str(mask_path)
-    res = segment_external(image, (4, 4, 2), SegmenterRef.external(command))
+    res = SegmenterRef.external(command).segment(image, (4, 4, 2))
     assert res.mask.data.dtype == np.uint8
     assert np.array_equal(res.mask.data, blob.astype(np.uint8))
 
@@ -504,7 +510,7 @@ def test_external_timeout_kills_forked_workers(tmp_path):
     pidfile = tmp_path / "worker.pid"
     command = write_adapter(tmp_path, FORKS_SLEEPER) + " " + str(pidfile)
     with pytest.raises(SegmenterTimeoutError):
-        segment_external(image, (4, 4, 2), SegmenterRef.external(command, timeout_s=1.0))
+        SegmenterRef.external(command, timeout_s=1.0).segment(image, (4, 4, 2))
     pid = int(pidfile.read_text())
     try:
         deadline = time.monotonic() + 5.0
