@@ -33,7 +33,9 @@ from .errors import (
 )
 from .lesions import CONNECTIVITIES, _foreground_box, _structure
 from .voi import place_back
-from .volume import Volume3D, VolumeKind, _nonzero_spans, read_volume, write_volume
+from .volume import Volume3D, VolumeKind, _NiftiFile, _nonzero_spans, write_volume
+# read_volume: unused here, kept for tools that trace a run and wrap it by name on segmenter
+from .volume import read_volume  # noqa: F401
 
 PLACEHOLDERS = ("{image}", "{x}", "{y}", "{z}", "{output}")
 
@@ -149,11 +151,13 @@ class ExternalSegmenter(SegmenterRef):
     """A model run as one process per VOI: the VOI is written to a private
     temp directory, the command template runs with ``PLACEHOLDERS``
     substituted, and the mask is checked (NIfTI, VOI dims, values in
-    {0, 1}) before it reaches any metric. Messages name the two files
-    ``{image}`` and ``{output}``, never their temp paths, so a failing
-    model's records read the same on every run. Raises ProcessFailedError,
-    SegmenterTimeoutError, BadMaskDimsError, BadMaskValuesError or the
-    mask's read error."""
+    {0, 1}) before it reaches any metric. Both files pass a run of
+    z-slices at a time, never whole: the mask is read back as the box of
+    its nonzero voxels, at the result's ``corner``. Messages name the two
+    files ``{image}`` and ``{output}``, never their temp paths, so a
+    failing model's records read the same on every run. Raises
+    ProcessFailedError, SegmenterTimeoutError, BadMaskDimsError,
+    BadMaskValuesError or the mask's read error."""
 
     kind = "external"
     model_id = "external"
@@ -209,18 +213,22 @@ class ExternalSegmenter(SegmenterRef):
             if not output_path.exists():
                 raise ProcessFailedError("segmenter exited 0 but wrote no mask at {output}")
             try:
-                out = read_volume(output_path)
+                with _NiftiFile(output_path) as f:
+                    corner, data, _ = f.read_foreground()  # the whole file is read and checked
             except (UlsforgeError, OSError) as e:
                 raise type(e)(named(str(e))) from None
-            if out.dims != voi_image.dims:
-                raise BadMaskDimsError("mask dims %s != VOI dims %s" % (out.dims, voi_image.dims))
-            data = out.data
+            if f.dims != voi_image.dims:
+                raise BadMaskDimsError("mask dims %s != VOI dims %s" % (f.dims, voi_image.dims))
             if not (np.issubdtype(data.dtype, np.integer) and data.min() >= 0 and data.max() <= 1):
                 values = np.unique(data)  # a float mask is checked value by value
+                if data.shape != f.dims:  # the voxels outside the box are zeros
+                    values = np.union1d(values, np.zeros(1, data.dtype))
                 if not np.isin(values, (0, 1)).all():
                     raise BadMaskValuesError("mask values outside {0, 1}: %s" % values[:10])
-            mask = out.as_binary_mask()  # the values are {0, 1}, so nonzero is the mask
-        return SegmentationResult(mask)
+            mask = (data != 0).view(np.uint8)  # the values are {0, 1}, so nonzero is the mask
+            mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
+        return SegmentationResult(Volume3D(mask, f.spacing, VolumeKind.BINARY_MASK, f.header),
+                                  corner=corner)
 
 
 @dataclass(eq=False)
@@ -287,8 +295,8 @@ def segment(voi_image: Volume3D, local_click: tuple[int, int, int],
 def segment_box(voi_image: Volume3D, local_click: tuple[int, int, int],
                 ref: SegmenterRef) -> SegmentationResult:
     """``segment``, with the mask kept as the box of its nonzero voxels at the
-    result's ``corner``: the builtin grower's own box, or the cut of another
-    kind's VOI mask, so a mask outlives the call only as large as that box.
+    result's ``corner``: the box both shipped kinds return, or the cut of
+    another kind's VOI mask, so a mask outlives the call only as large as that box.
     An empty mask is one zero voxel at its corner."""
     result = ref.segment(voi_image, local_click)
     data = result.mask.data

@@ -218,6 +218,12 @@ def test_split_guards(tmp_path):
         split_patients(manifest, 1.0, 0)
 
 
+def test_split_refuses_a_test_fraction_of_zero(tmp_path):
+    """The fraction lies in the open interval (0, 1): no patient for the test side is no split."""
+    with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\), got 0.0"):
+        split_patients(entries_for_patients(tmp_path, [1, 1]), 0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # evaluation runs
 # ---------------------------------------------------------------------------

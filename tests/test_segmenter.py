@@ -2,6 +2,7 @@ import inspect
 import os
 import signal
 import time
+import tracemalloc
 import typing
 
 import numpy as np
@@ -44,7 +45,7 @@ from ulsforge.errors import (
 )
 from ulsforge.lesions import CONNECTIVITIES
 from ulsforge import segmenter
-from ulsforge.segmenter import _FIRST_HALF_WIDTH, _grow_bfs, _neighbor_offsets
+from ulsforge.segmenter import _FIRST_HALF_WIDTH, _grow_bfs, _neighbor_offsets, segment_box
 
 WINDOW = (50, 150)
 
@@ -83,6 +84,17 @@ def test_background_seed_yields_empty_mask():
     assert not res.truncated
     with pytest.raises(ClickOutOfVolumeError):
         segment(image, (99, 0, 0), SegmenterRef.builtin(GrowParams(hu_window=WINDOW)))
+
+
+def test_the_hu_window_bounds_are_inclusive():
+    """A seed exactly at either bound grows, and voxels exactly at either bound are kept."""
+    data = np.full((10, 8, 8), BACKGROUND_HU, dtype=np.int16)
+    data[2:5, 2:5, 2:5] = WINDOW[0]
+    data[5:7, 2:5, 2:5] = WINDOW[1]
+    expected = (data != BACKGROUND_HU).astype(np.uint8)
+    ref = SegmenterRef.builtin(GrowParams(hu_window=WINDOW))
+    for seed in ((3, 3, 3), (6, 3, 3)):  # at the low bound, at the high bound
+        assert np.array_equal(segment(Volume3D(data), seed, ref).mask.data, expected)
 
 
 def test_truncation_cap_is_deterministic():
@@ -427,7 +439,7 @@ def test_external_copy_adapter_returns_reference_mask(tmp_path):
     gt_path = tmp_path / "gt.nii.gz"
     write_volume(gt, gt_path)
     command = write_adapter(tmp_path, COPY_MASK) + " " + str(gt_path)
-    res = SegmenterRef.external(command).segment(image, (5, 5, 3))
+    res = segment(image, (5, 5, 3), SegmenterRef.external(command))
     assert np.array_equal(res.mask.data, gt.data)
     assert res.mask.kind is VolumeKind.BINARY_MASK
 
@@ -468,11 +480,16 @@ def test_external_failure_modes(tmp_path):
 @pytest.mark.parametrize("values, message", [
     (np.array([0, 1, 2], dtype=np.uint8), "mask values outside {0, 1}: [0 1 2]"),
     (np.array([0, 0.5], dtype=np.float32), "mask values outside {0, 1}: [0.  0.5]"),
+    (np.array([2], dtype=np.uint8), "mask values outside {0, 1}: [1 2]"),
+    (np.array([0, 1, np.nan], dtype=np.float32), "mask values outside {0, 1}: [ 0.  1. nan]"),
+    (np.array([np.inf], dtype=np.float32), "mask values outside {0, 1}: [ 1. inf]"),
 ])
 def test_external_mask_values_outside_zero_one_are_rejected(tmp_path, values, message):
-    """A stray 2 and a fractional float are both caught, named by the mask's distinct values."""
+    """A stray 2, a fractional float, a NaN and an inf are all caught, named by
+    the mask's distinct values. The mask is 0 around ``values`` where they
+    hold a 0, else 1, so the message names a 0 only where the mask holds one."""
     image, _ = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
-    out = np.zeros(image.dims, dtype=values.dtype)
+    out = np.full(image.dims, 0 if (values == 0).any() else 1, dtype=values.dtype)
     out[:values.size, 0, 0] = values
     mask_path = tmp_path / "mask.nii.gz"
     write_volume(Volume3D(out), mask_path)
@@ -488,9 +505,31 @@ def test_external_mask_of_zeros_and_ones_in_any_dtype_is_accepted(tmp_path, dtyp
     mask_path = tmp_path / "mask.nii.gz"
     write_volume(Volume3D(blob.astype(dtype)), mask_path)
     command = write_adapter(tmp_path, COPY_MASK) + " " + str(mask_path)
-    res = SegmenterRef.external(command).segment(image, (4, 4, 2))
+    res = segment(image, (4, 4, 2), SegmenterRef.external(command))
     assert res.mask.data.dtype == np.uint8
     assert np.array_equal(res.mask.data, blob.astype(np.uint8))
+
+
+def test_the_exec_round_trip_holds_less_than_its_voi(tmp_path):
+    """The VOI goes to the model and its mask comes back a run of z-slices
+    at a time, never as a whole copy: one call's peak stays below the VOI
+    image's own size, and the mask comes back as the box of its voxels."""
+    rng = np.random.default_rng(5)
+    image = Volume3D(rng.integers(-1000, 1000, size=(128, 128, 64)).astype(np.int16))
+    blob = np.zeros(image.dims, dtype=np.uint8)
+    blob[40:80, 50:90, 20:40] = 1
+    mask_path = tmp_path / "mask.nii.gz"
+    write_volume(Volume3D(blob, kind=VolumeKind.BINARY_MASK), mask_path)
+    ref = SegmenterRef.external(write_adapter(tmp_path, COPY_MASK) + " " + str(mask_path))
+    tracemalloc.start()
+    try:
+        res = segment_box(image, (60, 70, 30), ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < image.data.nbytes, peak
+    assert res.corner == (40, 50, 20)
+    assert res.mask.dims == (40, 40, 20) and res.mask.data.all()
 
 
 def _process_state(pid):

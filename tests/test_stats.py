@@ -88,6 +88,16 @@ def test_bonferroni():
         bonferroni(0.5, 0)
 
 
+def test_a_p_value_that_underflows_to_zero_is_a_valid_result():
+    """p = 0.0 lies in [0, 1]: a result may hold it and Bonferroni may adjust it."""
+    a = list(np.linspace(0.5, 0.9, 60))
+    r = paired_ttest(a, [x - 0.3 + 1e-9 * (i % 2) for i, x in enumerate(a)])
+    assert r.p_two_tailed == 0.0  # the t tail underflows
+    assert bonferroni(0.0, 4) == 0.0
+    adj = r.adjusted(m=4, alpha=0.0001)
+    assert adj.p_adjusted == 0.0 and adj.significant
+
+
 def test_adjusted_flags_significance_at_threshold():
     r = paired_ttest(list(np.linspace(0.5, 0.9, 30)), [0.0] * 30)
     adj = r.adjusted(m=4, alpha=0.0001)

@@ -18,6 +18,7 @@ from ulsforge.errors import (
     ClickNotOnMaskError,
     ClickOutOfVolumeError,
     DimsMismatchError,
+    PadValueError,
 )
 from ulsforge.lesions import CONNECTIVITIES
 from ulsforge.voi import _overlap
@@ -106,6 +107,16 @@ def test_custom_pad_value_for_strict_zero_padding():
     cfg = VOICfg(size=(8, 8, 8), pad_value_image=0)
     s = crop_voi(image, mask, ClickPoint((0, 0, 0)), cfg)
     assert s.image.data[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("dtype, fits, beyond", [(np.uint8, 255, 256), (np.int16, -32768, -32769)])
+def test_a_pad_at_the_dtype_limit_fits_and_one_beyond_it_does_not(dtype, fits, beyond):
+    image = Volume3D(np.zeros((4, 4, 4), dtype=dtype))
+    corner = ClickPoint((0, 0, 0))  # the window hangs off the volume, so it is padded
+    s = crop_voi(image, None, corner, VOICfg(size=(8, 8, 8), pad_value_image=fits))
+    assert s.image.data.dtype == dtype and s.image.data[0, 0, 0] == fits
+    with pytest.raises(PadValueError, match="pad value %d does not fit" % beyond):
+        crop_voi(image, None, corner, VOICfg(size=(8, 8, 8), pad_value_image=beyond))
 
 
 def test_crop_errors():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ulsforge import Volume3D, VolumeKind, read_volume, write_volume
+from ulsforge.volume import _build_header
 from ulsforge.errors import (
     BadHeaderError,
     BadMagicError,
@@ -132,6 +133,36 @@ def test_gzip_writes_are_repeatable_and_at_the_fastest_level(tmp_path):
     assert second.read_bytes() == packed
     assert gzip.decompress(packed) == plain.read_bytes()
     assert packed[8] == 4  # gzip header XFL: 4 = fastest, 2 = maximum compression
+
+
+def _pinned_volumes():
+    rng = np.random.default_rng(17)
+    data = rng.integers(-1000, 1000, size=(96, 80, 12)).astype(np.int16)
+    mask = (rng.random((40, 36, 9)) < 0.3).astype(np.uint8)
+    view = np.asfortranarray(data)[5:70, 3:61, 2:11]
+    view.setflags(write=False)  # read-only: Volume3D keeps the strided view without a copy
+    return {
+        "int16-c": Volume3D(np.ascontiguousarray(data), spacing=(0.7, 0.8, 2.5)),
+        "int16-f": Volume3D(np.asfortranarray(data), spacing=(0.7, 0.8, 2.5)),
+        "int16-view": Volume3D(view),
+        "uint8-mask": Volume3D(mask, kind=VolumeKind.BINARY_MASK),
+    }
+
+
+PINNED_VOLUMES = _pinned_volumes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VOLUMES))
+def test_written_bytes_are_the_whole_file_deflated_at_level_1(tmp_path, name):
+    """Whatever the volume's memory layout, the file is the header, 4 zero
+    bytes and the x-fastest payload, and the ``.nii.gz`` is exactly that blob
+    through ``gzip.compress`` at level 1 with mtime 0."""
+    vol = PINNED_VOLUMES[name]
+    blob = _build_header(vol) + bytes(4) + np.ravel(vol.data, order="F").tobytes()
+    write_volume(vol, tmp_path / "v.nii.gz")
+    write_volume(vol, tmp_path / "v.nii")
+    assert (tmp_path / "v.nii").read_bytes() == blob
+    assert (tmp_path / "v.nii.gz").read_bytes() == gzip.compress(blob, compresslevel=1, mtime=0)
 
 
 def test_gzip_detected_by_content_not_name(tmp_path):
