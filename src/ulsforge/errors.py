@@ -126,18 +126,22 @@ class NoPatientsError(UlsforgeError):
 
 
 class PairingMismatchError(UlsforgeError):
-    """Two runs cover different lesion id sets."""
+    """Two runs cover different lesion id sets, or put a lesion in different datasets."""
 
-    def __init__(self, only_a: set[str], only_b: set[str]):
+    def __init__(self, only_a: set[str], only_b: set[str],
+                 moved: dict[str, tuple[str, str]] | None = None):
         self.only_a = sorted(only_a)
         self.only_b = sorted(only_b)
-        super().__init__(
-            "lesion sets differ: %d only in a (%s), %d only in b (%s)"
-            % (
+        self.moved = dict(sorted((moved or {}).items()))  # lesion id -> (dataset in a, in b)
+        if self.moved:
+            message = "lesion datasets differ for %d lesion(s): %s" % (len(self.moved), ", ".join(
+                "%s is in %r in a, %r in b" % (lid, in_a, in_b)
+                for lid, (in_a, in_b) in list(self.moved.items())[:5]))
+        else:
+            message = "lesion sets differ: %d only in a (%s), %d only in b (%s)" % (
                 len(self.only_a), ", ".join(self.only_a[:5]),
-                len(self.only_b), ", ".join(self.only_b[:5]),
-            )
-        )
+                len(self.only_b), ", ".join(self.only_b[:5]))
+        super().__init__(message)
 
 
 class EmptyRecordsError(UlsforgeError):

@@ -104,6 +104,9 @@ class Manifest:
             seen.add(e.lesion_id)
             if not e.patient_id:
                 raise ManifestParseError("entry %r has empty patient_id" % e.lesion_id)
+            if e.location.strip() == OVERALL_LOCATION:
+                raise ManifestParseError("entry %r: location %r is reserved for the overall row"
+                                         % (e.lesion_id, OVERALL_LOCATION))
 
     def patients(self) -> list[str]:
         return sorted({e.patient_id for e in self.entries})
@@ -717,7 +720,8 @@ def aggregate_by_location(records: list[EvalRecord], metadata: dict | None = Non
     overall row uses the location label "(all)". Sample std uses the
     n-1 denominator and is 0 for single-record groups. A per-dataset
     summary (model x dataset, the published-table layout) is attached
-    alongside the location groups.
+    alongside the location groups. A record located at "(all)" is a
+    ValueError.
     """
     if not records:
         raise EmptyRecordsError("no records to aggregate")
@@ -732,6 +736,9 @@ def aggregate_by_location(records: list[EvalRecord], metadata: dict | None = Non
         by_ds: dict[str, list[EvalRecord]] = {}
         for rec in recs:
             loc = rec.location.strip() or UNDEFINED_LOCATION
+            if loc == OVERALL_LOCATION:  # its row could not be told from the overall row
+                raise ValueError("record %r: location %r is reserved for the overall row"
+                                 % (rec.lesion_id, OVERALL_LOCATION))
             by_loc.setdefault(loc, []).append(rec)
             by_ds.setdefault(rec.dataset, []).append(rec)
         locations = sorted(by_loc, key=lambda l: (l == UNDEFINED_LOCATION, l))
@@ -753,7 +760,8 @@ def compare_models(a: list[EvalRecord], b: list[EvalRecord],
     """Paired per-lesion comparison of two runs, Bonferroni-corrected.
 
     Records pair by lesion id within each dataset; one t-test per
-    (dataset, metric) with values present on both sides. m defaults to
+    (dataset, metric) with values present on both sides. Both runs must
+    hold the same lesions, each in the same dataset. m defaults to
     the number of comparisons performed. Zero-variance comparisons are
     reported as degenerate, never as p = 0.
     """
@@ -761,6 +769,10 @@ def compare_models(a: list[EvalRecord], b: list[EvalRecord],
     map_b = {r.lesion_id: r for r in b}
     if set(map_a) != set(map_b):
         raise PairingMismatchError(set(map_a) - set(map_b), set(map_b) - set(map_a))
+    moved = {lid: (r.dataset, map_b[lid].dataset) for lid, r in map_a.items()
+             if r.dataset != map_b[lid].dataset}
+    if moved:
+        raise PairingMismatchError(set(), set(), moved)
     datasets = sorted({r.dataset for r in a})
     raw: list[TestResult] = []
     for dataset in datasets:

@@ -2,9 +2,12 @@
 
 Arrays are indexed ``[x, y, z]`` everywhere in the toolkit; on disk the
 x axis is fastest (NIfTI native layout), so serialization uses Fortran
-element order. Orientation and affine header fields are carried as
-opaque bytes and re-emitted on write: all geometry here is voxel-index
-geometry.
+element order. All geometry here is voxel-index geometry: a write sets
+only ``sizeof_hdr``, ``dim``, ``datatype``, ``bitpix``, ``pixdim[1:4]``,
+``vox_offset`` and ``magic`` (a fresh header also ``regular``,
+``pixdim[0]``, ``scl_slope``, ``xyzt_units`` and ``descrip``), and every
+other header byte, orientation and affine included, is carried through
+as read.
 """
 
 from __future__ import annotations
@@ -44,52 +47,16 @@ _CODE_TO_DTYPE = {
 }
 _DTYPE_TO_CODE = {v: k for k, v in _CODE_TO_DTYPE.items()}
 
-_HEADER_DTYPE = np.dtype([
-    ("sizeof_hdr", "<i4"),
-    ("data_type", "S10"),
-    ("db_name", "S18"),
-    ("extents", "<i4"),
-    ("session_error", "<i2"),
-    ("regular", "S1"),
-    ("dim_info", "u1"),
-    ("dim", "<i2", (8,)),
-    ("intent_p1", "<f4"),
-    ("intent_p2", "<f4"),
-    ("intent_p3", "<f4"),
-    ("intent_code", "<i2"),
-    ("datatype", "<i2"),
-    ("bitpix", "<i2"),
-    ("slice_start", "<i2"),
-    ("pixdim", "<f4", (8,)),
-    ("vox_offset", "<f4"),
-    ("scl_slope", "<f4"),
-    ("scl_inter", "<f4"),
-    ("slice_end", "<i2"),
-    ("slice_code", "u1"),
-    ("xyzt_units", "u1"),
-    ("cal_max", "<f4"),
-    ("cal_min", "<f4"),
-    ("slice_duration", "<f4"),
-    ("toffset", "<f4"),
-    ("glmax", "<i4"),
-    ("glmin", "<i4"),
-    ("descrip", "S80"),
-    ("aux_file", "S24"),
-    ("qform_code", "<i2"),
-    ("sform_code", "<i2"),
-    ("quatern_b", "<f4"),
-    ("quatern_c", "<f4"),
-    ("quatern_d", "<f4"),
-    ("qoffset_x", "<f4"),
-    ("qoffset_y", "<f4"),
-    ("qoffset_z", "<f4"),
-    ("srow_x", "<f4", (4,)),
-    ("srow_y", "<f4", (4,)),
-    ("srow_z", "<f4", (4,)),
-    ("intent_name", "S16"),
-    ("magic", "S4"),
-])
-assert _HEADER_DTYPE.itemsize == HEADER_SIZE
+# The NIfTI-1 header fields read or written here, at their byte offsets; every
+# other header byte is carried through as read
+_HEADER_DTYPE = np.dtype({
+    "names": ["sizeof_hdr", "regular", "dim", "datatype", "bitpix", "pixdim", "vox_offset",
+              "scl_slope", "scl_inter", "xyzt_units", "descrip", "magic"],
+    "formats": ["<i4", "S1", ("<i2", (8,)), "<i2", "<i2", ("<f4", (8,)), "<f4",
+                "<f4", "<f4", "u1", "S80", "S4"],
+    "offsets": [0, 38, 40, 70, 72, 76, 108, 112, 116, 123, 148, 344],
+    "itemsize": HEADER_SIZE,
+})
 
 
 class VolumeKind(Enum):
@@ -508,10 +475,10 @@ def read_volume(path: str | Path) -> Volume3D:
 
 def _build_header(vol: Volume3D) -> bytes:
     """Header for ``vol``: retained bytes patched, or a fresh minimal one."""
-    if vol.header_meta is not None and len(vol.header_meta) == HEADER_SIZE:
-        hdr = np.frombuffer(vol.header_meta, dtype=_HEADER_DTYPE).copy()[0]
-    else:
-        hdr = np.zeros((), dtype=_HEADER_DTYPE)
+    retained = vol.header_meta is not None and len(vol.header_meta) == HEADER_SIZE
+    buf = bytearray(vol.header_meta if retained else HEADER_SIZE)
+    hdr = np.frombuffer(buf, dtype=_HEADER_DTYPE)[0]  # a view: undeclared bytes stay as they are
+    if not retained:
         hdr["regular"] = b"r"
         hdr["pixdim"][0] = 1.0
         hdr["scl_slope"] = 1.0
@@ -527,7 +494,7 @@ def _build_header(vol: Volume3D) -> bytes:
     hdr["bitpix"] = vol.data.dtype.itemsize * 8
     hdr["vox_offset"] = float(VOX_OFFSET)
     hdr["magic"] = NIFTI_MAGICS[0]
-    return hdr.tobytes()
+    return bytes(buf)
 
 
 def write_volume(vol: Volume3D, path: str | Path, compress: bool | None = None) -> None:

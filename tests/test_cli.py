@@ -387,6 +387,32 @@ def test_a_nan_score_is_an_error_not_p_0(tmp_path, capsys):
     assert err.startswith("error: ") and "1 of 16 pairs hold a NaN or infinite value" in err, err
 
 
+def test_compare_refuses_a_lesion_whose_dataset_differs_between_the_runs(tmp_path, capsys):
+    header = ",".join(pipeline.CSV_COLUMN_ORDER)
+    for name, datasets in (("a", "AABB"), ("b", "BBBB")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "records.csv").write_text("\n".join(
+            [header] + ["l%d,m,%s,liver,0.%d,,,," % (i, d, 5 + i) for i, d in enumerate(datasets)]) + "\n")
+    for (run_a, run_b), (in_a, in_b) in ((("a", "b"), ("A", "B")), (("b", "a"), ("B", "A"))):
+        out = tmp_path / ("%s%s.json" % (run_a, run_b))
+        assert main(["compare", "--run-a", str(tmp_path / run_a), "--run-b", str(tmp_path / run_b),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "l0 is in %r in a, %r in b" % (in_a, in_b) in err, err
+        assert not out.exists()
+
+
+def test_a_report_over_a_record_at_the_overall_location_is_an_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "records.csv").write_text(",".join(pipeline.CSV_COLUMN_ORDER) + "\nl1,m,d,(all),0.5,,,,\n")
+    out = tmp_path / "agg.json"
+    assert main(["report", "--run", str(run), "--format", "json", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'(all)' is reserved" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_report_over_a_non_finite_score_is_an_error_not_a_nan(tmp_path, capsys, fmt):
     run = tmp_path / "run"
@@ -449,15 +475,16 @@ def test_extracted_pairs_are_the_shifted_samples_without_the_mask_header(tmp_pat
     mask[22:24, 4:26, 4:6] = mask[27:29, 4:26, 4:6] = mask[22:29, 24:26, 4:6] = 1  # a U
     plain = Volume3D(mask, spacing=(0.8, 0.8, 2.5))
     write_volume(plain, tmp_path / "plain.nii")
-    header = np.frombuffer(read_volume(tmp_path / "plain.nii").header_meta,
-                           dtype=_HEADER_DTYPE).copy()[0]
-    header["descrip"] = b"scanner export"
-    header["sform_code"] = 1
-    header["srow_x"] = (0.8, 0.0, 0.0, -12.5)
-    header["xyzt_units"] = 10  # mm and s
-    write_volume(Volume3D(mask, plain.spacing, header_meta=header.tobytes()), tmp_path / "m.nii.gz")
+    header = bytearray(read_volume(tmp_path / "plain.nii").header_meta)
+    fields = np.frombuffer(header, dtype=_HEADER_DTYPE)[0]
+    fields["descrip"] = b"scanner export"
+    fields["xyzt_units"] = 10  # mm and s
+    header[254:256] = np.array(1, dtype="<i2").tobytes()  # sform_code
+    header[280:296] = np.array([0.8, 0.0, 0.0, -12.5], dtype="<f4").tobytes()  # srow_x
+    header = bytes(header)
+    write_volume(Volume3D(mask, plain.spacing, header_meta=header), tmp_path / "m.nii.gz")
     write_volume(Volume3D(np.where(mask, 100, -1000).astype(np.int16), plain.spacing,
-                          header_meta=header.tobytes()), tmp_path / "i.nii.gz")
+                          header_meta=header), tmp_path / "i.nii.gz")
     assert b"scanner export" in read_volume(tmp_path / "m.nii.gz").header_meta
     clicks = {"corner": [1, 1, 1], "cubes": [13, 11, 7], "u": [22, 5, 4]}
     path = tmp_path / "manifest.json"

@@ -63,6 +63,7 @@ from ulsforge.errors import (
     DuplicateLesionIdError,
     EmptyInstanceError,
     EmptyRecordsError,
+    ManifestParseError,
     MissingFileError,
     NoPatientsError,
     PairingMismatchError,
@@ -90,6 +91,16 @@ def test_load_manifest_json(tmp_path):
         {"lesion_id": 7, "patient_id": 12, "image_path": img.name, "mask_path": msk.name}]}))
     entry, = load_manifest(tmp_path / "ints.json").entries
     assert (entry.lesion_id, entry.patient_id) == ("7", "12")
+
+
+def test_the_overall_location_is_refused_in_a_manifest(tmp_path):
+    path = make_manifest(tmp_path, 2)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["location"] = "(all)"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestParseError, match=r"entry '%s': location '\(all\)' is reserved"
+                       % doc["entries"][1]["lesion_id"]):
+        load_manifest(path)
 
 
 def test_empty_manifest_is_valid(tmp_path):
@@ -970,6 +981,19 @@ def test_pairing_mismatch_reports_symmetric_difference():
     assert err.value.only_b == ["z"]
 
 
+@pytest.mark.parametrize("a_first", [True, False], ids=["a-b", "b-a"])
+def test_a_lesion_in_another_dataset_in_the_other_run_is_a_pairing_mismatch(a_first):
+    """Pairing by lesion id within each dataset needs each lesion in one dataset in
+    both runs; whichever run comes first, a lesion that moved is an error."""
+    a = [rec("l%d" % i, d=0.5 + i * 0.07, dataset="A" if i < 2 else "B") for i in range(4)]
+    b = [rec("l%d" % i, d=0.45 + i * 0.05, dataset="B") for i in range(4)]
+    with pytest.raises(PairingMismatchError) as err:
+        compare_models(a, b) if a_first else compare_models(b, a)
+    first, second = ("A", "B") if a_first else ("B", "A")
+    assert err.value.moved == {"l0": (first, second), "l1": (first, second)}
+    assert "l0 is in %r in a, %r in b" % (first, second) in str(err.value)
+
+
 def test_comparisons_stratified_by_dataset():
     a = [rec("l%d" % i, d=0.5 + i * 0.07, rob=0.8 + i * 0.01,
              dataset="ds%d" % (i % 2)) for i in range(8)]
@@ -983,6 +1007,12 @@ def test_comparisons_stratified_by_dataset():
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
+
+
+def test_a_record_located_at_the_overall_label_is_refused():
+    """Its location row could not be told from the overall row of report.json."""
+    with pytest.raises(ValueError, match=r"record 'b': location '\(all\)' is reserved"):
+        aggregate_by_location([rec("a"), rec("b", loc=" (all)")])
 
 
 def test_csv_report_row_count(tmp_path):

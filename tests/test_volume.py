@@ -1,12 +1,14 @@
+import ast
 import gzip
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ulsforge import Volume3D, VolumeKind, read_volume, write_volume
-from ulsforge.volume import _build_header
+from ulsforge import Volume3D, VolumeKind, read_volume, volume, write_volume
+from ulsforge.volume import _HEADER_DTYPE, _build_header
 from ulsforge.errors import (
     BadHeaderError,
     BadMagicError,
@@ -172,18 +174,43 @@ def test_gzip_detected_by_content_not_name(tmp_path):
     assert read_volume(path) == vol
 
 
+# the header bytes _build_header writes over a retained header: sizeof_hdr, dim,
+# datatype, bitpix, pixdim[1:4], vox_offset and magic
+WRITTEN_HEADER_BYTES = {*range(0, 4), *range(40, 56), *range(70, 74), *range(80, 92),
+                        *range(108, 112), *range(344, 348)}
+
+
 def test_header_bytes_retained_opaquely(tmp_path):
+    """Every header byte that _build_header does not write survives a read and a
+    write, plain and gzip."""
     path = tmp_path / "v.nii"
     write_volume(Volume3D(np.zeros((4, 4, 4), dtype=np.int16)), path)
     blob = bytearray(path.read_bytes())
+    kept = [i for i in range(348) if i not in WRITTEN_HEADER_BYTES]
+    for i in kept:
+        blob[i] = (i * 37 + 11) % 256
+    blob[112:116] = np.array(0x7FC0A55A, dtype="<u4").tobytes()  # scl_slope: a NaN, unscaled
     marker = b"scanner-xyz"
     blob[148:148 + len(marker)] = marker  # descrip field
     path.write_bytes(bytes(blob))
     vol = read_volume(path)
-    assert vol.header_meta[148:148 + len(marker)] == marker
-    out = tmp_path / "copy.nii"
-    write_volume(vol, out)
-    assert read_volume(out).header_meta[148:148 + len(marker)] == marker
+    assert vol.header_meta == bytes(blob[:348])
+    for out in (tmp_path / "copy.nii", tmp_path / "copy.nii.gz"):
+        write_volume(vol, out)
+        raw = out.read_bytes()
+        written = gzip.decompress(raw) if out.suffix == ".gz" else raw
+        assert [i for i in kept if written[i] != blob[i]] == [], out.name
+        assert read_volume(out).header_meta == written[:348]
+
+
+def test_every_declared_header_field_is_read_or_written():
+    """_HEADER_DTYPE names only the fields volume.py subscripts as hdr["name"];
+    every other header byte is carried through undeclared."""
+    tree = ast.parse(Path(volume.__file__).read_text())
+    used = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "hdr" and isinstance(node.slice, ast.Constant)}
+    assert sorted(set(_HEADER_DTYPE.names) - used) == []
 
 
 def test_constructor_validation():
