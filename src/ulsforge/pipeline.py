@@ -542,7 +542,7 @@ class ScanLoader:
 
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
                   exc: Exception) -> EvalRecord:
-    msg = " ".join(str(exc).split())
+    msg = " ".join(str(exc).split()) or type(exc).__name__
     return EvalRecord(
         lesion_id=entry.lesion_id, model_id=model_id, dice=0.0, robustness=None,
         location=entry.location, dataset=entry.dataset,
@@ -584,7 +584,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
                           robustness=robust, location=entry.location,
                           dataset=entry.dataset, flags=frozenset(flags),
                           seed_root=seed_root)
-    except (UlsforgeError, OSError) as e:
+    except (UlsforgeError, OSError, MemoryError) as e:  # a lesion too large for memory fails alone
         return _error_record(entry, model_id, seed_root, e)
 
 

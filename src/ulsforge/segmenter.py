@@ -46,11 +46,13 @@ DEFAULT_HU_WINDOW = (-160, 240)
 _MAX_WAIT_S = (2 ** 31 - 1) // 1000
 
 _FIRST_HALF_WIDTH = 16  # voxels on each side of the click the grower thresholds first
+_BFS_BATCH = 1024  # parents a truncated grow expands at a time
 
 
 @dataclass(frozen=True)
 class GrowParams:
-    """Region-growing configuration: inclusive HU bounds and a growth cap."""
+    """Region-growing configuration: inclusive HU bounds and a growth cap, an
+    integer of at least 1 (a numpy integer too, never a bool or a float)."""
 
     hu_window: tuple[float, float] = DEFAULT_HU_WINDOW
     connectivity: int = 26
@@ -60,6 +62,8 @@ class GrowParams:
         lo, hi = self.hu_window
         if not lo <= hi:  # also false for a NaN bound
             raise ValueError("hu_window needs lo <= hi and no NaN, got (%r, %r)" % (lo, hi))
+        if isinstance(self.max_voxels, bool) or not isinstance(self.max_voxels, (int, np.integer)):
+            raise ValueError("max_voxels must be an integer, got %r" % (self.max_voxels,))
         if self.max_voxels < 1:
             raise ValueError("max_voxels must be >= 1")
         if self.connectivity not in CONNECTIVITIES:
@@ -97,8 +101,11 @@ class BuiltinSegmenter(SegmenterRef):
     small box around the click and widens each side its component touches
     to the VOI's face: a path out of the box passes a voxel on one of its
     faces, so the grow is the whole VOI's, and the work follows the lesion.
-    The mask is the box of the grown voxels at the result's ``corner``; a
-    seed outside the window gives one zero voxel at the click."""
+    A truncated grow walks the seed's component alone, cut to its own box:
+    a breadth-first walk never leaves its component, and the component is
+    all the grow holds beside the walk's own tables. The mask is the box of
+    the grown voxels at the result's ``corner``; a seed outside the window
+    gives one zero voxel at the click."""
 
     kind = "builtin"
     grow_params: GrowParams = GrowParams()
@@ -134,11 +141,14 @@ class BuiltinSegmenter(SegmenterRef):
                     break
                 box = wider
             component = labeled[found] == comp_id
+            del labeled, inside  # a truncated grow holds its component alone
             truncated = int(np.count_nonzero(component)) > params.max_voxels
             if truncated:
-                grown = _grow_bfs(inside, tuple(c - b.start for c, b in zip(seed, box)), params)
-                comp = _foreground_box(grown)
-                component = grown[comp]
+                at = tuple(c - b.start - k.start for c, b, k in zip(seed, box, comp))  # seed in comp
+                grown = _grow_bfs(component, at, params)
+                kept = _foreground_box(grown)
+                component = grown[kept]
+                comp = tuple(slice(c.start + k.start, c.start + k.stop) for c, k in zip(comp, kept))
             mask = np.array(component, dtype=np.uint8, order="F")  # a copy: no view keeps the box
             corner = tuple(b.start + c.start for b, c in zip(box, comp))
         mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
@@ -249,37 +259,43 @@ def _neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
 def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowParams) -> np.ndarray:
     """First max_voxels voxels in breadth-first discovery order.
 
-    Grows one layer at a time, parent by parent in discovery order and
-    offset by offset, keeping each voxel's first hit: the smallest
-    position at which it occurs in the layer's candidates, found without
-    sorting. Every candidate is open, so it was a candidate in no earlier
-    layer: the table of first hits is filled once, not reset per layer. A
-    False border one voxel wide keeps every flat neighbour index inside
-    the array.
+    Grows one layer at a time, its parents in discovery order
+    ``_BFS_BATCH`` at a time and each parent offset by offset, keeping each
+    voxel's first hit: the smallest position at which it occurs in the
+    batch's candidates, found without sorting. A batch's first hits are
+    accepted before the next batch is expanded: a voxel hit in an earlier
+    batch comes before every hit in a later one, so accepting it early
+    drops only candidates that would lose, and the order is the whole
+    layer's. Every candidate is open, so it was a candidate in no earlier
+    batch: the table of first hits is filled once, not reset. The walk
+    stops the moment max_voxels voxels are accepted; they are the window's
+    voxels no longer open, so no list of them is kept. A False border one
+    voxel wide keeps every flat neighbour index inside the array. The walk
+    never leaves the seed's component, so a caller may pass that alone.
     """
     padded = np.pad(in_window, 1)
     shape = padded.shape
     flat_off = np.array(_neighbor_offsets(params.connectivity)) @ (shape[1] * shape[2], shape[2], 1)
     is_open = padded.ravel()  # in the window and not yet accepted
-    dtype = np.int32 if flat_off.size * is_open.size < 2 ** 31 else np.intp  # holds every position
-    first = np.full(is_open.size, np.iinfo(dtype).max, dtype=dtype)
+    first = np.full(is_open.size, np.iinfo(np.int32).max, dtype=np.int32)  # positions within a batch
     frontier = np.array([np.ravel_multi_index(tuple(c + 1 for c in seed), shape)])
     is_open[frontier] = False
-    layers = [frontier]
     count = 1
     while frontier.size and count < params.max_voxels:
-        cand = (frontier[:, None] + flat_off).ravel()
-        cand = cand[is_open[cand]]
-        position = np.arange(cand.size, dtype=dtype)
-        np.minimum.at(first, cand, position)
-        cand = cand[first[cand] == position]
-        frontier = cand[:params.max_voxels - count]
-        is_open[frontier] = False
-        layers.append(frontier)
-        count += frontier.size
-    accepted = np.zeros(shape, dtype=np.uint8)
-    np.put(accepted, np.concatenate(layers), 1)
-    return accepted[1:-1, 1:-1, 1:-1]
+        layer = []
+        for start in range(0, frontier.size, _BFS_BATCH):
+            cand = (frontier[start:start + _BFS_BATCH, None] + flat_off).ravel()
+            cand = cand[is_open[cand]]
+            position = np.arange(cand.size, dtype=np.int32)
+            np.minimum.at(first, cand, position)
+            accepted = cand[first[cand] == position][:params.max_voxels - count]
+            is_open[accepted] = False
+            layer.append(accepted)
+            count += accepted.size
+            if count == params.max_voxels:
+                break
+        frontier = np.concatenate(layer)
+    return (in_window & ~is_open.reshape(shape)[1:-1, 1:-1, 1:-1]).view(np.uint8)
 
 
 def segment(voi_image: Volume3D, local_click: tuple[int, int, int],

@@ -427,6 +427,41 @@ def test_empty_adapter_robustness_is_one_by_convention(tmp_path):
         assert pl.FLAG_EMPTY_PREDICTION in r.flags
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("message, error", [("", "MemoryError"),
+                                            ("Unable to allocate 2.00 GiB", "Unable to allocate 2.00 GiB")])
+def test_a_lesion_that_runs_out_of_memory_fails_alone(tmp_path, monkeypatch, workers, message, error):
+    """A MemoryError while segmenting one lesion is that lesion's error
+    record; the run exits 0 and every other record is an unpatched run's."""
+    manifest = make_manifest(tmp_path, 4)
+    argv = ["eval", "--manifest", str(manifest), "--voi", "32x32x16", "--workers", str(workers),
+            "--segmenter", "builtin", "--hu-window", "50:150"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    current = threading.local()  # the lesion each worker thread is scoring
+    plan, real = pl.build_click_plan, pl.segment
+
+    def planned(instance, seed_root, lesion_id, k):
+        current.lesion_id = lesion_id
+        return plan(instance, seed_root, lesion_id, k=k)
+
+    def segment_or_fail(voi_image, local_click, ref):
+        if current.lesion_id == "les002":
+            raise MemoryError(message)
+        return real(voi_image, local_click, ref)
+
+    monkeypatch.setattr(pl, "build_click_plan", planned)
+    monkeypatch.setattr(pl, "segment", segment_or_fail)
+    assert main([*argv, "--out", str(tmp_path / "failed")]) == 0
+    plain = read_records_csv(tmp_path / "plain" / "records.csv")
+    failed = read_records_csv(tmp_path / "failed" / "records.csv")
+    assert [r.lesion_id for r in failed] == [r.lesion_id for r in plain]
+    for a, b in zip(plain, failed):
+        if b.lesion_id == "les002":
+            assert b.error == error and b.flags == frozenset({pl.FLAG_ERROR}) and b.dice == 0.0
+        else:
+            assert b == a
+
+
 def test_run_determinism_across_worker_counts(tmp_path):
     manifest = load_manifest(make_manifest(tmp_path, 6, lesions_per_patient=2))
     a = run_robustness_eval(manifest, BUILTIN, SMALL_CFG, seed_root=99, workers=1)

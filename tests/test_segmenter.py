@@ -45,7 +45,7 @@ from ulsforge.errors import (
 )
 from ulsforge.lesions import CONNECTIVITIES
 from ulsforge import segmenter
-from ulsforge.segmenter import _FIRST_HALF_WIDTH, _grow_bfs, _neighbor_offsets, segment_box
+from ulsforge.segmenter import _BFS_BATCH, _FIRST_HALF_WIDTH, _grow_bfs, _neighbor_offsets, segment_box
 
 WINDOW = (50, 150)
 
@@ -279,6 +279,78 @@ def test_truncated_grow_property(data, shape, rng_seed, fill, connectivity):
     assert np.array_equal(res.mask.data, component)
 
 
+@pytest.mark.parametrize("connectivity", CONNECTIVITIES)
+def test_a_truncated_grow_cut_in_any_batch_of_a_layer_is_the_deques(connectivity, monkeypatch):
+    """Parents expanded five at a time: every cap inside the third layer
+    falls at some point of some batch, most of them past its first."""
+    monkeypatch.setattr(segmenter, "_BFS_BATCH", 5)
+    in_window = random_window((13, 12, 11), 0.9, rng_seed=connectivity)
+    seed = (6, 6, 5)
+    in_window[seed] = True
+    reached, sizes = np.zeros_like(in_window), []
+    reached[seed] = True
+    for _ in range(3):
+        reached = ndimage.binary_dilation(reached, structure(connectivity)) & in_window
+        sizes.append(int(reached.sum()))
+    assert sizes[1] - sizes[0] > 3 * 5  # the third layer's parents fill more than three batches
+    for cap in range(sizes[1] + 1, sizes[2] + 1):
+        assert int(grow_both(in_window, seed, connectivity, cap).sum()) == cap
+
+
+def test_a_truncated_grow_whose_layers_exceed_one_batch_is_the_deques():
+    """At the real batch size: a filled block whose eighth layer has more
+    parents than one batch holds, cut near that layer's end."""
+    in_window = np.ones((21, 21, 21), dtype=bool)
+    seed = (10, 10, 10)
+    assert 15 ** 3 - 13 ** 3 > _BFS_BATCH  # the voxels of layer 7, the parents of layer 8
+    grow_both(in_window, seed, 26, 17 ** 3 - 10)
+
+
+def oversized_voi(shape=(128, 128, 64), radii=(66, 36, 13)):
+    """An in-window elliptic cylinder wider than its VOI, centered in it, as
+    the benchmark's oversized lesion: (image, its in-window voxels)."""
+    center = tuple(n // 2 for n in shape)
+    x, y, z = np.ogrid[tuple(slice(0, n) for n in shape)]
+    cylinder = ((((x - center[0]) / radii[0]) ** 2 + ((y - center[1]) / radii[1]) ** 2 <= 1)
+                & (abs(z - center[2]) <= radii[2]))
+    return Volume3D(np.where(cylinder, LESION_HU, BACKGROUND_HU).astype(np.int16)), cylinder
+
+
+def test_a_truncated_grow_walks_only_its_components_box(monkeypatch):
+    """The breadth-first walk gets the component cut to its own box, not
+    the in-window voxels of the whole VOI its labeling widened to."""
+    image, cylinder = oversized_voi()
+    walked = []
+    grow = segmenter._grow_bfs
+
+    def spy(in_window, seed, params):
+        walked.append(in_window.shape)
+        return grow(in_window, seed, params)
+
+    monkeypatch.setattr(segmenter, "_grow_bfs", spy)
+    res = segment_box(image, tuple(n // 2 for n in image.dims),
+                      SegmenterRef.builtin(GrowParams(hu_window=WINDOW, max_voxels=163840)))
+    component_box = tuple(int(n) for n in np.ptp(np.argwhere(cylinder), axis=0) + 1)
+    assert res.truncated and int(res.mask.data.sum()) == 163840
+    assert len(walked) == 1 and all(w <= c for w, c in zip(walked[0], component_box)), walked
+
+
+def test_a_truncated_grow_peaks_below_half_the_whole_voi_walk():
+    """One truncated grow of a 200k-voxel lesion in a 128x128x64 VOI peaks
+    below 4 MB under tracemalloc; walking the whole VOI at once took 8.1 MB."""
+    image, _ = oversized_voi()
+    center = tuple(n // 2 for n in image.dims)
+    ref = SegmenterRef.builtin(GrowParams(hu_window=WINDOW, max_voxels=163840))
+    tracemalloc.start()
+    try:
+        res = segment_box(image, center, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert res.truncated and int(res.mask.data.sum()) == 163840
+
+
 def mark_runs(in_window, start, moves):
     """Mark a one-voxel path from ``start``: one straight run per (axis, signed
     length) move, each stopped at the VOI's face."""
@@ -404,6 +476,24 @@ def test_grow_params_validation():
         GrowParams(max_voxels=0)
     with pytest.raises(ValueError):
         GrowParams(connectivity=4)
+
+
+@pytest.mark.parametrize("max_voxels", [100.0, np.float64(100), True, False, np.bool_(True), "100"],
+                         ids=["float", "numpy-float", "True", "False", "numpy-bool", "str"])
+def test_a_cap_that_is_not_an_integer_is_refused(max_voxels):
+    with pytest.raises(ValueError, match="max_voxels must be an integer"):
+        GrowParams(max_voxels=max_voxels)
+
+
+@pytest.mark.parametrize("max_voxels", [8, np.int64(8), np.int32(8), np.uint16(8)],
+                         ids=["int", "int64", "int32", "uint16"])
+def test_a_cap_of_any_integer_type_truncates_alike(max_voxels):
+    image_arr = np.full((8, 8, 8), BACKGROUND_HU, dtype=np.int16)
+    image_arr[2:5, 2:5, 2:5] = LESION_HU  # 27 voxels
+    res = segment(Volume3D(image_arr), (3, 3, 3),
+                  SegmenterRef.builtin(GrowParams(hu_window=WINDOW, max_voxels=max_voxels)))
+    assert res.truncated
+    assert np.array_equal(res.mask.data, bfs_grow_oracle(image_arr == LESION_HU, (3, 3, 3), 26, 8))
 
 
 def test_every_public_segmenter_function_takes_any_kind():
