@@ -16,11 +16,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import pipeline
-from .clicks import build_click_plan
+# build_click_plan, crop_voi, isolate_central_lesion: unused, kept for tools that wrap them on cli
+from .clicks import build_click_plan  # noqa: F401
 from .errors import UlsforgeError
 from .lesions import CONNECTIVITIES
 from .segmenter import GrowParams, SegmenterRef
-# crop_voi, isolate_central_lesion: unused here, kept for tools that wrap them by name on cli
 from .voi import VOICfg, crop_voi, isolate_central_lesion  # noqa: F401
 from .volume import write_volume
 
@@ -201,7 +201,8 @@ def _cmd_extract(args) -> int:
     plans: dict[str, dict] = {}
     n_written = 0
     written: set[str] = set()  # file stems, so no lesion overwrites another's files
-    loader = pipeline.ScanLoader(manifest.entries, args.connectivity, cfg.size)
+    loader = pipeline.ScanLoader(manifest.entries, args.connectivity, cfg, seed_root=args.seed,
+                                 k=args.augment)
     for entry in loader.entries:
         entry_rows = rows[entry.lesion_id] = []
         try:
@@ -213,7 +214,7 @@ def _cmd_extract(args) -> int:
             if written.intersection(stems):
                 raise UlsforgeError("lesion %r would overwrite files written in this run"
                                     % entry.lesion_id)
-            plan = build_click_plan(lesion.instance, args.seed, entry.lesion_id, k=args.augment)
+            plan = lesion.plan
             samples = [lesion.voi(c, cfg, args.connectivity) for c in plan.all_clicks()]
             if args.augment > 0:
                 plans[entry.lesion_id] = plan.to_record()
@@ -233,9 +234,9 @@ def _cmd_extract(args) -> int:
                     "mask": mask_path.name,
                 })
                 n_written += 1
-        except (UlsforgeError, OSError) as e:
+        except (UlsforgeError, OSError, MemoryError) as e:  # a lesion out of memory fails alone
             entry_rows.append({"lesion_id": entry.lesion_id,
-                               "error": " ".join(str(e).split())})
+                               "error": " ".join(str(e).split()) or type(e).__name__})
     # the index lists lesions in manifest order, whatever order the scans loaded in
     order = [e.lesion_id for e in manifest.entries]
     doc = {"samples": [row for lid in order for row in rows[lid]]}

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._rng import shuffle_key
-from .clicks import DEFAULT_AUGMENT_COUNT, build_click_plan
+from .clicks import DEFAULT_AUGMENT_COUNT, ClickPlan, build_click_plan
 from .errors import (
     AmbiguousLesionError,
     BadMaskValuesError,
@@ -42,6 +42,7 @@ from .errors import (
     ManifestParseError,
     MissingFileError,
     NoPatientsError,
+    PadValueError,
     PairingMismatchError,
     TooFewPairsError,
     UlsforgeError,
@@ -54,7 +55,7 @@ from .metrics import dice, mean_pairwise_dice, voi_dice  # noqa: F401
 from .segmenter import SegmenterRef
 from .segmenter import segment_box as segment
 from .stats import TestResult, degenerate_result, paired_ttest
-from .voi import VOICfg, VOISample, _crop, _window_offset, crop_voi  # noqa: F401
+from .voi import VOICfg, VOISample, _window_offset, crop_voi  # noqa: F401
 from .voi import isolate_central_lesion, place_back
 from .volume import Box, Volume3D, VolumeKind, _NiftiFile, read_volume
 
@@ -314,11 +315,10 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _image_box(bbox: Box, size: tuple[int, int, int], dims: tuple[int, int, int]) -> Box:
-    """The part of the volume a window of ``size`` around any voxel of
-    ``bbox``, whose corners are inclusive, can reach."""
-    return (tuple(max(0, lo - s // 2) for lo, s in zip(bbox[0], size)),
-            tuple(min(n, hi + s // 2) for hi, s, n in zip(bbox[1], size, dims)))
+def _plan_box(plan: ClickPlan, size: tuple[int, int, int]) -> Box:
+    """The union of the plan's windows of ``size``; it may leave the volume."""
+    per_axis = list(zip(*(_window_offset(click, size) for click in plan.all_clicks())))
+    return tuple(map(min, per_axis)), tuple(max(o) + s for o, s in zip(per_axis, size))
 
 
 @dataclass
@@ -327,30 +327,33 @@ class _Lesion:
 
     A lesion is the voxels of one value in one label map: the mask and the
     entry's component_label, or the mask's components and the clicked or
-    single one's id. Of the image it keeps dims and spacing and the box that
-    every window of the VOI size around a voxel of the lesion reaches inside
-    the volume, as its corner and voxels; every click is such a voxel. Of
-    the mask it keeps spacing. Lesions with equal boxes share one array.
+    single one's id. It carries its click plan, built once at the load. Of
+    the image it keeps dims and spacing and one box, as its corner and
+    voxels: the union of the plan's VOI windows, not clipped to the volume
+    and holding the image pad wherever it leaves it. Of the mask it keeps
+    spacing. Lesions with equal boxes share one array.
     """
 
     instance: LesionInstance
-    corner: tuple[int, int, int]  # of the image box
-    voxels: np.ndarray  # the image box, x fastest
+    plan: ClickPlan
+    corner: tuple[int, int, int]  # of the image box; below 0 where the box leaves the volume
+    voxels: np.ndarray  # the image box, x fastest, read-only
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     mask_spacing: tuple[float, float, float]
 
     def crop(self, click: ClickPoint, cfg: VOICfg) -> VOISample:
-        """The image VOI of a click on the lesion, cut from its box: the
-        ``crop_voi`` crop of the whole image. A window inside the volume is a
-        read-only view of the box, so a segmenter may receive a view; one
-        that leaves the volume is a padded copy. A window that leaves the box
-        inside the volume, as one larger than the load's VOI size can, raises
-        ValueError."""
+        """The image VOI of a click of the plan, a read-only view of the box:
+        the ``crop_voi`` crop of the whole image with the load's VOI config.
+        A window that leaves the box, as one larger than the load's VOI size
+        can, raises ValueError."""
         offset = _window_offset(click, cfg.size)
-        image = _crop(self.voxels, offset, cfg.size, cfg.pad_value_image, self.corner, self.dims,
-                      view=True)
-        return VOISample(image=Volume3D(image, self.spacing), mask=None, offset=offset, click=click)
+        inner = tuple(slice(o - c, o - c + s) for o, c, s in zip(offset, self.corner, cfg.size))
+        if any(s.start < 0 or s.stop > n for s, n in zip(inner, self.voxels.shape)):
+            raise ValueError("window at %s of size %s reaches outside the box at %s of shape %s"
+                             % (offset, cfg.size, self.corner, self.voxels.shape))
+        image = Volume3D(self.voxels[inner], self.spacing)  # a view: the box is read-only
+        return VOISample(image=image, mask=None, offset=offset, click=click)
 
     def truth(self, click: ClickPoint, cfg: VOICfg,
               connectivity: int) -> tuple[tuple[int, int, int], Volume3D]:
@@ -436,10 +439,12 @@ def _find_lesions(entries: list[ManifestEntry], dims: tuple[int, int, int],
     return lesions, mask.spacing, mask.header_meta
 
 
-def _load_scan(entries: list[ManifestEntry], connectivity: int,
-               size: tuple[int, int, int]) -> dict[str, _Lesion | tuple[type, tuple]]:
-    """Read the entries' shared mask, find each entry's lesion, then keep of
-    the image only each lesion's box for windows of ``size``: each entry's
+def _load_scan(entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
+               seed_root: int | None = None, k: int = 0) -> dict[str, _Lesion | tuple[type, tuple]]:
+    """Read the entries' shared mask, find each entry's lesion and build its
+    click plan of ``seed_root`` and ``k``, then keep of the image only the
+    union of each plan's windows of ``cfg.size``, padded with
+    ``cfg.pad_value_image`` where it leaves the volume: each entry's
     ``_Lesion``, or the error class and arguments of its failure.
 
     The image is opened and its header checked first, so a missing image
@@ -449,7 +454,9 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
     non-finite mask voxel: on those paths the image is read to its end to
     check it. A pair that cannot be read, decoded or checked fails every
     entry, kept as data like an entry's own failure; an OSError keeps its
-    filename, which its message names. Lesions with equal boxes share one
+    filename, which its message names. After the read, a pad that the
+    image's dtype cannot hold fails every lesion found, padded or not; an
+    entry's own failure stays its own. Lesions with equal boxes share one
     array, which lives as long as the last of them.
     """
     try:
@@ -459,16 +466,20 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int,
             except (UlsforgeError, OSError):
                 image.read_boxes([])  # raises the image's fault, if it has one
                 raise
-            boxes = {lesion_id: _image_box(found.bbox, size, image.dims)
+            plans = {lesion_id: build_click_plan(found, seed_root, lesion_id, k=k)
                      for lesion_id, found in lesions.items() if not isinstance(found, tuple)}
+            boxes = {lesion_id: _plan_box(plan, cfg.size) for lesion_id, plan in plans.items()}
             distinct = list(dict.fromkeys(boxes.values()))
-            voxels = dict(zip(distinct, image.read_boxes(distinct)))
+            try:
+                voxels = dict(zip(distinct, image.read_boxes(distinct, cfg.pad_value_image)))
+            except PadValueError as exc:  # each lesion's failure, after the image's own
+                return {**lesions, **dict.fromkeys(boxes, (type(exc), exc.args))}
     except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
         args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
         return dict.fromkeys((e.lesion_id for e in entries), (type(exc), args))
     for lesion_id, box in boxes.items():
-        lesions[lesion_id] = _Lesion(lesions[lesion_id], box[0], voxels[box], image.dims,
-                                     image.spacing, mask_spacing)
+        lesions[lesion_id] = _Lesion(lesions[lesion_id], plans[lesion_id], box[0], voxels[box],
+                                     image.dims, image.spacing, mask_spacing)
     return lesions
 
 
@@ -506,7 +517,8 @@ class ScanLoader:
     first appear, and round-robin within each window of ``workers`` scans,
     so the workers load different scans at once. That order holds about
     one scan per worker, however the manifest is sorted, and a scan holds
-    of its image only the boxes its lesions' windows of ``size`` reach.
+    of its image only its lesions' click-plan VOIs of ``cfg``, the plans
+    of ``seed_root`` and ``k``, padded (``_load_scan``).
     The first lesion of a scan to run loads it while the scan's other
     lesions wait on its lock. Each entry takes its ``_Lesion`` out of the
     scan's, which is dropped when its last entry takes it; a box lives as
@@ -515,10 +527,9 @@ class ScanLoader:
     read.
     """
 
-    def __init__(self, entries: list[ManifestEntry], connectivity: int, size: tuple[int, int, int],
-                 workers: int = 1):
-        self._connectivity = connectivity
-        self._size = size
+    def __init__(self, entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
+                 workers: int = 1, seed_root: int | None = None, k: int = 0):
+        self._load = partial(_load_scan, connectivity=connectivity, cfg=cfg, seed_root=seed_root, k=k)
         self._groups: dict[tuple[str, str], list[ManifestEntry]] = {}
         for e in entries:
             self._groups.setdefault((e.image_path, e.mask_path), []).append(e)
@@ -529,11 +540,10 @@ class ScanLoader:
         self._scans: dict[tuple[str, str], dict[str, _Lesion | tuple[type, tuple]]] = {}
 
     def lesion(self, entry: ManifestEntry) -> _Lesion:
-        """The lesion of ``entry`` with its image box, as resolve_lesion finds it."""
+        """The lesion of ``entry``, as resolve_lesion finds it, with its plan and image box."""
         key = (entry.image_path, entry.mask_path)
         with self._locks[key]:
-            scan = self._scans.pop(key, None) or _load_scan(self._groups[key], self._connectivity,
-                                                            self._size)
+            scan = self._scans.pop(key, None) or self._load(self._groups[key])
             found = scan.pop(entry.lesion_id)
             if scan:  # kept for the entries still to take theirs
                 self._scans[key] = scan
@@ -551,13 +561,15 @@ def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
 
 
 def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: VOICfg,
-              connectivity: int, model_id: str, seed_root: int | None, k: int) -> EvalRecord:
-    """Score one lesion over its click plan: the centroid plus k sampled clicks.
+              connectivity: int, model_id: str, seed_root: int | None) -> EvalRecord:
+    """Score one lesion over the click plan its load built: the centroid plus
+    k sampled clicks.
 
-    Each click's image is cropped and segmented. The ground truth is the
-    centroid VOI's (``_Lesion.truth``). Dice compares the centroid prediction
-    with it; robustness is the mean pairwise Dice of all predictions and
-    exists only for k >= 1. The Dice protocol is k = 0. The truth and each
+    Each click's image is cropped, a view of the lesion's box, and
+    segmented. The ground truth is the centroid VOI's (``_Lesion.truth``).
+    Dice compares the centroid prediction with it; robustness is the mean
+    pairwise Dice of all predictions and exists only for k >= 1. The Dice
+    protocol is k = 0. The truth and each
     prediction are kept as the box of their voxels, and every score is
     counted in those boxes, over their parts inside the volume
     (``voi_dice``), so it is the global frame's score without placing any
@@ -565,7 +577,7 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     """
     try:
         lesion = loader.lesion(entry)
-        plan = build_click_plan(lesion.instance, seed_root, entry.lesion_id, k=k)
+        plan = lesion.plan
         flags: set[str] = set()
         placed = [lesion.truth(plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
         for click in plan.all_clicks():  # then of each prediction
@@ -576,7 +588,6 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
             if not result.mask.data.any():
                 flags.add(FLAG_EMPTY_PREDICTION)
             placed.append((tuple(o + c for o, c in zip(voi.offset, result.corner)), result.mask))
-            del voi  # one VOI image at a time
         gt, *preds = placed
         pair_dice = partial(voi_dice, dims=lesion.dims)
         robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None
@@ -607,9 +618,9 @@ def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
          workers: int | None, model_id: str | None, seed_root: int | None,
          k: int) -> list[EvalRecord]:
     n = _effective_workers(workers)
-    loader = ScanLoader(manifest.entries, connectivity, cfg.size, n)
+    loader = ScanLoader(manifest.entries, connectivity, cfg, n, seed_root, k)
     one = partial(_eval_one, loader=loader, seg=seg, cfg=cfg, connectivity=connectivity,
-                  model_id=model_id or seg.model_id, seed_root=seed_root, k=k)
+                  model_id=model_id or seg.model_id, seed_root=seed_root)
     with ThreadPoolExecutor(max_workers=n) as pool:
         records = list(pool.map(one, loader.entries))
     return sorted(records, key=lambda r: r.lesion_id)

@@ -47,6 +47,7 @@ _MAX_WAIT_S = (2 ** 31 - 1) // 1000
 
 _FIRST_HALF_WIDTH = 16  # voxels on each side of the click the grower thresholds first
 _BFS_BATCH = 1024  # parents a truncated grow expands at a time
+_THRESHOLD_VOXELS = 1 << 18  # voxels of whole z-slices the grower thresholds at a time
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,13 @@ class BuiltinSegmenter(SegmenterRef):
     small box around the click and widens each side its component touches
     to the VOI's face: a path out of the box passes a voxel on one of its
     faces, so the grow is the whole VOI's, and the work follows the lesion.
-    A truncated grow walks the seed's component alone, cut to its own box:
-    a breadth-first walk never leaves its component, and the component is
-    all the grow holds beside the walk's own tables. The mask is the box of
-    the grown voxels at the result's ``corner``; a seed outside the window
-    gives one zero voxel at the click."""
+    Each box is thresholded a run of z-slices at a time into one array,
+    which is cut to the box of its in-window voxels before labeling. A truncated grow
+    walks the seed's component alone, cut to its own box: a breadth-first
+    walk never leaves its component, and the component is all the grow
+    holds beside the walk's own tables. The mask is the box of the grown
+    voxels at the result's ``corner``; a seed outside the window gives one
+    zero voxel at the click."""
 
     kind = "builtin"
     grow_params: GrowParams = GrowParams()
@@ -127,10 +130,14 @@ class BuiltinSegmenter(SegmenterRef):
             box = tuple(slice(max(0, c - _FIRST_HALF_WIDTH), min(n, c + _FIRST_HALF_WIDTH + 1))
                         for c, n in zip(seed, data.shape))
             while True:
-                inside = data[box] >= lo
-                inside &= data[box] <= hi
-                tight = _foreground_box(inside)  # only the box of the in-window voxels is labeled
-                labeled, _ = ndimage.label(inside[tight], structure=_structure(params.connectivity))
+                values = data[box]
+                inside = values >= lo
+                step = max(1, _THRESHOLD_VOXELS // (inside.shape[0] * inside.shape[1]))
+                for z in range(0, inside.shape[2], step):  # no second array of the box
+                    inside[:, :, z:z + step] &= values[:, :, z:z + step] <= hi
+                tight = _foreground_box(inside)  # only the box of the in-window voxels is labeled,
+                inside = inside[tight].copy(order="F")  # and only it is held while labeling
+                labeled, _ = ndimage.label(inside, structure=_structure(params.connectivity))
                 comp_id = int(labeled[tuple(c - b.start - t.start for c, b, t in zip(seed, box, tight))])
                 found = ndimage.find_objects(labeled, max_label=comp_id)[comp_id - 1]
                 comp = tuple(slice(t.start + f.start, t.start + f.stop) for t, f in zip(tight, found))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClickNotOnMaskError, ClickOutOfVolumeError, DimsMismatchError, PadValueError
+from .errors import ClickNotOnMaskError, ClickOutOfVolumeError, DimsMismatchError
 from .lesions import ClickPoint, _foreground_box, label_components
-from .volume import Volume3D, VolumeKind
+from .volume import Volume3D, VolumeKind, _check_pad, _overlap
 
 DEFAULT_VOI_SIZE = (128, 128, 64)
 
@@ -59,58 +59,22 @@ class VOISample:
         return tuple(int(c - o) for c, o in zip(self.click.pos, self.offset))
 
 
-def _overlap(shape: tuple[int, ...], start: tuple[int, ...], size: tuple[int, ...]):
-    """(global, local) slices of the window [start, start + size) that lie
-    inside ``shape``; an axis the window misses gets empty slices."""
-    glob = []
-    local = []
-    for n, st, s in zip(shape, start, size):
-        lo = max(0, st)
-        hi = max(lo, min(n, st + s))
-        glob.append(slice(lo, hi))
-        local.append(slice(lo - st, hi - st))
-    return tuple(glob), tuple(local)
-
-
 def _window_offset(click: ClickPoint, size: tuple[int, int, int]) -> tuple[int, int, int]:
     """The global index of the (0, 0, 0) corner of the click's window: c - s/2 per axis."""
     return tuple(int(c - s // 2) for c, s in zip(click.pos, size))
 
 
-def _full(size: tuple[int, ...], pad: int, dtype: np.dtype, order: str = "C") -> np.ndarray:
-    """``np.full``; a pad that ``dtype`` cannot hold, -1024 in a uint8 image, raises PadValueError."""
-    if dtype.kind in "iu" and not np.iinfo(dtype).min <= pad <= np.iinfo(dtype).max:
-        raise PadValueError("pad value %s does not fit the volume's dtype %s" % (pad, dtype))
-    return np.full(size, pad, dtype=dtype, order=order)
-
-
-def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int,
-          origin: tuple[int, ...] = (0, 0, 0), dims: tuple[int, ...] | None = None,
-          view: bool = False) -> np.ndarray:
-    """The window [offset, offset + size) of a volume of ``dims``, padded with
-    ``pad``, laid out in memory as ``data`` is, so the copy reads it in order;
-    x fastest where ``data`` has at most one axis longer than 1, for either
-    layout holds it. With ``view``, a window inside the volume is a
-    read-only view of ``data``, not a copy; ``pad`` is checked either way.
-
-    ``data`` is the volume's box whose corner is at ``origin``, by default
-    the whole volume. Every voxel of the window inside the volume must lie
-    in the box: only voxels outside the volume are padded.
-    """
-    glob, local = _overlap(dims or data.shape, offset, size)
-    inner = tuple(slice(g.start - o, g.stop - o) for g, o in zip(glob, origin))
-    if any(s.start < s.stop and (s.start < 0 or s.stop > n) for s, n in zip(inner, data.shape)):
-        raise ValueError("window at %s of size %s reaches outside the box at %s of shape %s "
-                         "inside the volume" % (offset, size, origin, data.shape))
-    if view and all(l.stop - l.start == s for l, s in zip(local, size)):
-        _full((0, 0, 0), pad, data.dtype)  # raises PadValueError as the padded copy would
-        out = data[inner]
-        out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-        return out
-    strides = [st for st, n in zip(data.strides, data.shape) if n > 1]  # a box may be one voxel thin
+def _crop(data: np.ndarray, offset: tuple[int, ...], size: tuple[int, ...], pad: int) -> np.ndarray:
+    """The window [offset, offset + size) of ``data``, padded with ``pad``,
+    laid out in memory as ``data`` is, so the copy reads it in order; x
+    fastest where ``data`` has at most one axis longer than 1, for either
+    layout holds it. A pad that the dtype cannot hold raises PadValueError."""
+    glob, local = _overlap(data.shape, offset, size)
+    _check_pad(pad, data.dtype)
+    strides = [st for st, n in zip(data.strides, data.shape) if n > 1]  # it may be one voxel thin
     order = "C" if len(strides) > 1 and strides[0] > strides[-1] else "F"
-    out = _full(size, pad, data.dtype, order)
-    out[local] = data[inner]
+    out = np.full(size, pad, dtype=data.dtype, order=order)
+    out[local] = data[glob]
     out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
     return out
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     BadHeaderError,
     BadMagicError,
+    PadValueError,
     TruncatedDataError,
     UlsforgeError,
     UnsupportedDatatypeError,
@@ -286,9 +287,28 @@ def _parse_header(head: bytes, path: Path) -> tuple[np.dtype, tuple[int, int, in
     return _CODE_TO_DTYPE[code], dims, spacing, int(vox_offset)
 
 
-_SLAB = 1 << 21  # decoded bytes of whole z-slices read at a time when only boxes are kept
+_SLAB = 1 << 18  # decoded bytes of whole z-slices read at a time when only boxes are kept
 
 Box = tuple[tuple[int, int, int], tuple[int, int, int]]  # (lo, hi): the voxels lo <= i < hi
+
+
+def _overlap(shape: tuple[int, ...], start: tuple[int, ...], size: tuple[int, ...]):
+    """(global, local) slices of the window [start, start + size) that lie
+    inside ``shape``; an axis the window misses gets empty slices."""
+    glob = []
+    local = []
+    for n, st, s in zip(shape, start, size):
+        lo = max(0, st)
+        hi = max(lo, min(n, st + s))
+        glob.append(slice(lo, hi))
+        local.append(slice(lo - st, hi - st))
+    return tuple(glob), tuple(local)
+
+
+def _check_pad(pad: int, dtype: np.dtype) -> None:
+    """A pad that ``dtype`` cannot hold, -1024 in a uint8 image, raises PadValueError."""
+    if dtype.kind in "iu" and not np.iinfo(dtype).min <= pad <= np.iinfo(dtype).max:
+        raise PadValueError("pad value %s does not fit the volume's dtype %s" % (pad, dtype))
 
 
 class _NiftiFile:
@@ -347,12 +367,14 @@ class _NiftiFile:
 
     def _slabs(self, z0: int, z1: int):
         """The z-slices ``z0 <= z < z1`` as runs of whole slices, each an
-        x-fastest view ``(z, slices)`` of one reused buffer of about ``_SLAB``
-        bytes; once they are given, the rest of the payload is read and checked.
+        x-fastest view ``(z, slices)`` of one reused buffer; once they are
+        given, the rest of the payload is read and checked.
 
-        The slices before ``z0`` are skipped, by a seek in a plain file. The
-        rest of a gzip stream is decoded and checked whatever ``z1``, so a
-        fault gives the same error however much of the volume is kept.
+        The buffer holds as many whole slices as fit in ``_SLAB`` bytes, at
+        least one, and no more than are asked for. The slices before ``z0``
+        are skipped, by a seek in a plain file. The rest of a gzip stream is
+        decoded and checked whatever ``z1``, so a fault gives the same error
+        however much of the volume is kept.
         """
         nx, ny, _ = self.dims
         plane = nx * ny * self.dtype.itemsize
@@ -378,33 +400,38 @@ class _NiftiFile:
             raise TruncatedDataError("%s: expected %d data bytes, found %d"
                                      % (self.path, self.nbytes, found))
 
-    def read_boxes(self, boxes: list[Box]) -> list[np.ndarray]:
-        """Each box of the volume as a read-only x-fastest array.
+    def read_boxes(self, boxes: list[Box], pad: int = 0) -> list[np.ndarray]:
+        """Each box as a read-only x-fastest array. A box may leave the
+        volume: its voxels outside it take ``pad``.
 
-        The payload is read once: a box that is the whole volume straight
+        The payload is read once: a lone box that is the whole volume straight
         into its array, else a run of whole z-slices at a time (``_slabs``)
-        from which each box copies its part, so only the boxes and the
-        buffer are held. A fault gives the same error for any boxes, none
-        included.
+        from which each box copies its part inside the volume, so only the
+        boxes and the buffer are held. A fault gives the same error for any
+        boxes, none included. After the read, a ``pad`` that the dtype cannot
+        hold raises PadValueError, whether or not a box leaves the volume.
         """
-        whole = ((0, 0, 0), self.dims)
-        if whole in boxes:
+        sizes = [tuple(h - l for l, h in zip(*box)) for box in boxes]
+        parts = [_overlap(self.dims, lo, size) for (lo, _), size in zip(boxes, sizes)]
+        if boxes == [((0, 0, 0), self.dims)]:  # the whole volume, as read_volume reads it
             data = np.empty(math.prod(self.dims), dtype=self.dtype)
             self._finish(_fill(self._src, memoryview(data).cast("B")))
-            volume = data.reshape(self.dims, order="F")
-            outs = [volume if box == whole else volume[tuple(map(slice, *box))].copy(order="F")
-                    for box in boxes]
+            outs = [data.reshape(self.dims, order="F")]
         else:
-            outs = [np.empty(tuple(h - l for l, h in zip(*box)), dtype=self.dtype, order="F")
-                    for box in boxes]
-            z0 = min((lo[2] for lo, _ in boxes), default=0)
-            z1 = max((hi[2] for _, hi in boxes), default=0)
+            outs = [np.empty(size, dtype=self.dtype, order="F") for size in sizes]
+            nz = self.dims[2]
+            z0 = min((min(g[2].start, nz) for g, _ in parts), default=0)
+            z1 = max((min(g[2].stop, nz) for g, _ in parts), default=0)
             for z, slices in self._slabs(z0, z1):
-                for (lo, hi), out in zip(boxes, outs):
-                    a, b = max(z, lo[2]), min(z + slices.shape[2], hi[2])
+                for (lo, _), (glob, local), out in zip(boxes, parts, outs):
+                    a, b = max(z, glob[2].start), min(z + slices.shape[2], glob[2].stop)
                     if a < b:
-                        out[:, :, a - lo[2]:b - lo[2]] = slices[lo[0]:hi[0], lo[1]:hi[1], a - z:b - z]
-        for out in outs:
+                        out[local[0], local[1], a - lo[2]:b - lo[2]] = slices[glob[0], glob[1], a - z:b - z]
+        _check_pad(pad, self.dtype)
+        for (_, local), out in zip(parts, outs):
+            for axis, inner in enumerate(local):  # the slabs on each side of the part inside
+                for side in (slice(0, inner.start), slice(inner.stop, None)):
+                    out[(slice(None),) * axis + (side,)] = pad
             out.setflags(write=False)  # read-only: Volume3D keeps it without a copy
         return outs
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from first principles (plain
 Python sets, loops, and mpmath) so it shares no code path with the
-package being tested. The one exception, ``instance_from_voxels``, is a
-test helper that builds the package's own lesion type.
+package being tested. The exceptions, ``instance_from_voxels`` and
+``loaded_lesion``, are test helpers that build the package's own lesion types.
 """
 
 from __future__ import annotations
@@ -145,6 +145,23 @@ def instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:
     mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=bool, order="F")
     mask[tuple((voxels - lo).T)] = True
     return _instance_from_box(comp_id, mask, tuple(int(v) for v in lo))
+
+
+def loaded_lesion(image, mask_spacing, instance: LesionInstance, plan, cfg):
+    """The lesion a scan load keeps for ``plan``: the box that is the union
+    of the plan's windows of ``cfg.size``, cut from the whole ``image`` and
+    holding ``cfg.pad_value_image`` where it leaves the volume."""
+    from ulsforge.pipeline import _Lesion
+
+    clicks = plan.all_clicks()
+    lo = tuple(min(c.pos[i] for c in clicks) - s // 2 for i, s in enumerate(cfg.size))
+    hi = tuple(max(c.pos[i] for c in clicks) - s // 2 + s for i, s in enumerate(cfg.size))
+    box = np.full(tuple(h - l for l, h in zip(lo, hi)), cfg.pad_value_image, dtype=image.data.dtype,
+                  order="F")
+    inside = tuple(slice(max(0, l), min(n, h)) for l, h, n in zip(lo, hi, image.dims))
+    box[tuple(slice(s.start - l, s.stop - l) for s, l in zip(inside, lo))] = image.data[inside]
+    box.setflags(write=False)
+    return _Lesion(instance, plan, lo, box, image.dims, image.spacing, mask_spacing)
 
 
 def scatter_window(voxels: np.ndarray, dims, offset, size, pad: int) -> np.ndarray:

@@ -126,6 +126,35 @@ def test_extract_writes_only_inside_out_and_each_file_once(tmp_path, monkeypatch
     assert [p["lesion_id"] for p in index["plans"]] == ["a"]
 
 
+@pytest.mark.parametrize("message, error", [("", "MemoryError"),
+                                            ("Unable to allocate 2.00 GiB", "Unable to allocate 2.00 GiB")])
+def test_an_extract_lesion_that_runs_out_of_memory_fails_alone(tmp_path, monkeypatch, message, error):
+    """A MemoryError while writing one lesion's VOIs is that lesion's error
+    row; the command exits 0 and every other lesion's rows and files are an
+    unpatched run's."""
+    path = make_manifest(tmp_path / "cases", 3)
+    argv = ["extract", "--manifest", str(path), "--voi", "16x16x8", "--augment", "1", "--seed", "2"]
+    plain, failed = tmp_path / "plain", tmp_path / "failed"
+    assert main([*argv, "--out", str(plain)]) == 0
+    real_write = cli.write_volume
+
+    def write_or_fail(vol, p):
+        if Path(p).name.startswith("les001"):
+            raise MemoryError(message)
+        real_write(vol, p)
+
+    monkeypatch.setattr(cli, "write_volume", write_or_fail)
+    assert main([*argv, "--out", str(failed)]) == 0
+    want, got = (json.loads((d / "index.json").read_text()) for d in (plain, failed))
+    assert [r for r in got["samples"] if r["lesion_id"] == "les001"] == [
+        {"lesion_id": "les001", "error": error}]
+    assert [r for r in got["samples"] if r["lesion_id"] != "les001"] == [
+        r for r in want["samples"] if r["lesion_id"] != "les001"]
+    kept = sorted(p.name for p in plain.glob("*.nii.gz") if not p.name.startswith("les001"))
+    assert sorted(p.name for p in failed.glob("*.nii.gz")) == kept and kept
+    assert all((failed / name).read_bytes() == (plain / name).read_bytes() for name in kept)
+
+
 @pytest.mark.parametrize("argv", [
     ["robustness", "--segmenter", "builtin", "--k", "-1"],
     ["extract", "--augment", "-2"],

@@ -2,7 +2,8 @@
 
 The mask is read a run of z-slices at a time into its foreground box; the
 ground truth and every prediction are kept as the box of their voxels; an
-image box lives as long as the last lesion that holds it; and labels take
+image box, the union of a lesion's click-plan windows, lives as long as the
+last lesion that holds it; and labels take
 int16 where they fit. The properties check that each box is the cut of
 what the whole-volume or whole-VOI path gives. The pins check what is
 held, with ``tracemalloc`` and ``weakref``.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import ulsforge.pipeline as pl
-from oracles import instance_from_voxels
+from oracles import instance_from_voxels, loaded_lesion
 from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, make_case
 from ulsforge import (
     GrowParams,
@@ -39,6 +40,7 @@ from ulsforge import (
 )
 from ulsforge import volume as vol_module
 from ulsforge.errors import UlsforgeError
+from ulsforge.clicks import ClickPlan
 from ulsforge.lesions import ClickPoint, _foreground_box
 from ulsforge.segmenter import segment_box
 from ulsforge.volume import _NiftiFile
@@ -104,22 +106,45 @@ def test_a_faulty_mask_gives_the_error_of_read_volume(data, shape, seed, compres
                 assert lo == tuple(b.start for b in box) and np.array_equal(got, expected[box])
 
 
+def test_reading_a_small_masks_foreground_holds_a_256_kib_slab(tmp_path):
+    """A 128x128x64 uint8 mask, as an ``exec:`` model writes one, whose
+    foreground box is 32 KB: reading that box peaks below 0.8 MB under
+    tracemalloc (the 256 KiB slab buffer, the 256 KiB gzip chunk and zlib's
+    state), where a 2 MiB slab buffer, the whole 1 MB mask, made it 1.40 MB."""
+    shape = (128, 128, 64)
+    mask = np.zeros(shape, dtype=np.uint8)
+    mask[48:80, 48:80, 16:48] = 1
+    path = tmp_path / "mask.nii.gz"
+    write_volume(Volume3D(mask), path)
+    with _NiftiFile(path) as f:
+        f.read_foreground()  # first calls import and cache what they need
+    tracemalloc.start()
+    try:
+        with _NiftiFile(path) as f:
+            lo, values, _ = f.read_foreground()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000, peak
+    assert lo == (48, 48, 16) and values.shape == (32, 32, 32) and values.all()
+
+
 def test_a_scan_load_holds_far_less_than_its_decoded_mask(tmp_path):
     shape = (512, 512, 32)  # an 8.4 MB uint8 mask
     centers = ((100, 300, 16), (130, 320, 20))
     img, msk = make_case(tmp_path, "big", shape=shape, centers=centers)
     entries = [ManifestEntry(lesion_id="l%d" % i, patient_id="p", image_path=str(img),
                              mask_path=str(msk), click=c) for i, c in enumerate(centers)]
-    size = (16, 16, 8)
-    pl._load_scan(entries, 26, size)  # first calls import and cache what they need
+    cfg = VOICfg(size=(16, 16, 8))
+    pl._load_scan(entries, 26, cfg)  # first calls import and cache what they need
     tracemalloc.start()
     try:
-        scan = pl._load_scan(entries, 26, size)
+        scan = pl._load_scan(entries, 26, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(not isinstance(found, tuple) for found in scan.values())
-    # one slab buffer of about 2 MB, the runs' foreground boxes and the image boxes;
+    # one slab buffer of 256 KiB, the runs' foreground boxes and the image boxes;
     # a whole decoded mask alone would be 8.4 MB
     mask_bytes = int(np.prod(shape))
     assert peak < mask_bytes // 2, peak
@@ -146,11 +171,11 @@ def test_a_lesion_holds_no_voi_sized_mask_once_segmented(tmp_path):
         held.append(_voi_sized_blocks(voxels))
         return result
 
-    loader = pl.ScanLoader([entry], 26, cfg.size)
+    loader = pl.ScanLoader([entry], 26, cfg, seed_root=4, k=2)
     with mock.patch.object(pl, "segment", counting):
         tracemalloc.start()
         try:
-            record = pl._eval_one(entry, loader, seg, cfg, 26, "m", 4, 2)
+            record = pl._eval_one(entry, loader, seg, cfg, 26, "m", 4)
         finally:
             tracemalloc.stop()
     assert (record.dice, record.robustness, record.flags) == (1.0, 1.0, frozenset())
@@ -182,12 +207,10 @@ def test_a_window_off_the_face_keeps_the_truth_to_the_lesion_box():
     image = Volume3D(np.where(lesion, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
     instance = instance_from_voxels(1, np.argwhere(lesion))
-    size = (4, 16, 4)
-    box = pl._image_box(instance.bbox, size, shape)
-    lesion = pl._Lesion(instance, box[0], image.data[tuple(map(slice, *box))].copy(order="F"), shape,
-                        image.spacing, mask.spacing)
     click = ClickPoint((0, 2, 2))  # the window is x -2..1: two columns of padding
-    cfg = VOICfg(size=size)
+    cfg = VOICfg(size=(4, 16, 4))
+    plan = ClickPlan(lesion_id="u", normal=click, augmented=(), seed_root=0, k=0)
+    lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg)
     corner, truth = lesion.truth(click, cfg, 26)
     crop = crop_voi(image, mask, click, cfg)
     whole = isolate_central_lesion(crop.mask, crop.local_click, 26)
@@ -243,13 +266,15 @@ def test_a_scan_forgets_an_image_box_once_its_last_lesion_took_it(tmp_path):
     entries = [ManifestEntry(lesion_id=lid, patient_id="p", image_path=str(img), mask_path=str(msk),
                              click=c)
                for lid, c in (("a", centers[0]), ("a-again", centers[0]), ("b", centers[1]))]
-    loader = pl.ScanLoader(entries, 26, (16, 16, 8), workers=1)
+    cfg = VOICfg(size=(16, 16, 8))
+    loader = pl.ScanLoader(entries, 26, cfg, workers=1)  # k = 0: each plan is its center click
     key = (str(img), str(msk))
     lesions = {}
     for entry in entries:
         lesion = lesions[entry.lesion_id] = loader.lesion(entry)
-        lo, hi = pl._image_box(lesion.instance.bbox, (16, 16, 8), lesion.dims)
-        assert lesion.corner == lo and lesion.voxels.shape == tuple(h - l for l, h in zip(lo, hi))
+        assert lesion.plan.all_clicks() == [lesion.instance.center]
+        assert lesion.corner == tuple(c - s // 2 for c, s in zip(lesion.instance.center.pos, cfg.size))
+        assert lesion.voxels.shape == cfg.size
         held = loader._scans.get(key, {})
         assert list(held) == [e.lesion_id for e in entries][len(lesions):]  # the entries still to take
     assert not loader._scans  # the scan is dropped with its last lesion

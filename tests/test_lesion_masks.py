@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ulsforge.pipeline as pl
 from oracles import flood_fill_components, instance_oracle, label_voxels, scatter_window
 from synth import ball
-from ulsforge import ManifestEntry, Volume3D, write_volume
+from ulsforge import ManifestEntry, VOICfg, Volume3D, write_volume
 from ulsforge.errors import AmbiguousLesionError, ClickNotOnMaskError, EmptyInstanceError
 from ulsforge.voi import _crop
 
@@ -95,7 +95,7 @@ def test_box_masks_give_the_coordinate_list_instances(shape, seed, values, fill,
         write_volume(Volume3D(labels), msk)
         entries = [ManifestEntry(lesion_id="v%d" % i, patient_id="p", image_path=img,
                                  mask_path=msk, **extra) for i, extra in enumerate(kinds)]
-        loader = pl.ScanLoader(entries, connectivity, size)
+        loader = pl.ScanLoader(entries, connectivity, VOICfg(size=size))
         for entry in entries:
             if entry.component_label is not None:
                 expected = label_voxels(labels, entry.component_label)
@@ -156,7 +156,7 @@ def _large_lesion_scan(tmp_path, shape=(96, 80, 48), suffix=".nii"):
 
 def test_loaded_lesions_are_read_only_box_masks(tmp_path):
     entries = _large_lesion_scan(tmp_path)
-    scan = pl._load_scan(entries, 26, (32, 32, 16))
+    scan = pl._load_scan(entries, 26, VOICfg(size=(32, 32, 16)))
     for entry in entries:
         instance = scan[entry.lesion_id].instance
         lo, hi = instance.bbox
@@ -170,7 +170,7 @@ def test_loaded_lesions_are_read_only_box_masks(tmp_path):
 
 
 def test_scan_keeps_no_coordinate_list(tmp_path):
-    scan = pl._load_scan(_large_lesion_scan(tmp_path), 26, (32, 32, 16))
+    scan = pl._load_scan(_large_lesion_scan(tmp_path), 26, VOICfg(size=(32, 32, 16)))
     arrays = _arrays_in(scan, set())
     assert arrays  # each lesion's image box and mask
     assert not [a.shape for a in arrays if a.ndim == 2 and a.shape[1] == 3]
@@ -178,16 +178,17 @@ def test_scan_keeps_no_coordinate_list(tmp_path):
 
 
 def test_a_load_keeps_the_image_and_the_lesion_boxes(tmp_path):
-    cases = [((96, 80, 48), ".nii", (128, 128, 64)),  # windows reach the whole volume
+    cases = [((96, 80, 48), ".nii", (128, 128, 64)),  # a window larger than the volume, padded
              ((96, 80, 48), ".nii", (32, 32, 16)),
-             ((240, 200, 96), ".nii.gz", (16, 16, 8))]  # a box of about 2.6 % of the image
+             ((240, 200, 96), ".nii.gz", (16, 16, 8))]  # a box of 0.04 % of the image
     for i, (shape, suffix, size) in enumerate(cases):
         (tmp_path / str(i)).mkdir()
         entries = _large_lesion_scan(tmp_path / str(i), shape, suffix)[:1]
-        pl._load_scan(entries, 26, size)  # first calls import and cache what they need
+        cfg = VOICfg(size=size)
+        pl._load_scan(entries, 26, cfg)  # first calls import and cache what they need
         tracemalloc.start()
         try:
-            scan = pl._load_scan(entries, 26, size)
+            scan = pl._load_scan(entries, 26, cfg)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -195,10 +196,8 @@ def test_a_load_keeps_the_image_and_the_lesion_boxes(tmp_path):
         instance = lesion.instance
         # 20,000 voxels of the lesion; as int64 coordinates they would take 480 KB
         assert instance.size_vox > 20_000
-        lo, hi = instance.bbox
-        box = tuple(min(n, h + s // 2) - max(0, l - s // 2) for l, h, s, n in zip(lo, hi, size, shape))
-        image = lesion.voxels
-        assert image.shape == box and image.dtype == np.int16
+        image = lesion.voxels  # k = 0: the one window of the center click, padded
+        assert image.shape == size and image.dtype == np.int16
         assert kept <= image.nbytes + instance.mask.nbytes + 16_384
         if suffix == ".nii.gz":
             assert image.nbytes * 30 < np.prod(shape) * 2

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import ulsforge.pipeline as pl
 from adapters import COPY_MASK, EMPTY_MASK, WRONG_DIMS, write_adapter
-from oracles import flood_fill_components, instance_from_voxels, label_voxels
+from oracles import flood_fill_components, instance_from_voxels, label_voxels, loaded_lesion
 from synth import BACKGROUND_HU, GROW_WINDOW, LESION_HU, ball, make_case, make_manifest
 from ulsforge import (
     EvalRecord,
@@ -438,18 +438,18 @@ def test_a_lesion_that_runs_out_of_memory_fails_alone(tmp_path, monkeypatch, wor
             "--segmenter", "builtin", "--hu-window", "50:150"]
     assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
     current = threading.local()  # the lesion each worker thread is scoring
-    plan, real = pl.build_click_plan, pl.segment
+    take, real = pl.ScanLoader.lesion, pl.segment
 
-    def planned(instance, seed_root, lesion_id, k):
-        current.lesion_id = lesion_id
-        return plan(instance, seed_root, lesion_id, k=k)
+    def taken(loader, entry):
+        current.lesion_id = entry.lesion_id
+        return take(loader, entry)
 
     def segment_or_fail(voi_image, local_click, ref):
         if current.lesion_id == "les002":
             raise MemoryError(message)
         return real(voi_image, local_click, ref)
 
-    monkeypatch.setattr(pl, "build_click_plan", planned)
+    monkeypatch.setattr(pl.ScanLoader, "lesion", taken)
     monkeypatch.setattr(pl, "segment", segment_or_fail)
     assert main([*argv, "--out", str(tmp_path / "failed")]) == 0
     plain = read_records_csv(tmp_path / "plain" / "records.csv")
@@ -552,9 +552,9 @@ def test_each_scan_loads_once_at_every_worker_count(tmp_path, monkeypatch):
             reads.append((path, "open"))
             super().__init__(path)
 
-        def read_boxes(self, boxes):  # the image's payload, into boxes
+        def read_boxes(self, boxes, pad=0):  # the image's payload, into boxes
             reads.append((str(self.path), "boxes"))
-            return super().read_boxes(boxes)
+            return super().read_boxes(boxes, pad)
 
         def read_foreground(self):  # the mask's payload, into its foreground box
             reads.append((str(self.path), "mask"))
@@ -608,8 +608,8 @@ def test_interleaved_manifest_holds_about_one_scan_per_worker(tmp_path, monkeypa
     held, peak = [], []  # weak references to each scan's image boxes; scans held after each read
 
     class Image(pl._NiftiFile):
-        def read_boxes(self, boxes):
-            arrays = super().read_boxes(boxes)
+        def read_boxes(self, boxes, pad=0):
+            arrays = super().read_boxes(boxes, pad)
             held.append([weakref.ref(a) for a in arrays])
             peak.append(sum(any(ref() is not None for ref in refs) for refs in held))
             return arrays
@@ -800,19 +800,18 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     image = Volume3D(np.where(rng.random(shape) < 0.7, LESION_HU, BACKGROUND_HU).astype(np.int16))
     mask = Volume3D(lesion.astype(np.uint8), kind=VolumeKind.BINARY_MASK)
     instance = instance_from_voxels(1, np.argwhere(lesion))
-    box = pl._image_box(instance.bbox, size, shape)  # the box a load keeps for windows of size
-    lesion = pl._Lesion(instance, box[0], image.data[tuple(map(slice, *box))].copy(order="F"), shape,
-                        image.spacing, mask.spacing)
     entry = ManifestEntry(lesion_id="l", patient_id="p", image_path="-", mask_path="-")
     seg = SegmenterRef.builtin(GrowParams(hu_window=hu_window, connectivity=connectivity))
     cfg = VOICfg(size=size)
     seed_root = data.draw(st.integers(0, 99)) if k else None
-    record = pl._eval_one(entry, OneLesionLoader(lesion), seg, cfg, connectivity, "m", seed_root, k)
+    plan = build_click_plan(instance, seed_root, "l", k=k)  # the plan a load builds
+    lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg)
+    record = pl._eval_one(entry, OneLesionLoader(lesion), seg, cfg, connectivity, "m", seed_root)
     assert pl.FLAG_ERROR not in record.flags, record.error
     assert (record.dice, record.robustness) == global_frame_scores(
         image, mask, instance, "l", seg, cfg, seed_root, k, connectivity)
     # at every click, as extract takes them, the VOI is the crop of the whole-volume mask
-    for click in build_click_plan(instance, seed_root, "l", k=k).all_clicks():
+    for click in plan.all_clicks():
         crop = crop_voi(image, mask, click, cfg)
         truth = isolate_central_lesion(crop.mask, crop.local_click, connectivity)
         voi = lesion.voi(click, cfg, connectivity)
@@ -869,7 +868,7 @@ def test_each_entry_gets_the_voxels_of_its_value(shape, seed, values, fill, conn
                                  mask_path=msk, **extra)
                    for i, extra in enumerate([{"component_label": int(v)} for v in (1, 2, -3, 5, 9)]
                                              + [{"click": c} for c in clicks] + [{}])]
-        loader = pl.ScanLoader(entries, connectivity, SMALL_CFG.size)
+        loader = pl.ScanLoader(entries, connectivity, SMALL_CFG)
         for entry in entries:
             if entry.component_label is not None:
                 expected = label_voxels(labels, entry.component_label)

@@ -351,6 +351,26 @@ def test_a_truncated_grow_peaks_below_half_the_whole_voi_walk():
     assert res.truncated and int(res.mask.data.sum()) == 163840
 
 
+def test_a_truncated_grow_that_widens_to_a_large_voi_holds_one_array_of_it():
+    """A radius-42 ball centred in a 256x256x128 int16 VOI widens the grow's
+    box to the whole VOI. The window is thresholded a z-slice at a time into
+    one 8.4 MB array, which is cut to the in-window voxels' box before
+    labeling: one truncated grow peaks below 10 MB under tracemalloc, where
+    two arrays of the VOI took 16.9 MB."""
+    shape = (256, 256, 128)
+    center = tuple(n // 2 for n in shape)
+    image = Volume3D(np.where(ball(shape, center, 42), LESION_HU, BACKGROUND_HU).astype(np.int16))
+    ref = SegmenterRef.builtin(GrowParams(hu_window=WINDOW))
+    tracemalloc.start()
+    try:
+        res = segment_box(image, center, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+    assert res.truncated and int(res.mask.data.sum()) == ref.grow_params.max_voxels
+
+
 def mark_runs(in_window, start, moves):
     """Mark a one-voxel path from ``start``: one straight run per (axis, signed
     length) move, each stopped at the VOI's face."""
