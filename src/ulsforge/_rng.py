@@ -11,10 +11,17 @@ from __future__ import annotations
 import hashlib
 
 
+def _checked_seed(seed_root: int) -> int:
+    """``seed_root`` as an int; one outside [0, 2**64), the seeds 8 bytes hold, raises ValueError."""
+    if not 0 <= int(seed_root) < 1 << 64:
+        raise ValueError("seed must be in [0, 2**64), got %r" % seed_root)
+    return int(seed_root)
+
+
 def derive_u64(seed_root: int, label: str, counter: int) -> int:
     """64-bit value keyed by (seed_root, label, counter)."""
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(seed_root).to_bytes(8, "little", signed=False))
+    h.update(_checked_seed(seed_root).to_bytes(8, "little"))
     h.update(label.encode("utf-8"))
     h.update(b"\x00")  # separator so label boundaries are unambiguous
     h.update(int(counter).to_bytes(8, "little", signed=False))
@@ -34,6 +41,6 @@ def draw_index(seed_root: int, label: str, counter: int, n: int) -> int:
 def shuffle_key(seed_root: int, label: str) -> bytes:
     """Sort key for deterministic shuffles (order items by this digest)."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(int(seed_root).to_bytes(8, "little", signed=False))
+    h.update(_checked_seed(seed_root).to_bytes(8, "little"))
     h.update(label.encode("utf-8"))
     return h.digest()

@@ -10,12 +10,13 @@ workers for any run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import pipeline
+from . import _rng, pipeline
 # build_click_plan, crop_voi, isolate_central_lesion: unused, kept for tools that wrap them on cli
 from .clicks import build_click_plan  # noqa: F401
 from .errors import UlsforgeError
@@ -47,6 +48,13 @@ def _positive(text: str) -> int:
     if not text.isdecimal() or int(text) == 0:
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
     return int(text)
+
+
+def _seed(text: str) -> int:
+    try:
+        return _rng._checked_seed(int(text))  # the range every keyed draw takes
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer seed in [0, 2**64), got %r" % text)
 
 
 def _bonferroni_m(text: str) -> int | None:
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("split", help="patient-level train/test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--test-fraction", type=_unit_fraction, default=pipeline.DEFAULT_TEST_FRACTION)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
 
@@ -138,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--augment", type=_count, default=0,
                    help="additional sampled-click VOIs per lesion")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = subs.add_parser("eval", help="centered-click Dice run")
     _add_run_args(p)
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("robustness", help="click-shift robustness run")
     _add_run_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k", type=_count, default=2, help="sampled clicks per lesion")
     p.set_defaults(score="robustness")
 
@@ -199,12 +207,11 @@ def _cmd_extract(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows: dict[str, list[dict]] = {}
     plans: dict[str, dict] = {}
-    n_written = 0
     written: set[str] = set()  # file stems, so no lesion overwrites another's files
     loader = pipeline.ScanLoader(manifest.entries, args.connectivity, cfg, seed_root=args.seed,
                                  k=args.augment)
     for entry in loader.entries:
-        entry_rows = rows[entry.lesion_id] = []
+        files: list[Path] = []  # this lesion's files, each listed before it is written
         try:
             lesion = loader.lesion(entry)
             stems = [entry.lesion_id] + ["%s_aug%d" % (entry.lesion_id, i)
@@ -216,14 +223,14 @@ def _cmd_extract(args) -> int:
                                     % entry.lesion_id)
             plan = lesion.plan
             samples = [lesion.voi(c, cfg, args.connectivity) for c in plan.all_clicks()]
-            if args.augment > 0:
-                plans[entry.lesion_id] = plan.to_record()
             written.update(stems)
+            entry_rows = []
             for i, (stem, sample) in enumerate(zip(stems, samples)):
                 img_path = out / ("%s_img.nii.gz" % stem)
                 mask_path = out / ("%s_mask.nii.gz" % stem)
-                write_volume(sample.image, img_path)
-                write_volume(sample.mask, mask_path)
+                for vol, path in ((sample.image, img_path), (sample.mask, mask_path)):
+                    files.append(path)
+                    write_volume(vol, path)
                 entry_rows.append({
                     "lesion_id": entry.lesion_id,
                     "sample": "normal" if i == 0 else "aug%d" % i,
@@ -233,10 +240,16 @@ def _cmd_extract(args) -> int:
                     "image": img_path.name,
                     "mask": mask_path.name,
                 })
-                n_written += 1
         except (UlsforgeError, OSError, MemoryError) as e:  # a lesion out of memory fails alone
-            entry_rows.append({"lesion_id": entry.lesion_id,
-                               "error": " ".join(str(e).split()) or type(e).__name__})
+            for path in files:  # a lesion is kept whole or not at all
+                with contextlib.suppress(OSError):
+                    path.unlink()
+            rows[entry.lesion_id] = [{"lesion_id": entry.lesion_id,
+                                      "error": pipeline._error_text(e)}]
+        else:  # every file of the lesion is written
+            rows[entry.lesion_id] = entry_rows
+            if args.augment > 0:
+                plans[entry.lesion_id] = plan.to_record()
     # the index lists lesions in manifest order, whatever order the scans loaded in
     order = [e.lesion_id for e in manifest.entries]
     doc = {"samples": [row for lid in order for row in rows[lid]]}
@@ -244,7 +257,7 @@ def _cmd_extract(args) -> int:
         doc["plans"] = [plans[lid] for lid in order if lid in plans]
     (out / INDEX_NAME).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print("wrote %d VOI pairs for %d lesions -> %s"
-          % (n_written, len(manifest.entries), out))
+          % (sum("error" not in row for row in doc["samples"]), len(manifest.entries), out))
     return 0
 
 

@@ -550,13 +550,17 @@ class ScanLoader:
         return _found(found)
 
 
+def _error_text(exc: BaseException) -> str:
+    """``exc``'s message on one line, or its class name when it has none."""
+    return " ".join(str(exc).split()) or type(exc).__name__
+
+
 def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
                   exc: Exception) -> EvalRecord:
-    msg = " ".join(str(exc).split()) or type(exc).__name__
     return EvalRecord(
         lesion_id=entry.lesion_id, model_id=model_id, dice=0.0, robustness=None,
         location=entry.location, dataset=entry.dataset,
-        flags=frozenset({FLAG_ERROR}), seed_root=seed_root, error=msg,
+        flags=frozenset({FLAG_ERROR}), seed_root=seed_root, error=_error_text(exc),
     )
 
 
@@ -884,6 +888,8 @@ def read_report(path: str | Path) -> StratifiedReport:
     if missing:
         raise ValueError("%s lacks the key(s) %s" % (path, ", ".join(missing)))
     try:
+        if not isinstance(doc["metadata"], dict):
+            raise TypeError("metadata is not a JSON object: %r" % (doc["metadata"],))
         return StratifiedReport(
             groups=[StratumStats.from_record(g, "location") for g in doc["groups"]],
             summary=[StratumStats.from_record(s, "dataset") for s in doc.get("summary", [])],

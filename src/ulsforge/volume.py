@@ -12,6 +12,7 @@ as read.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -154,8 +155,7 @@ def _nonzero_spans(data: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK = 1 << 18  # compressed bytes read from a gzip file at a time
-_STEP = 1 << 15  # compressed bytes given to zlib, and decoded bytes taken back, per call
+_STEP = 1 << 15  # compressed bytes read from a gzip file, and decoded bytes taken back, per call
 _MAX_DEFLATE_RATIO = 1032  # deflate decodes no compressed byte into more bytes than this
 
 
@@ -164,17 +164,18 @@ class _GzipStream:
 
     Members follow one another, NUL padding between and after them is
     skipped, and each member's CRC32 and length are checked (by zlib,
-    which also checks a header CRC). Only one chunk of the file and one
-    step of output are held at a time. A stream that ends early raises
-    TruncatedDataError, any other fault BadMagicError.
+    which also checks a header CRC). The file is read one step at a time,
+    and only its bytes not yet decoded and one step of output are held.
+    A stream that ends early raises TruncatedDataError, any other fault
+    BadMagicError.
     """
 
     def __init__(self, f, path: Path):
         self._f = f
         self._path = path
-        self._buf = bytearray(_CHUNK)  # every chunk is read into this one buffer
-        self._chunk = memoryview(b"")  # compressed bytes read but not yet decoded
+        self._input = b""  # compressed bytes read but not yet decoded: at most one step and a byte
         self._member = None  # the decompressor of the open member
+        self.close = f.close
 
     def readinto(self, buf: memoryview) -> int:
         """Decode up to ``len(buf)`` bytes, at most one step, into ``buf``; 0 at the end."""
@@ -192,49 +193,47 @@ class _GzipStream:
             done += len(out)
         return done
 
-    def _fill_chunk(self) -> bool:
-        """Read the next chunk once the current one is decoded; False at the end of the file."""
-        if not self._chunk:
-            self._chunk = memoryview(self._buf)[:self._f.readinto(self._buf)]
-        return bool(self._chunk)
-
-    def _open_member(self) -> bool:
-        """Skip NUL padding and open the next member; False at the end of the file."""
-        while self._fill_chunk():
-            rest = bytes(self._chunk).lstrip(b"\x00")
-            self._chunk = self._chunk[len(self._chunk) - len(rest):]
-            if self._chunk:
-                break
-        else:
-            return False
-        if len(self._chunk) < 2:  # the magic may straddle two chunks
-            self._chunk = memoryview(bytes(self._chunk) + self._f.read(_CHUNK))
-        magic = bytes(self._chunk[:2])
-        if magic != GZIP_MAGIC:
-            raise BadMagicError("%s: corrupt gzip stream: Not a gzipped file (%r)" % (self._path, magic))
-        self._member = zlib.decompressobj(wbits=31)  # gzip framing: header, deflate, CRC32 and length
-        return True
+    def _read(self) -> bool:
+        """Append the file's next step to the input; False at the end of the file."""
+        step = self._f.read(_STEP)
+        self._input += step
+        return bool(step)
 
     def _decode(self, limit: float) -> bytes:
         """Up to ``limit`` decoded bytes, at most one step; b"" only at the end of the stream."""
         while True:
-            if self._member is None and not self._open_member():
-                return b""
-            more = self._fill_chunk()
-            piece = self._chunk[:_STEP]  # a short piece keeps zlib's copy of the unused input small
+            if self._member is None:
+                self._input = self._input.lstrip(b"\x00")  # NUL padding between and after members
+                if len(self._input) < 2 and self._read():
+                    continue  # the magic may straddle two steps
+                if not self._input:
+                    return b""
+                if self._input[:2] != GZIP_MAGIC:
+                    raise BadMagicError("%s: corrupt gzip stream: Not a gzipped file (%r)"
+                                        % (self._path, self._input[:2]))
+                self._member = zlib.decompressobj(wbits=31)  # gzip framing: header, deflate, CRC32 and length
+            ended = not self._input and not self._read()
             try:
-                out = self._member.decompress(piece, int(min(limit, _STEP)))
+                out = self._member.decompress(self._input, int(min(limit, _STEP)))
             except zlib.error as e:
                 raise BadMagicError("%s: corrupt gzip stream: %s" % (self._path, e)) from e
-            ended = self._member.eof
-            unused = self._member.unused_data if ended else self._member.unconsumed_tail
-            self._chunk = self._chunk[len(piece) - len(unused):]
-            if ended:
-                self._member = None
-            elif not out and not more:
+            if self._member.eof:
+                self._input, self._member = self._member.unused_data, None
+            elif not out and ended:
                 raise TruncatedDataError("%s: gzip stream ends early" % self._path)
+            else:
+                self._input = self._member.unconsumed_tail
             if out:
                 return out
+
+
+class _PlainFile(io.FileIO):
+    """A plain file read as a ``_GzipStream`` is: ``readinto``, and ``discard`` as a seek."""
+
+    def discard(self, n: float = math.inf) -> int:
+        """Skip up to ``n`` bytes, by default the rest of the file; how many there were."""
+        pos = self.tell()
+        return self.seek(min(pos + n, os.fstat(self.fileno()).st_size)) - pos
 
 
 def _fill(src, buf: memoryview) -> int:
@@ -314,56 +313,46 @@ def _check_pad(pad: int, dtype: np.dtype) -> None:
 class _NiftiFile:
     """An open NIfTI-1 file whose header is read and checked; its payload is read once, into boxes.
 
-    Opening reads the header as ``read_volume`` does and checks the size
-    it claims against what the file can hold, before anything is
-    allocated.
+    Opening reads the header as ``read_volume`` does and checks the size it
+    claims against what the file can hold, before anything is allocated. A
+    plain file and a gzip stream are read alike, by ``readinto`` and ``discard``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._f = open(self.path, "rb", buffering=0)
+        f = _PlainFile(str(path))  # an OSError names the file as given, not as a Path's repr
         try:
-            self._read_header()
+            gz = f.read(2) == GZIP_MAGIC
+            f.seek(0)
+            self._src = _GzipStream(f, self.path) if gz else f
+            self._read_header(os.fstat(f.fileno()).st_size * (_MAX_DEFLATE_RATIO if gz else 1))
         except BaseException:
-            self._f.close()
+            f.close()
             raise
 
     def __enter__(self) -> _NiftiFile:
         return self
 
     def __exit__(self, *exc) -> None:
-        self._f.close()
+        self._src.close()
 
-    def _read_header(self) -> None:
-        f, path = self._f, self.path
-        self._size = os.fstat(f.fileno()).st_size
-        self._gz = _GzipStream(f, path) if f.read(2) == GZIP_MAGIC else None
-        f.seek(0)
-        self._src = self._gz or f
+    def _read_header(self, most: int) -> None:
+        """Read and check the header; a payload above ``most`` bytes raises TruncatedDataError."""
         head = bytearray(VOX_OFFSET)
         head = bytes(head[:_fill(self._src, memoryview(head))])
         try:
-            self.dtype, self.dims, self.spacing, offset = _parse_header(head, path)
+            self.dtype, self.dims, self.spacing, offset = _parse_header(head, self.path)
         except UlsforgeError:
-            if self._gz:
-                self._gz.discard()  # a fault in the stream is reported before one in the header
+            self._src.discard()  # a fault in a gzip stream is reported before one in the header
             raise
         self.header = head[:HEADER_SIZE]
         self.nbytes = math.prod(self.dims) * self.dtype.itemsize
-        if offset + self.nbytes > (self._size * _MAX_DEFLATE_RATIO if self._gz else self._size):
+        if offset + self.nbytes > most:
             # more than the file can hold: found without allocating what the header claims
-            total = len(head) + self._gz.discard() if self._gz else self._size
+            total = len(head) + self._src.discard()
             raise TruncatedDataError("%s: expected %d data bytes, found %d"
-                                     % (path, self.nbytes, max(0, total - offset)))
-        self._skip(offset - len(head))
-
-    def _skip(self, n: int) -> int:
-        """Drop up to ``n`` payload bytes, decoding a gzip stream; how many there were."""
-        if self._gz:
-            return self._gz.discard(n)
-        pos = self._f.tell()
-        self._f.seek(min(pos + n, self._size))
-        return self._f.tell() - pos
+                                     % (self.path, self.nbytes, max(0, total - offset)))
+        self._src.discard(offset - len(head))
 
     def _slabs(self, z0: int, z1: int):
         """The z-slices ``z0 <= z < z1`` as runs of whole slices, each an
@@ -372,15 +361,15 @@ class _NiftiFile:
 
         The buffer holds as many whole slices as fit in ``_SLAB`` bytes, at
         least one, and no more than are asked for. The slices before ``z0``
-        are skipped, by a seek in a plain file. The rest of a gzip stream is
-        decoded and checked whatever ``z1``, so a fault gives the same error
-        however much of the volume is kept.
+        and the payload past ``z1`` are the source's ``discard``: a seek in a
+        plain file, and in a gzip stream a decode that checks them, so a
+        fault gives the same error however much of the volume is kept.
         """
         nx, ny, _ = self.dims
         plane = nx * ny * self.dtype.itemsize
         depth = max(1, _SLAB // plane)
         slab = np.empty(nx * ny * min(depth, z1 - z0), dtype=self.dtype)
-        found = self._skip(z0 * plane)
+        found = self._src.discard(z0 * plane)
         for z in range(z0, z1, depth):
             n = min(depth, z1 - z)
             got = _fill(self._src, memoryview(slab).cast("B")[:n * plane])
@@ -393,9 +382,8 @@ class _NiftiFile:
     def _finish(self, found: int) -> None:
         """Read and check the payload past its first ``found`` bytes and what
         follows it in a gzip stream; a short payload raises TruncatedDataError."""
-        found += self._skip(self.nbytes - found)
-        if self._gz:
-            self._gz.discard()  # decoded bytes past the payload, checked like the rest
+        found += self._src.discard(self.nbytes - found)
+        self._src.discard()  # decoded bytes past the payload, checked like the rest
         if found < self.nbytes:
             raise TruncatedDataError("%s: expected %d data bytes, found %d"
                                      % (self.path, self.nbytes, found))
@@ -478,9 +466,9 @@ def read_volume(path: str | Path) -> Volume3D:
 
     The file is read in one pass, as one box that is the whole volume.
     After the header, the voxel array is allocated once and filled in
-    place: straight from a plain file, or decoded chunk by chunk from a
-    gzip file, which is never held whole. So a read holds one decoded
-    volume and, for gzip, one chunk of the file. The header's size is
+    place: straight from a plain file, or decoded from a gzip file read a
+    32 KiB step at a time, which is never held whole. So a read holds one
+    decoded volume and, for gzip, one step of the file. The header's size is
     checked against what the file can hold before anything is
     allocated. Errors in the gzip stream take precedence over errors in
     the header or payload it decodes to.

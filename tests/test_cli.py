@@ -1,6 +1,8 @@
 import codecs
+import errno
 import gzip
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from ulsforge import (
     read_volume,
     write_volume,
 )
+from ulsforge._rng import derive_u64, shuffle_key
 from ulsforge.cli import build_parser, main
 from ulsforge.volume import _HEADER_DTYPE
 
@@ -153,6 +156,63 @@ def test_an_extract_lesion_that_runs_out_of_memory_fails_alone(tmp_path, monkeyp
     kept = sorted(p.name for p in plain.glob("*.nii.gz") if not p.name.startswith("les001"))
     assert sorted(p.name for p in failed.glob("*.nii.gz")) == kept and kept
     assert all((failed / name).read_bytes() == (plain / name).read_bytes() for name in kept)
+
+
+def test_an_extract_lesion_whose_write_fails_leaves_no_file_and_one_error_row(tmp_path, monkeypatch):
+    """A full disk on a lesion's second pair: the index keeps only that
+    lesion's error row and no plan, and its first pair's files are gone."""
+    path = make_manifest(tmp_path / "cases", 3)
+    argv = ["extract", "--manifest", str(path), "--voi", "16x16x8", "--augment", "1", "--seed", "2"]
+    plain, failed = tmp_path / "plain", tmp_path / "failed"
+    assert main([*argv, "--out", str(plain)]) == 0
+    real_write = cli.write_volume
+
+    def write_or_fail(vol, p):
+        if Path(p).name == "les001_aug1_img.nii.gz":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_write(vol, p)
+
+    monkeypatch.setattr(cli, "write_volume", write_or_fail)
+    assert main([*argv, "--out", str(failed)]) == 0
+    want, got = (json.loads((d / "index.json").read_text()) for d in (plain, failed))
+    assert [r for r in got["samples"] if r["lesion_id"] == "les001"] == [
+        {"lesion_id": "les001", "error": "[Errno 28] %s" % os.strerror(errno.ENOSPC)}]
+    assert [r for r in got["samples"] if r["lesion_id"] != "les001"] == [
+        r for r in want["samples"] if r["lesion_id"] != "les001"]
+    assert got["plans"] == [p for p in want["plans"] if p["lesion_id"] != "les001"]
+    kept = sorted(p.name for p in plain.glob("*.nii.gz") if not p.name.startswith("les001"))
+    assert sorted(p.name for p in failed.glob("*")) == sorted(kept + ["index.json"]) and kept
+    assert all((failed / name).read_bytes() == (plain / name).read_bytes() for name in kept)
+
+
+@pytest.mark.parametrize("argv", [
+    ["robustness", "--segmenter", "builtin", "--out", "{out}", "--seed", "-1"],
+    ["robustness", "--segmenter", "builtin", "--out", "{out}", "--seed", str(2 ** 64)],
+    ["split", "--out-train", "{out}", "--out-test", "{out}", "--seed", "-1"],
+    ["extract", "--out", "{out}", "--augment", "1", "--seed", "-1"],
+    ["extract", "--out", "{out}", "--augment", "1", "--seed", str(2 ** 64)],
+])
+def test_a_seed_outside_its_range_exits_before_reading(tmp_path, monkeypatch, capsys, argv):
+    path = make_manifest(tmp_path, 1)
+    for name in ("load_manifest", "read_volume", "_NiftiFile"):
+        monkeypatch.setattr(pipeline, name, lambda p: pytest.fail("read %s" % p))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=out) for a in argv] + ["--manifest", str(path)])
+    assert exc.value.code == 2
+    assert "seed in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_seed_outside_its_range_is_a_value_error_in_the_library(tmp_path):
+    manifest = load_manifest(make_manifest(tmp_path, 2))
+    for seed in (-1, 2 ** 64):
+        for call in (lambda: pipeline.split_patients(manifest, 0.5, seed=seed),
+                     lambda: derive_u64(seed, "click:a", 0), lambda: shuffle_key(seed, "split:a")):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                call()
+    assert derive_u64(2 ** 64 - 1, "click:a", 0) != derive_u64(0, "click:a", 0)
+    assert pipeline.split_patients(manifest, 0.5, seed=2 ** 64 - 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,7 +449,11 @@ def test_a_report_json_without_its_groups_is_an_error_not_a_traceback(tmp_path, 
     ({"comparisons": [{"n_pairs": 2, "t_stat": None, "df": 1, "p_two_tailed": None,
                        "p_adjusted": None, "mystery": 1}]}, "TypeError"),
     ({"summary": ["ab"]}, "ValueError"),
-], ids=["group-without-location", "comparison-with-unknown-key", "summary-entry-not-an-object"])
+    ({"metadata": 5}, "metadata is not a JSON object"),
+    ({"metadata": [1, 2]}, "metadata is not a JSON object"),
+    ({"metadata": "ab"}, "metadata is not a JSON object"),
+], ids=["group-without-location", "comparison-with-unknown-key", "summary-entry-not-an-object",
+        "metadata-a-number", "metadata-a-list", "metadata-a-string"])
 def test_a_report_json_with_a_malformed_entry_is_an_error_not_a_traceback(tmp_path, capsys, entry,
                                                                           named):
     run = tmp_path / "run"

@@ -37,6 +37,7 @@ from ulsforge.volume import _NiftiFile
 
 DTYPES = ("uint8", "int16", "int32", "float32")
 SLABS = (1, 7, 64, 1 << 21)  # bytes per slab: a slice at a time, or every slice at once
+STEPS = (1, 3, 64, 1 << 15)  # compressed bytes per gzip read: a magic split at every byte, or none
 
 
 def _image(shape, dtype, rng):
@@ -145,9 +146,10 @@ def _outcome(path, fractions):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data(), shape=st.tuples(*[st.integers(2, 9)] * 3), seed=st.integers(0, 2 ** 16),
        dtype=st.sampled_from(DTYPES), compress=st.booleans(), fault=st.sampled_from(["cut", "flip"]),
-       slab=st.sampled_from(SLABS))
+       slab=st.sampled_from(SLABS), step=st.sampled_from(STEPS))
 def test_a_faulty_file_gives_one_error_whatever_boxes_are_read(data, shape, seed, dtype, compress,
-                                                               fault, slab):
+                                                               fault, slab, step):
+    """Whatever gzip step the boxes are read at, too."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(vol_module, "_SLAB", slab):
         path = Path(tmp) / "v.nii"
         write_volume(Volume3D(_image(shape, dtype, np.random.default_rng(seed))), path,
@@ -162,15 +164,17 @@ def test_a_faulty_file_gives_one_error_whatever_boxes_are_read(data, shape, seed
         fraction = st.tuples(*[st.floats(0, 0.99)] * 3)
         some = [data.draw(st.tuples(fraction, fraction)) for _ in range(data.draw(st.integers(1, 3)))]
         try:
-            whole = read_volume(path)
+            whole = read_volume(path)  # at the 32 KiB step; the boxes at the drawn one
         except (UlsforgeError, OSError) as exc:
-            expected = (type(exc), str(exc))
-            assert _outcome(path, []) == expected
-            assert _outcome(path, some) == expected
-            assert _outcome(path, [((0, 0, 0), (1, 1, 1))]) == expected  # the whole volume
-        else:
-            arrays, boxes = _outcome(path, some)
-            assert arrays == [whole.data[tuple(map(slice, *b))].tobytes(order="F") for b in boxes]
+            whole, expected = None, (type(exc), str(exc))
+        with mock.patch.object(vol_module, "_STEP", step):
+            if whole is None:
+                assert _outcome(path, []) == expected
+                assert _outcome(path, some) == expected
+                assert _outcome(path, [((0, 0, 0), (1, 1, 1))]) == expected  # the whole volume
+            else:
+                arrays, boxes = _outcome(path, some)
+                assert arrays == [whole.data[tuple(map(slice, *b))].tobytes(order="F") for b in boxes]
 
 
 def test_a_box_for_a_smaller_voi_fails_loudly(tmp_path):
