@@ -3,8 +3,8 @@
 Run directories produced by ``eval`` and ``robustness`` contain
 ``records.csv`` (per-lesion scores, fixed column order) and
 ``report.json`` (stratified aggregate with run metadata); ``compare``
-and ``report`` read those back. ``ULSFORGE_WORKERS`` caps parallel
-workers for any run.
+and ``report`` read those back. Runs and ``extract`` take their lesions
+through one pooled ``ScanLoader.map``, whose workers ``ULSFORGE_WORKERS`` caps.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment", type=_count, default=0,
                    help="additional sampled-click VOIs per lesion")
     p.add_argument("--seed", type=_seed, default=0)
+    p.set_defaults(workers=None)  # the runs' default pool, capped by ULSFORGE_WORKERS
 
     p = subs.add_parser("eval", help="centered-click Dice run")
     _add_run_args(p)
@@ -205,33 +206,32 @@ def _cmd_extract(args) -> int:
     cfg = VOICfg(size=args.voi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows: dict[str, list[dict]] = {}
-    plans: dict[str, dict] = {}
-    written: set[str] = set()  # file stems, so no lesion overwrites another's files
-    loader = pipeline.ScanLoader(manifest.entries, args.connectivity, cfg, seed_root=args.seed,
-                                 k=args.augment)
-    for entry in loader.entries:
-        files: list[Path] = []  # this lesion's files, each listed before it is written
+    suffixes = [""] + ["_aug%d" % i for i in range(1, args.augment + 1)]
+    stems = {e.lesion_id: [e.lesion_id + suffix for suffix in suffixes] for e in manifest.entries}
+    owner: dict[str, str] = {}  # each file stem's lesion: the first in manifest order to claim it
+    for lesion_id, own in stems.items():
+        if Path(lesion_id).name == lesion_id:  # a lesion that may write files
+            for stem in own:
+                owner.setdefault(stem, lesion_id)
+
+    def write(entry, lesion) -> tuple[list[dict], dict | None]:
+        """The lesion's index rows and, when augmenting, its plan, once all its pairs are written."""
+        if Path(entry.lesion_id).name != entry.lesion_id:
+            raise UlsforgeError("lesion id %r is not a plain file name" % entry.lesion_id)
+        for stem in stems[entry.lesion_id]:
+            if owner[stem] != entry.lesion_id:
+                raise UlsforgeError("lesion %r would overwrite the files of lesion %r"
+                                    % (entry.lesion_id, owner[stem]))
+        samples = [lesion.voi(c, cfg, args.connectivity) for c in lesion.plan.all_clicks()]
+        rows, files = [], []  # this lesion's files, each listed before it is written
         try:
-            lesion = loader.lesion(entry)
-            stems = [entry.lesion_id] + ["%s_aug%d" % (entry.lesion_id, i)
-                                         for i in range(1, args.augment + 1)]
-            if Path(entry.lesion_id).name != entry.lesion_id:
-                raise UlsforgeError("lesion id %r is not a plain file name" % entry.lesion_id)
-            if written.intersection(stems):
-                raise UlsforgeError("lesion %r would overwrite files written in this run"
-                                    % entry.lesion_id)
-            plan = lesion.plan
-            samples = [lesion.voi(c, cfg, args.connectivity) for c in plan.all_clicks()]
-            written.update(stems)
-            entry_rows = []
-            for i, (stem, sample) in enumerate(zip(stems, samples)):
+            for i, (stem, sample) in enumerate(zip(stems[entry.lesion_id], samples)):
                 img_path = out / ("%s_img.nii.gz" % stem)
                 mask_path = out / ("%s_mask.nii.gz" % stem)
                 for vol, path in ((sample.image, img_path), (sample.mask, mask_path)):
                     files.append(path)
                     write_volume(vol, path)
-                entry_rows.append({
+                rows.append({
                     "lesion_id": entry.lesion_id,
                     "sample": "normal" if i == 0 else "aug%d" % i,
                     "click": list(sample.click.pos),
@@ -240,21 +240,23 @@ def _cmd_extract(args) -> int:
                     "image": img_path.name,
                     "mask": mask_path.name,
                 })
-        except (UlsforgeError, OSError, MemoryError) as e:  # a lesion out of memory fails alone
-            for path in files:  # a lesion is kept whole or not at all
+        except BaseException:  # a lesion is kept whole or not at all
+            for path in files:
                 with contextlib.suppress(OSError):
                     path.unlink()
-            rows[entry.lesion_id] = [{"lesion_id": entry.lesion_id,
-                                      "error": pipeline._error_text(e)}]
-        else:  # every file of the lesion is written
-            rows[entry.lesion_id] = entry_rows
-            if args.augment > 0:
-                plans[entry.lesion_id] = plan.to_record()
+            raise
+        return rows, lesion.plan.to_record() if args.augment > 0 else None
+
+    loader = pipeline.ScanLoader(manifest.entries, args.connectivity, cfg,
+                                 pipeline._effective_workers(args.workers), args.seed, args.augment)
+    done = loader.map(write, lambda entry, exc: (  # a failed lesion's one error row
+        [{"lesion_id": entry.lesion_id, "error": pipeline._error_text(exc)}], None))
     # the index lists lesions in manifest order, whatever order the scans loaded in
-    order = [e.lesion_id for e in manifest.entries]
-    doc = {"samples": [row for lid in order for row in rows[lid]]}
+    order = [done[e.lesion_id] for e in manifest.entries]
+    doc = {"samples": [row for rows, _ in order for row in rows]}
+    plans = [plan for _, plan in order if plan is not None]
     if plans:
-        doc["plans"] = [plans[lid] for lid in order if lid in plans]
+        doc["plans"] = plans
     (out / INDEX_NAME).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print("wrote %d VOI pairs for %d lesions -> %s"
           % (sum("error" not in row for row in doc["samples"]), len(manifest.entries), out))

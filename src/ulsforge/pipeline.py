@@ -452,18 +452,18 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
     labeling are dropped before the image's payload is read in one pass. A
     fault of the image wins over any fault of the mask, a dims mismatch or a
     non-finite mask voxel: on those paths the image is read to its end to
-    check it. A pair that cannot be read, decoded or checked fails every
-    entry, kept as data like an entry's own failure; an OSError keeps its
-    filename, which its message names. After the read, a pad that the
-    image's dtype cannot hold fails every lesion found, padded or not; an
-    entry's own failure stays its own. Lesions with equal boxes share one
+    check it. A pair that cannot be read, decoded or checked, or whose load
+    runs out of memory, fails every entry, kept as data like an entry's own
+    failure; an OSError keeps its filename, which its message names. After
+    the read, a pad that the image's dtype cannot hold fails every lesion
+    found, padded or not; an entry's own failure stays its own. Lesions with equal boxes share one
     array, which lives as long as the last of them.
     """
     try:
         with _NiftiFile(entries[0].image_path) as image:
             try:
                 lesions, mask_spacing, _ = _find_lesions(entries, image.dims, connectivity)
-            except (UlsforgeError, OSError):
+            except (UlsforgeError, OSError, MemoryError):
                 image.read_boxes([])  # raises the image's fault, if it has one
                 raise
             plans = {lesion_id: build_click_plan(found, seed_root, lesion_id, k=k)
@@ -474,7 +474,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
                 voxels = dict(zip(distinct, image.read_boxes(distinct, cfg.pad_value_image)))
             except PadValueError as exc:  # each lesion's failure, after the image's own
                 return {**lesions, **dict.fromkeys(boxes, (type(exc), exc.args))}
-    except (UlsforgeError, OSError) as exc:  # kept as data, so the scan is read once
+    except (UlsforgeError, OSError, MemoryError) as exc:  # kept as data, so the scan is read once
         args = exc.args if getattr(exc, "filename", None) is None else exc.args + (exc.filename,)
         return dict.fromkeys((e.lesion_id for e in entries), (type(exc), args))
     for lesion_id, box in boxes.items():
@@ -524,12 +524,13 @@ class ScanLoader:
     scan's, which is dropped when its last entry takes it; a box lives as
     long as the last lesion that holds it. A load that fails is kept like
     any other, so every lesion of that scan gets the same error from one
-    read.
+    read. ``map`` runs a job on every lesion, on ``workers`` threads.
     """
 
     def __init__(self, entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
                  workers: int = 1, seed_root: int | None = None, k: int = 0):
         self._load = partial(_load_scan, connectivity=connectivity, cfg=cfg, seed_root=seed_root, k=k)
+        self._workers = workers
         self._groups: dict[tuple[str, str], list[ManifestEntry]] = {}
         for e in entries:
             self._groups.setdefault((e.image_path, e.mask_path), []).append(e)
@@ -549,14 +550,27 @@ class ScanLoader:
                 self._scans[key] = scan
         return _found(found)
 
+    def map(self, job, failed) -> dict:
+        """``job(entry, lesion)`` of each of ``entries``, in turn, on the pool, by lesion id:
+        ``failed(entry, exc)`` where the load or the job raises a toolkit error, an
+        OSError or a MemoryError, so one lesion's failure, even out of memory, is its own."""
+        def one(entry: ManifestEntry):
+            try:
+                return job(entry, self.lesion(entry))
+            except (UlsforgeError, OSError, MemoryError) as exc:
+                return failed(entry, exc)
+
+        with ThreadPoolExecutor(max_workers=self._workers) as pool:
+            return dict(zip((e.lesion_id for e in self.entries), pool.map(one, self.entries)))
+
 
 def _error_text(exc: BaseException) -> str:
     """``exc``'s message on one line, or its class name when it has none."""
     return " ".join(str(exc).split()) or type(exc).__name__
 
 
-def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
-                  exc: Exception) -> EvalRecord:
+def _error_record(entry: ManifestEntry, exc: Exception, model_id: str,
+                  seed_root: int | None) -> EvalRecord:
     return EvalRecord(
         lesion_id=entry.lesion_id, model_id=model_id, dice=0.0, robustness=None,
         location=entry.location, dataset=entry.dataset,
@@ -564,7 +578,7 @@ def _error_record(entry: ManifestEntry, model_id: str, seed_root: int | None,
     )
 
 
-def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: VOICfg,
+def _eval_one(entry: ManifestEntry, lesion: _Lesion, seg: SegmenterRef, cfg: VOICfg,
               connectivity: int, model_id: str, seed_root: int | None) -> EvalRecord:
     """Score one lesion over the click plan its load built: the centroid plus
     k sampled clicks.
@@ -573,34 +587,29 @@ def _eval_one(entry: ManifestEntry, loader: ScanLoader, seg: SegmenterRef, cfg: 
     segmented. The ground truth is the centroid VOI's (``_Lesion.truth``).
     Dice compares the centroid prediction with it; robustness is the mean
     pairwise Dice of all predictions and exists only for k >= 1. The Dice
-    protocol is k = 0. The truth and each
-    prediction are kept as the box of their voxels, and every score is
-    counted in those boxes, over their parts inside the volume
-    (``voi_dice``), so it is the global frame's score without placing any
-    mask back.
+    protocol is k = 0. The truth and each prediction are kept as the box of
+    their voxels, and every score is counted in those boxes, over their parts
+    inside the volume (``voi_dice``), so it is the global frame's score
+    without placing any mask back.
     """
-    try:
-        lesion = loader.lesion(entry)
-        plan = lesion.plan
-        flags: set[str] = set()
-        placed = [lesion.truth(plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
-        for click in plan.all_clicks():  # then of each prediction
-            voi = lesion.crop(click, cfg)
-            result = segment(voi.image, voi.local_click, seg)
-            if result.truncated:
-                flags.add(FLAG_TRUNCATED)
-            if not result.mask.data.any():
-                flags.add(FLAG_EMPTY_PREDICTION)
-            placed.append((tuple(o + c for o, c in zip(voi.offset, result.corner)), result.mask))
-        gt, *preds = placed
-        pair_dice = partial(voi_dice, dims=lesion.dims)
-        robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None
-        return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=pair_dice(preds[0], gt),
-                          robustness=robust, location=entry.location,
-                          dataset=entry.dataset, flags=frozenset(flags),
-                          seed_root=seed_root)
-    except (UlsforgeError, OSError, MemoryError) as e:  # a lesion too large for memory fails alone
-        return _error_record(entry, model_id, seed_root, e)
+    plan = lesion.plan
+    flags: set[str] = set()
+    placed = [lesion.truth(plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
+    for click in plan.all_clicks():  # then of each prediction
+        voi = lesion.crop(click, cfg)
+        result = segment(voi.image, voi.local_click, seg)
+        if result.truncated:
+            flags.add(FLAG_TRUNCATED)
+        if not result.mask.data.any():
+            flags.add(FLAG_EMPTY_PREDICTION)
+        placed.append((tuple(o + c for o, c in zip(voi.offset, result.corner)), result.mask))
+    gt, *preds = placed
+    pair_dice = partial(voi_dice, dims=lesion.dims)
+    robust = mean_pairwise_dice(preds, pair_dice) if len(preds) >= 2 else None
+    return EvalRecord(lesion_id=entry.lesion_id, model_id=model_id, dice=pair_dice(preds[0], gt),
+                      robustness=robust, location=entry.location,
+                      dataset=entry.dataset, flags=frozenset(flags),
+                      seed_root=seed_root)
 
 
 def _workers_cap() -> int | None:
@@ -621,13 +630,12 @@ def _effective_workers(requested: int | None) -> int:
 def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
          workers: int | None, model_id: str | None, seed_root: int | None,
          k: int) -> list[EvalRecord]:
-    n = _effective_workers(workers)
-    loader = ScanLoader(manifest.entries, connectivity, cfg, n, seed_root, k)
-    one = partial(_eval_one, loader=loader, seg=seg, cfg=cfg, connectivity=connectivity,
-                  model_id=model_id or seg.model_id, seed_root=seed_root)
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        records = list(pool.map(one, loader.entries))
-    return sorted(records, key=lambda r: r.lesion_id)
+    loader = ScanLoader(manifest.entries, connectivity, cfg, _effective_workers(workers), seed_root, k)
+    model_id = model_id or seg.model_id
+    records = loader.map(partial(_eval_one, seg=seg, cfg=cfg, connectivity=connectivity,
+                                 model_id=model_id, seed_root=seed_root),
+                         partial(_error_record, model_id=model_id, seed_root=seed_root))
+    return [records[lesion_id] for lesion_id in sorted(records)]
 
 
 def run_dice_eval(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg = VOICfg(), *,

@@ -210,8 +210,8 @@ class ExternalSegmenter(SegmenterRef):
                 for key, value in subs.items():
                     token = token.replace(key, value)
                 argv.append(token)
-            # a session of its own lets us kill the model together with any workers it forked
-            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            # a session of its own lets us kill the model with any workers it forked; stdout is unread
+            with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                   start_new_session=True) as proc:
                 try:
                     _, stderr = proc.communicate(

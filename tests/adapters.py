@@ -15,6 +15,17 @@ import shutil, sys
 shutil.copyfile(sys.argv[6], sys.argv[5])
 """
 
+# writes 64 MB to stdout, then copies a fixed mask file to the output slot
+LOUD_COPY_MASK = """
+import shutil, sys
+# args: image x y z output source
+chunk = b"x" * (1 << 20)
+for _ in range(64):
+    sys.stdout.buffer.write(chunk)
+sys.stdout.flush()
+shutil.copyfile(sys.argv[6], sys.argv[5])
+"""
+
 # always exits nonzero
 ALWAYS_FAIL = """
 import sys

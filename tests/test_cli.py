@@ -185,6 +185,65 @@ def test_an_extract_lesion_whose_write_fails_leaves_no_file_and_one_error_row(tm
     assert all((failed / name).read_bytes() == (plain / name).read_bytes() for name in kept)
 
 
+def extract_manifest(tmp_path, cases, entries) -> Path:
+    """A manifest of ``entries``, each (lesion id, case name, click or None),
+    over ``cases``, each case's name and its lesions' centers."""
+    for case, centers in cases.items():
+        make_case(tmp_path, case, shape=(24, 24, 16), centers=centers, radius=2)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": [
+        {"lesion_id": lesion_id, "patient_id": "p", "image_path": "%s_image.nii.gz" % case,
+         "mask_path": "%s_mask.nii.gz" % case, **({"click": click} if click else {})}
+        for lesion_id, case, click in entries]}))
+    return path
+
+
+def test_extract_writes_the_same_directory_at_every_worker_count(tmp_path, monkeypatch):
+    """Two lesions of one scan, one clicked on background, and an ``a``/``a_aug1``
+    collision: the files and the index at 2 and 3 workers are those at 1."""
+    cases = {"one": [(6, 6, 5), (16, 16, 10)], "two": [(12, 12, 8)], "three": [(8, 12, 8)]}
+    path = extract_manifest(tmp_path / "cases", cases, [
+        ("b", "one", [6, 6, 5]), ("a", "one", [16, 16, 10]), ("c", "two", None),
+        ("a_aug1", "three", None), ("miss", "two", [2, 2, 2])])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so 3 workers are not capped on 2 CPUs
+    written = []
+    for n in ("1", "2", "3"):
+        monkeypatch.setenv("ULSFORGE_WORKERS", n)
+        assert main(["extract", "--manifest", str(path), "--voi", "16x16x8", "--augment", "2",
+                     "--seed", "3", "--out", str(tmp_path / n)]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / n).iterdir()})
+    serial = written[0]
+    assert written[1] == serial and written[2] == serial
+    index = json.loads(serial["index.json"])
+    assert [r["lesion_id"] for r in index["samples"]] == ["b"] * 3 + ["a"] * 3 + ["c"] * 3 + [
+        "a_aug1", "miss"]
+    assert "would overwrite the files of lesion 'a'" in index["samples"][9]["error"]
+    assert "is background" in index["samples"][10]["error"]
+    assert len(serial) == 1 + 2 * 9
+
+
+def test_an_earlier_lesion_that_fails_still_owns_its_file_stems(tmp_path):
+    """``a`` comes first in the manifest, so ``a_aug1``'s files are its own even
+    though its mask is empty: lesion ``a_aug1`` writes nothing. A lesion whose
+    id is not a plain file name owns no stem, so ``._aug1`` is written."""
+    cases = tmp_path / "cases"
+    path = extract_manifest(cases, {"empty": [], "full": [(12, 12, 8)]}, [
+        ("a", "empty", None), ("a_aug1", "full", None), (".", "full", None),
+        ("._aug1", "full", None)])
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest", str(path), "--voi", "16x16x8", "--augment", "1",
+                 "--out", str(out)]) == 0
+    errors = {r["lesion_id"]: r["error"]
+              for r in json.loads((out / "index.json").read_text())["samples"] if "error" in r}
+    assert set(errors) == {"a", "a_aug1", "."}
+    assert "is empty" in errors["a"]
+    assert errors["a_aug1"] == "lesion 'a_aug1' would overwrite the files of lesion 'a'"
+    assert "not a plain file name" in errors["."]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "._aug1_aug1_img.nii.gz", "._aug1_aug1_mask.nii.gz", "._aug1_img.nii.gz",
+        "._aug1_mask.nii.gz", "index.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["robustness", "--segmenter", "builtin", "--out", "{out}", "--seed", "-1"],
     ["robustness", "--segmenter", "builtin", "--out", "{out}", "--seed", str(2 ** 64)],
@@ -273,7 +332,8 @@ def test_bad_numeric_options_exit_before_reading(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2", ""])
-@pytest.mark.parametrize("command", [["eval"], ["robustness", "--k", "1"]])
+@pytest.mark.parametrize("command", [["eval", *GROW_ARGS], ["robustness", "--k", "1", *GROW_ARGS],
+                                     ["extract"]])
 def test_a_bad_workers_variable_exits_before_reading(tmp_path, monkeypatch, capsys, command, value):
     path = make_manifest(tmp_path, 1)
     monkeypatch.setenv("ULSFORGE_WORKERS", value)
@@ -281,10 +341,16 @@ def test_a_bad_workers_variable_exits_before_reading(tmp_path, monkeypatch, caps
         monkeypatch.setattr(pipeline, name, lambda p, name=name: pytest.fail("%s %s" % (name, p)))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--manifest", str(path), "--segmenter", "builtin", "--out", str(out)])
+        main([*command, "--manifest", str(path), "--out", str(out)])
     assert exc.value.code == 2
     assert "ULSFORGE_WORKERS must be a positive integer, got %r" % value in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_extract_takes_the_options_it_always_took():
+    sub = build_parser()._subparsers._group_actions[0].choices["extract"]
+    assert sorted(a.dest for a in sub._actions) == [
+        "augment", "connectivity", "help", "manifest", "out", "seed", "voi"]
 
 
 @pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5", "abc"])

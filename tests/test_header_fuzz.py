@@ -181,3 +181,37 @@ def test_eval_flags_a_scan_whose_payload_starts_inside_the_header(tmp_path):
     assert (bad.lesion_id, good.lesion_id) == ("early", "good")
     assert pl.FLAG_ERROR in bad.flags and "vox_offset 350 is below 352" in bad.error
     assert pl.FLAG_ERROR not in good.flags and good.dice == 1.0
+
+
+@pytest.mark.parametrize("compress", (False, True), ids=["plain", "gzip"])
+def test_a_4d_header_whose_fourth_axis_is_1_reads_as_its_3d_volume(tmp_path, compress):
+    path = tmp_path / "vol.nii"
+    data = written(path, False, 352.0)
+    raw = bytearray(path.read_bytes())
+    raw[40:42] = np.array(4, dtype="<i2").tobytes()  # dim[0]
+    raw[48:50] = np.array(1, dtype="<i2").tobytes()  # dim[4]
+    path.write_bytes(gzip.compress(bytes(raw)) if compress else bytes(raw))
+    assert np.array_equal(read_volume(path).data, data)
+
+
+@pytest.mark.parametrize("compress", (False, True), ids=["plain", "gzip"])
+@pytest.mark.parametrize("axis", (1, 2, 3))
+def test_a_zero_pixdim_is_a_bad_header(tmp_path, compress, axis):
+    path = tmp_path / "vol.nii"
+    written(path, False, 352.0)
+    raw = bytearray(path.read_bytes())
+    raw[76 + 4 * axis:80 + 4 * axis] = np.array(0.0, dtype="<f4").tobytes()  # pixdim[axis]
+    path.write_bytes(gzip.compress(bytes(raw)) if compress else bytes(raw))
+    with pytest.raises(BadHeaderError, match="non-positive pixdim"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("compress", (False, True), ids=["plain", "gzip"])
+def test_a_file_of_exactly_a_valid_header_is_truncated(tmp_path, compress):
+    """348 bytes hold the whole header, so the file is short of its payload, not of a header."""
+    path = tmp_path / "vol.nii"
+    written(path, False, 352.0)  # 4x3x2 int16: 48 data bytes
+    raw = path.read_bytes()[:HEADER_SIZE]
+    path.write_bytes(gzip.compress(raw) if compress else raw)
+    with pytest.raises(TruncatedDataError, match="expected 48 data bytes, found 0$"):
+        read_volume(path)

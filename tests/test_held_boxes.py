@@ -109,8 +109,8 @@ def test_a_faulty_mask_gives_the_error_of_read_volume(data, shape, seed, compres
 def test_reading_a_small_masks_foreground_holds_a_256_kib_slab(tmp_path):
     """A 128x128x64 uint8 mask, as an ``exec:`` model writes one, whose
     foreground box is 32 KB: reading that box peaks below 0.8 MB under
-    tracemalloc (the 256 KiB slab buffer, the 256 KiB gzip chunk and zlib's
-    state), where a 2 MiB slab buffer, the whole 1 MB mask, made it 1.40 MB."""
+    tracemalloc (the 256 KiB slab buffer, one 32 KiB step of gzip input and
+    zlib's state), where a 2 MiB slab buffer, the whole 1 MB mask, made it 1.40 MB."""
     shape = (128, 128, 64)
     mask = np.zeros(shape, dtype=np.uint8)
     mask[48:80, 48:80, 16:48] = 1
@@ -175,7 +175,7 @@ def test_a_lesion_holds_no_voi_sized_mask_once_segmented(tmp_path):
     with mock.patch.object(pl, "segment", counting):
         tracemalloc.start()
         try:
-            record = pl._eval_one(entry, loader, seg, cfg, 26, "m", 4)
+            record = pl._eval_one(entry, loader.lesion(entry), seg, cfg, 26, "m", 4)
         finally:
             tracemalloc.stop()
     assert (record.dice, record.robustness, record.flags) == (1.0, 1.0, frozenset())

@@ -462,6 +462,33 @@ def test_a_lesion_that_runs_out_of_memory_fails_alone(tmp_path, monkeypatch, wor
             assert b == a
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("image", ["intact", "truncated"])
+def test_a_scan_whose_load_runs_out_of_memory_is_read_once(tmp_path, monkeypatch, workers, image):
+    """Three lesions of one scan whose mask search runs out of memory: the
+    scan is read once, and each lesion's record is that MemoryError, or the
+    image's own fault, which wins."""
+    centers = ((10, 10, 8), (24, 24, 16), (36, 36, 24))
+    img, msk = make_case(tmp_path, "three", centers=centers)
+    if image == "truncated":
+        img.write_bytes(img.read_bytes()[:-100])
+    entries = [ManifestEntry(lesion_id="l%d" % i, patient_id="p", image_path=str(img),
+                             mask_path=str(msk), click=c) for i, c in enumerate(centers)]
+    calls = []
+
+    def out_of_memory(*args):
+        calls.append(args)
+        raise MemoryError("Unable to allocate 1.00 GiB")
+
+    monkeypatch.setattr(pl, "_find_lesions", out_of_memory)
+    records = run_dice_eval(Manifest(entries), BUILTIN, SMALL_CFG, workers=workers)
+    error = ("Unable to allocate 1.00 GiB" if image == "intact"
+             else "%s: gzip stream ends early" % img)
+    assert [(r.lesion_id, r.error, r.flags) for r in records] == [
+        ("l%d" % i, error, frozenset({pl.FLAG_ERROR})) for i in range(3)]
+    assert len(calls) == 1
+
+
 def test_run_determinism_across_worker_counts(tmp_path):
     manifest = load_manifest(make_manifest(tmp_path, 6, lesions_per_patient=2))
     a = run_robustness_eval(manifest, BUILTIN, SMALL_CFG, seed_root=99, workers=1)
@@ -768,16 +795,6 @@ def test_voi_box_scores_equal_global_frame_scores(tmp_path):
             [global_frame(e, SMALL_CFG, seed_root, k) for e in entries]
 
 
-class OneLesionLoader:
-    """A ScanLoader stand-in serving one in-memory lesion."""
-
-    def __init__(self, lesion):
-        self._lesion = lesion
-
-    def lesion(self, entry):
-        return self._lesion
-
-
 @seed(20240607)
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(data=st.data(), shape=st.tuples(*[st.integers(2, 14)] * 3),
@@ -806,7 +823,7 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     seed_root = data.draw(st.integers(0, 99)) if k else None
     plan = build_click_plan(instance, seed_root, "l", k=k)  # the plan a load builds
     lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg)
-    record = pl._eval_one(entry, OneLesionLoader(lesion), seg, cfg, connectivity, "m", seed_root)
+    record = pl._eval_one(entry, lesion, seg, cfg, connectivity, "m", seed_root)
     assert pl.FLAG_ERROR not in record.flags, record.error
     assert (record.dice, record.robustness) == global_frame_scores(
         image, mask, instance, "l", seg, cfg, seed_root, k, connectivity)

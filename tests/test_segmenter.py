@@ -18,6 +18,7 @@ from adapters import (
     COPY_IMAGE_ASIDE,
     COPY_MASK,
     FORKS_SLEEPER,
+    LOUD_COPY_MASK,
     SLEEPER,
     WRONG_DIMS,
     write_adapter,
@@ -640,6 +641,25 @@ def test_the_exec_round_trip_holds_less_than_its_voi(tmp_path):
     assert peak < image.data.nbytes, peak
     assert res.corner == (40, 50, 20)
     assert res.mask.dims == (40, 40, 20) and res.mask.data.all()
+
+
+def test_an_exec_models_stdout_is_not_held(tmp_path):
+    """A model that writes 64 MB to stdout before its mask: the call's peak
+    under tracemalloc is within 5 MB of a quiet model's, and the mask is read."""
+    image, blob = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
+    mask_path = tmp_path / "mask.nii.gz"
+    write_volume(Volume3D(blob.astype(np.uint8), kind=VolumeKind.BINARY_MASK), mask_path)
+    peaks = []
+    for name, body in (("quiet.py", COPY_MASK), ("loud.py", LOUD_COPY_MASK)):
+        ref = SegmenterRef.external(write_adapter(tmp_path, body, name) + " " + str(mask_path))
+        tracemalloc.start()
+        try:
+            res = segment(image, (4, 4, 2), ref)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(res.mask.data, blob)
+    assert peaks[1] - peaks[0] < 5_000_000, peaks
 
 
 def _process_state(pid):
