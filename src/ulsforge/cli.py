@@ -222,7 +222,7 @@ def _cmd_extract(args) -> int:
             if owner[stem] != entry.lesion_id:
                 raise UlsforgeError("lesion %r would overwrite the files of lesion %r"
                                     % (entry.lesion_id, owner[stem]))
-        samples = [lesion.voi(c, cfg, args.connectivity) for c in lesion.plan.all_clicks()]
+        samples = [lesion.voi(c) for c in lesion.plan.all_clicks()]
         rows, files = [], []  # this lesion's files, each listed before it is written
         try:
             for i, (stem, sample) in enumerate(zip(stems[entry.lesion_id], samples)):

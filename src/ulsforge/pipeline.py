@@ -116,11 +116,8 @@ class Manifest:
         return sorted({e.dataset for e in self.entries})
 
     def validate_files(self) -> None:
-        missing = []
-        for e in self.entries:
-            for p in (e.image_path, e.mask_path):
-                if not Path(p).is_file() and p not in missing:
-                    missing.append(p)
+        paths = dict.fromkeys(p for e in self.entries for p in (e.image_path, e.mask_path))
+        missing = [p for p in paths if not Path(p).is_file()]  # each path once, in manifest order
         if missing:
             raise MissingFileError(missing)
 
@@ -182,7 +179,7 @@ def load_manifest(path: str | Path) -> Manifest:
 
     Relative volume paths resolve against the manifest's directory.
     Duplicate lesion ids and missing volume files are rejected; the
-    MissingFileError lists every absent path.
+    MissingFileError lists each absent path once, in manifest order.
     """
     path = Path(path)
     base = path.parent
@@ -327,11 +324,12 @@ class _Lesion:
 
     A lesion is the voxels of one value in one label map: the mask and the
     entry's component_label, or the mask's components and the clicked or
-    single one's id. It carries its click plan, built once at the load. Of
-    the image it keeps dims and spacing and one box, as its corner and
-    voxels: the union of the plan's VOI windows, not clipped to the volume
-    and holding the image pad wherever it leaves it. Of the mask it keeps
-    spacing. Lesions with equal boxes share one array.
+    single one's id. It carries its click plan, built once at the load, and
+    the load's VOI size and connectivity, so its windows are decided once.
+    Of the image it keeps dims and spacing and one box, as its corner and
+    voxels: the union of the plan's windows of ``size``, not clipped to the
+    volume and holding the image pad wherever it leaves it. Of the mask it
+    keeps spacing. Lesions with equal boxes share one array.
     """
 
     instance: LesionInstance
@@ -341,40 +339,36 @@ class _Lesion:
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     mask_spacing: tuple[float, float, float]
+    size: tuple[int, int, int]  # of every window: the load's VOI size
+    connectivity: int  # of the truth's isolation
 
-    def crop(self, click: ClickPoint, cfg: VOICfg) -> VOISample:
+    def crop(self, click: ClickPoint) -> VOISample:
         """The image VOI of a click of the plan, a read-only view of the box:
-        the ``crop_voi`` crop of the whole image with the load's VOI config.
-        A window that leaves the box, as one larger than the load's VOI size
-        can, raises ValueError."""
-        offset = _window_offset(click, cfg.size)
-        inner = tuple(slice(o - c, o - c + s) for o, c, s in zip(offset, self.corner, cfg.size))
-        if any(s.start < 0 or s.stop > n for s, n in zip(inner, self.voxels.shape)):
-            raise ValueError("window at %s of size %s reaches outside the box at %s of shape %s"
-                             % (offset, cfg.size, self.corner, self.voxels.shape))
+        the ``crop_voi`` crop of the whole image with the load's VOI config."""
+        offset = _window_offset(click, self.size)
+        inner = tuple(slice(o - c, o - c + s) for o, c, s in zip(offset, self.corner, self.size))
         image = Volume3D(self.voxels[inner], self.spacing)  # a view: the box is read-only
         return VOISample(image=image, mask=None, offset=offset, click=click)
 
-    def truth(self, click: ClickPoint, cfg: VOICfg,
-              connectivity: int) -> tuple[tuple[int, int, int], Volume3D]:
-        """The central lesion of the lesion's mask in the click's window, as
-        its global corner and a box of the window that holds it: the lesion's
-        bounding box clipped to the window, isolated in a read-only view."""
-        offset = _window_offset(click, cfg.size)
+    def truth(self, click: ClickPoint) -> tuple[tuple[int, int, int], Volume3D]:
+        """The central lesion of the lesion's mask in the window of a click of
+        the plan, as its global corner and a box of the window that holds it:
+        the lesion's bounding box clipped to the window, isolated in a read-only view."""
+        offset = _window_offset(click, self.size)
         bbox = self.instance.bbox
         lo = tuple(max(o, b) for o, b in zip(offset, bbox[0]))
-        hi = tuple(min(o + s, b + 1) for o, s, b in zip(offset, cfg.size, bbox[1]))
+        hi = tuple(min(o + s, b + 1) for o, s, b in zip(offset, self.size, bbox[1]))
         window = self.instance.mask[tuple(slice(l - b, h - b) for l, h, b in zip(lo, hi, bbox[0]))]
         window = Volume3D(window.view(np.uint8), self.mask_spacing, VolumeKind.BINARY_MASK)
         local = tuple(c - l for c, l in zip(click.pos, lo))
-        return lo, isolate_central_lesion(window, local, connectivity)
+        return lo, isolate_central_lesion(window, local, self.connectivity)
 
-    def voi(self, click: ClickPoint, cfg: VOICfg, connectivity: int) -> VOISample:
-        """The click's image VOI and its ground truth, ``truth`` over the whole
-        window: ``generate_shifted_samples``'s sample."""
-        sample = self.crop(click, cfg)
-        corner, truth = self.truth(click, cfg, connectivity)
-        sample.mask = place_back(truth, cfg.size, tuple(c - o for c, o in zip(corner, sample.offset)))
+    def voi(self, click: ClickPoint) -> VOISample:
+        """The image VOI of a click of the plan and its ground truth, ``truth``
+        over the whole window: ``generate_shifted_samples``'s sample."""
+        sample = self.crop(click)
+        corner, truth = self.truth(click)
+        sample.mask = place_back(truth, self.size, tuple(c - o for c, o in zip(corner, sample.offset)))
         return sample
 
 
@@ -445,7 +439,8 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
     click plan of ``seed_root`` and ``k``, then keep of the image only the
     union of each plan's windows of ``cfg.size``, padded with
     ``cfg.pad_value_image`` where it leaves the volume: each entry's
-    ``_Lesion``, or the error class and arguments of its failure.
+    ``_Lesion``, which keeps ``cfg.size`` and ``connectivity`` for its
+    windows, or the error class and arguments of its failure.
 
     The image is opened and its header checked first, so a missing image
     fails before its mask is read. The mask's foreground box and its
@@ -479,7 +474,7 @@ def _load_scan(entries: list[ManifestEntry], connectivity: int, cfg: VOICfg,
         return dict.fromkeys((e.lesion_id for e in entries), (type(exc), args))
     for lesion_id, box in boxes.items():
         lesions[lesion_id] = _Lesion(lesions[lesion_id], plans[lesion_id], box[0], voxels[box],
-                                     image.dims, image.spacing, mask_spacing)
+                                     image.dims, image.spacing, mask_spacing, cfg.size, connectivity)
     return lesions
 
 
@@ -504,10 +499,8 @@ def resolve_lesion(entry: ManifestEntry, connectivity: int) -> tuple[Volume3D, V
     image = read_volume(entry.image_path)
     lesions, spacing, header = _find_lesions([entry], image.dims, connectivity)
     instance = _found(lesions[entry.lesion_id])
-    mask = np.zeros(image.dims, dtype=np.uint8, order="F")  # x fastest, as read_volume's
-    mask[tuple(slice(l, l + n) for l, n in zip(instance.bbox[0], instance.mask.shape))] = instance.mask
-    mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
-    return image, Volume3D(mask, spacing, VolumeKind.BINARY_MASK, header), instance
+    mask = Volume3D(instance.mask.view(np.uint8), spacing, VolumeKind.BINARY_MASK, header)
+    return image, place_back(mask, image.dims, instance.bbox[0]), instance  # x fastest, as its box
 
 
 class ScanLoader:
@@ -578,8 +571,8 @@ def _error_record(entry: ManifestEntry, exc: Exception, model_id: str,
     )
 
 
-def _eval_one(entry: ManifestEntry, lesion: _Lesion, seg: SegmenterRef, cfg: VOICfg,
-              connectivity: int, model_id: str, seed_root: int | None) -> EvalRecord:
+def _eval_one(entry: ManifestEntry, lesion: _Lesion, seg: SegmenterRef, model_id: str,
+              seed_root: int | None) -> EvalRecord:
     """Score one lesion over the click plan its load built: the centroid plus
     k sampled clicks.
 
@@ -594,9 +587,9 @@ def _eval_one(entry: ManifestEntry, lesion: _Lesion, seg: SegmenterRef, cfg: VOI
     """
     plan = lesion.plan
     flags: set[str] = set()
-    placed = [lesion.truth(plan.normal, cfg, connectivity)]  # (corner, box) of the truth,
+    placed = [lesion.truth(plan.normal)]  # (corner, box) of the truth,
     for click in plan.all_clicks():  # then of each prediction
-        voi = lesion.crop(click, cfg)
+        voi = lesion.crop(click)
         result = segment(voi.image, voi.local_click, seg)
         if result.truncated:
             flags.add(FLAG_TRUNCATED)
@@ -632,8 +625,7 @@ def _run(manifest: Manifest, seg: SegmenterRef, cfg: VOICfg, connectivity: int,
          k: int) -> list[EvalRecord]:
     loader = ScanLoader(manifest.entries, connectivity, cfg, _effective_workers(workers), seed_root, k)
     model_id = model_id or seg.model_id
-    records = loader.map(partial(_eval_one, seg=seg, cfg=cfg, connectivity=connectivity,
-                                 model_id=model_id, seed_root=seed_root),
+    records = loader.map(partial(_eval_one, seg=seg, model_id=model_id, seed_root=seed_root),
                          partial(_error_record, model_id=model_id, seed_root=seed_root))
     return [records[lesion_id] for lesion_id in sorted(records)]
 

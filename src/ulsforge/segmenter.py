@@ -308,10 +308,8 @@ def _grow_bfs(in_window: np.ndarray, seed: tuple[int, int, int], params: GrowPar
 def segment(voi_image: Volume3D, local_click: tuple[int, int, int],
             ref: SegmenterRef) -> SegmentationResult:
     """Segment one VOI with ``ref``, whatever its kind; the mask is over the
-    whole VOI, a box mask placed into zeros."""
+    whole VOI: the result's mask, always placed back at its corner (``place_back``)."""
     result = ref.segment(voi_image, local_click)
-    if result.corner == (0, 0, 0) and result.mask.dims == voi_image.dims:
-        return result
     return SegmentationResult(place_back(result.mask, voi_image.dims, result.corner), result.truncated)
 
 

@@ -127,12 +127,10 @@ def isolate_central_lesion(voi_mask: Volume3D, local_click: tuple[int, int, int]
 
 def place_back(voi_mask: Volume3D, global_dims: tuple[int, int, int],
                offset: tuple[int, int, int]) -> Volume3D:
-    """Embed a VOI-space mask into a zero global-dims mask.
+    """Embed a VOI-space mask into a zero global-dims mask: the volume's
+    window of the VOI, the ``_crop`` at ``-offset`` padded with 0, read-only.
 
-    Voxels land at global index = local index + offset; anything
-    falling outside the global bounds is discarded.
+    Voxels land at global index = local index + offset; anything falling
+    outside the global bounds is discarded. Spacing, kind and header are the mask's.
     """
-    out = np.zeros(global_dims, dtype=voi_mask.data.dtype)
-    glob, local = _overlap(global_dims, offset, voi_mask.dims)
-    out[glob] = voi_mask.data[local]
-    return Volume3D(out, spacing=voi_mask.spacing, kind=voi_mask.kind)
+    return voi_mask.with_data(_crop(voi_mask.data, tuple(-o for o in offset), global_dims, 0))

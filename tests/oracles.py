@@ -147,10 +147,11 @@ def instance_from_voxels(comp_id: int, voxels: np.ndarray) -> LesionInstance:
     return _instance_from_box(comp_id, mask, tuple(int(v) for v in lo))
 
 
-def loaded_lesion(image, mask_spacing, instance: LesionInstance, plan, cfg):
+def loaded_lesion(image, mask_spacing, instance: LesionInstance, plan, cfg, connectivity: int):
     """The lesion a scan load keeps for ``plan``: the box that is the union
     of the plan's windows of ``cfg.size``, cut from the whole ``image`` and
-    holding ``cfg.pad_value_image`` where it leaves the volume."""
+    holding ``cfg.pad_value_image`` where it leaves the volume, with
+    ``cfg.size`` and ``connectivity`` for its windows."""
     from ulsforge.pipeline import _Lesion
 
     clicks = plan.all_clicks()
@@ -161,7 +162,8 @@ def loaded_lesion(image, mask_spacing, instance: LesionInstance, plan, cfg):
     inside = tuple(slice(max(0, l), min(n, h)) for l, h, n in zip(lo, hi, image.dims))
     box[tuple(slice(s.start - l, s.stop - l) for s, l in zip(inside, lo))] = image.data[inside]
     box.setflags(write=False)
-    return _Lesion(instance, plan, lo, box, image.dims, image.spacing, mask_spacing)
+    return _Lesion(instance, plan, lo, box, image.dims, image.spacing, mask_spacing, cfg.size,
+                   connectivity)
 
 
 def scatter_window(voxels: np.ndarray, dims, offset, size, pad: int) -> np.ndarray:
@@ -176,6 +178,17 @@ def scatter_window(voxels: np.ndarray, dims, offset, size, pad: int) -> np.ndarr
         local = tuple(int(v) - o for v, o in zip(row, offset))
         if all(0 <= l < s for l, s in zip(local, size)):
             out[local] = 1
+    return out
+
+
+def place_back_oracle(voi: np.ndarray, dims, offset) -> np.ndarray:
+    """A zero array of ``dims`` holding each voxel of ``voi`` at its local index
+    + ``offset`` where that lies inside ``dims``, one voxel at a time."""
+    out = np.zeros(dims, dtype=voi.dtype)
+    for local in np.ndindex(*voi.shape):
+        pos = tuple(l + o for l, o in zip(local, offset))
+        if all(0 <= g < n for g, n in zip(pos, dims)):
+            out[pos] = voi[local]
     return out
 
 

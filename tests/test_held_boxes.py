@@ -9,6 +9,8 @@ what the whole-volume or whole-VOI path gives. The pins check what is
 held, with ``tracemalloc`` and ``weakref``.
 """
 
+import json
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -16,6 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -39,11 +42,14 @@ from ulsforge import (
     write_volume,
 )
 from ulsforge import volume as vol_module
+from ulsforge.cli import main
 from ulsforge.errors import UlsforgeError
 from ulsforge.clicks import ClickPlan
 from ulsforge.lesions import ClickPoint, _foreground_box
 from ulsforge.segmenter import segment_box
 from ulsforge.volume import _NiftiFile
+
+GROW_ARGS = ["--segmenter", "builtin", "--hu-window", "50:150"]
 
 SLABS = (1, 7, 64, 1 << 21)  # bytes per slab: a slice at a time, or every slice at once
 
@@ -175,7 +181,7 @@ def test_a_lesion_holds_no_voi_sized_mask_once_segmented(tmp_path):
     with mock.patch.object(pl, "segment", counting):
         tracemalloc.start()
         try:
-            record = pl._eval_one(entry, loader.lesion(entry), seg, cfg, 26, "m", 4)
+            record = pl._eval_one(entry, loader.lesion(entry), seg, "m", 4)
         finally:
             tracemalloc.stop()
     assert (record.dice, record.robustness, record.flags) == (1.0, 1.0, frozenset())
@@ -210,14 +216,14 @@ def test_a_window_off_the_face_keeps_the_truth_to_the_lesion_box():
     click = ClickPoint((0, 2, 2))  # the window is x -2..1: two columns of padding
     cfg = VOICfg(size=(4, 16, 4))
     plan = ClickPlan(lesion_id="u", normal=click, augmented=(), seed_root=0, k=0)
-    lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg)
-    corner, truth = lesion.truth(click, cfg, 26)
+    lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg, 26)
+    corner, truth = lesion.truth(click)
     crop = crop_voi(image, mask, click, cfg)
     whole = isolate_central_lesion(crop.mask, crop.local_click, 26)
     start = tuple(c - o for c, o in zip(corner, crop.offset))
     assert np.array_equal(truth.data, whole.data[tuple(slice(s, s + n) for s, n in zip(start, truth.dims))])
     assert np.count_nonzero(truth.data) == np.count_nonzero(whole.data)
-    assert lesion.voi(click, cfg, 26).mask == whole
+    assert lesion.voi(click).mask == whole
     # the padding is 0: the truth is one arm, in the lesion's box clipped to the window
     assert (corner, truth.dims, int(whole.data[2:, 14].sum())) == ((0, 2, 2), (2, 7, 1), 0)
 
@@ -285,3 +291,34 @@ def test_a_scan_forgets_an_image_box_once_its_last_lesion_took_it(tmp_path):
     assert box() is not None  # "a-again" still holds it
     del lesions["a-again"]
     assert box() is None
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--workers", "1", *GROW_ARGS], ["eval", "--workers", "2", *GROW_ARGS],
+    ["robustness", "--k", "2", "--workers", "1", *GROW_ARGS],
+    ["robustness", "--k", "2", "--workers", "2", *GROW_ARGS], ["extract", "--augment", "2"]])
+def test_no_command_builds_a_volume_from_a_writable_array(tmp_path, command):
+    """A volume built from a writable array copies it; the masks a command
+    cuts, isolates, places back or writes are read-only arrays, kept as they are."""
+    img, msk = make_case(tmp_path, "two", centers=((24, 24, 16), (1, 24, 16)))  # one at x = 0
+    entries = [{"lesion_id": lesion_id, "patient_id": "p", "image_path": img.name,
+                "mask_path": msk.name, "click": click}
+               for lesion_id, click in (("inner", [24, 24, 16]), ("face", [1, 24, 16]))]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"entries": entries}))
+    copied, post_init = [], Volume3D.__post_init__
+
+    def counting(self):
+        if np.asarray(self.data).flags.writeable:  # the caller of the volume's __init__
+            copied.append(sys._getframe(2).f_code.co_name)
+        post_init(self)
+
+    with mock.patch.object(Volume3D, "__post_init__", counting):
+        assert main([*command, "--manifest", str(manifest), "--voi", "16x16x8",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert copied == []
+    if command[0] == "extract":  # three pairs of each lesion, none failed
+        rows = json.loads((tmp_path / "out" / "index.json").read_text())["samples"]
+        assert len(rows) == 6 and not any("error" in row for row in rows)
+    else:
+        assert [r.error for r in pl.read_records_csv(tmp_path / "out" / "records.csv")] == [None] * 2

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ulsforge.pipeline as pl
-from synth import ball, make_case
+from synth import ball
 from ulsforge import ManifestEntry, VOICfg, Volume3D, crop_voi, generate_shifted_samples, read_volume
 from ulsforge import volume as vol_module
 from ulsforge import write_volume
@@ -78,7 +78,7 @@ def test_a_crop_from_the_lesion_box_is_the_crop_of_the_whole_image(
         assert lesion.plan == build_click_plan(lesion.instance, seed_root, entry.lesion_id, k=k)
         assert not lesion.voxels.flags.writeable
         for click in lesion.plan.all_clicks():
-            got, want = lesion.crop(click, cfg), crop_voi(whole, None, click, cfg)
+            got, want = lesion.crop(click), crop_voi(whole, None, click, cfg)
             assert got.offset == want.offset
             assert (got.image.spacing, got.image.kind, got.image.header_meta) == \
                 (want.image.spacing, want.image.kind, None)
@@ -177,22 +177,6 @@ def test_a_faulty_file_gives_one_error_whatever_boxes_are_read(data, shape, seed
                 assert arrays == [whole.data[tuple(map(slice, *b))].tobytes(order="F") for b in boxes]
 
 
-def test_a_box_for_a_smaller_voi_fails_loudly(tmp_path):
-    img, msk = make_case(tmp_path, "edge", shape=(96, 40, 24), centers=((90, 20, 12),))
-    entry = ManifestEntry(lesion_id="e", patient_id="p", image_path=str(img), mask_path=str(msk))
-    lesion = pl._found(pl._load_scan([entry], 26, VOICfg(size=(16, 16, 8)))["e"])
-    center = lesion.instance.center
-    whole = read_volume(img)
-    small, large = VOICfg(size=(8, 8, 4)), VOICfg(size=(64, 16, 8))
-    assert lesion.corner[0] == 82  # the box is the one 16x16x8 window, x 82..97
-    assert lesion.crop(center, small).image == crop_voi(whole, None, center, small).image
-    # the large window reaches x = 58, inside the volume but 24 voxels outside the box
-    with pytest.raises(ValueError, match="reaches outside the box"):
-        lesion.crop(center, large)
-    with pytest.raises(ValueError, match="reaches outside the box"):
-        lesion.voi(center, large, 26)
-
-
 def test_extract_with_a_voi_larger_than_the_default_writes_the_whole_image_crops(tmp_path):
     """A lesion near a face of a volume longer than the default VOI: its
     windows reach past the box a default-sized load would keep."""
@@ -243,12 +227,12 @@ def test_a_crop_is_a_view_of_the_box_inside_the_volume_and_where_it_leaves_it(tm
     whole = read_volume(img)
     inner, edge = (scan[e.lesion_id] for e in entries)
     for lesion in (inner, edge):
-        crop = lesion.crop(lesion.instance.center, cfg)
+        crop = lesion.crop(lesion.instance.center)
         assert not crop.image.data.flags.writeable
         assert np.shares_memory(crop.image.data, lesion.voxels)
         assert crop.image == crop_voi(whole, None, lesion.instance.center, cfg).image
         assert lesion.voxels.nbytes == math.prod(cfg.size) * 2  # k = 0: exactly one VOI
-    padded = edge.crop(edge.instance.center, cfg)
+    padded = edge.crop(edge.instance.center)
     assert padded.offset[0] == edge.corner[0] < 0
     assert (padded.image.data[:-padded.offset[0]] == cfg.pad_value_image).all()
 

@@ -3,6 +3,7 @@ import gc
 import gzip
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import threading
@@ -10,6 +11,7 @@ import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,6 +134,21 @@ def test_missing_files_listed_exhaustively(tmp_path):
     with pytest.raises(MissingFileError) as err:
         load_manifest(path)
     assert len(err.value.missing) == 2
+    # entries sharing absent files: each path listed once, in first-appearance order, checked once
+    shared = [("c", "gone_img2.nii.gz", "gone_mask2.nii.gz"), ("d", "gone_img2.nii.gz", msk.name),
+              ("e", img.name, "gone_mask2.nii.gz"), ("f", "gone_img3.nii.gz", "gone_img2.nii.gz"),
+              ("g", img.name, msk.name)]
+    path.write_text(json.dumps({"entries": [
+        {"lesion_id": i, "patient_id": "p", "image_path": a, "mask_path": b} for i, a, b in shared]}))
+    is_file = pathlib.Path.is_file
+    with mock.patch.object(pathlib.Path, "is_file", autospec=True, side_effect=is_file) as checks, \
+            pytest.raises(MissingFileError) as err:
+        load_manifest(path)
+    assert err.value.missing == [str(tmp_path / n) for n in
+                                 ("gone_img2.nii.gz", "gone_mask2.nii.gz", "gone_img3.nii.gz")]
+    checked = Counter(str(c.args[0]) for c in checks.call_args_list)
+    assert checked == Counter(str(tmp_path / n) for n in ("gone_img2.nii.gz", "gone_mask2.nii.gz",
+                                                          img.name, msk.name, "gone_img3.nii.gz"))
 
 
 def test_csv_import(tmp_path):
@@ -822,8 +839,8 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     cfg = VOICfg(size=size)
     seed_root = data.draw(st.integers(0, 99)) if k else None
     plan = build_click_plan(instance, seed_root, "l", k=k)  # the plan a load builds
-    lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg)
-    record = pl._eval_one(entry, lesion, seg, cfg, connectivity, "m", seed_root)
+    lesion = loaded_lesion(image, mask.spacing, instance, plan, cfg, connectivity)
+    record = pl._eval_one(entry, lesion, seg, "m", seed_root)
     assert pl.FLAG_ERROR not in record.flags, record.error
     assert (record.dice, record.robustness) == global_frame_scores(
         image, mask, instance, "l", seg, cfg, seed_root, k, connectivity)
@@ -831,7 +848,7 @@ def test_voi_frame_scores_equal_global_frame_scores_property(
     for click in plan.all_clicks():
         crop = crop_voi(image, mask, click, cfg)
         truth = isolate_central_lesion(crop.mask, crop.local_click, connectivity)
-        voi = lesion.voi(click, cfg, connectivity)
+        voi = lesion.voi(click)
         assert (voi.image, voi.offset, voi.mask) == (crop.image, crop.offset, truth)
         assert voi.mask.header_meta is truth.header_meta is None
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import component_voxel_sets, window_indicator
+from oracles import component_voxel_sets, place_back_oracle, window_indicator
 from ulsforge import (
     ClickPoint,
     Volume3D,
@@ -228,6 +228,25 @@ def test_place_back_discards_window_before_the_volume():
     out = place_back(voi, (30, 6, 6), (-20, 0, 0))
     assert out.dims == (30, 6, 6)
     assert not out.data.any()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), voi_dims=st.tuples(*[st.integers(1, 9)] * 3),
+       dims=st.tuples(*[st.integers(1, 9)] * 3), dtype=st.sampled_from([np.uint8, np.int16]),
+       order=st.sampled_from(["C", "F"]), seed=st.integers(0, 2 ** 16))
+def test_place_back_equals_a_per_voxel_paste_property(data, voi_dims, dims, dtype, order, seed):
+    """Any VOI and volume dims, offsets that cross any face of the volume or
+    miss it, uint8 binary and int16 labeled masks in either layout: the
+    voxel-by-voxel paste, read-only, with the mask's spacing and kind."""
+    offset = tuple(data.draw(st.integers(-v - 2, n + 2)) for v, n in zip(voi_dims, dims))
+    rng = np.random.default_rng(seed)
+    top, kind = (1, VolumeKind.BINARY_MASK) if dtype == np.uint8 else (300, VolumeKind.LABELED_MASK)
+    arr = np.asarray(rng.integers(0, top + 1, size=voi_dims), dtype=dtype, order=order)
+    voi = Volume3D(arr, spacing=(0.5, 1.0, 2.5), kind=kind)
+    out = place_back(voi, dims, offset)
+    assert out.data.dtype == arr.dtype and not out.data.flags.writeable
+    assert np.array_equal(out.data, place_back_oracle(arr, dims, offset))
+    assert (out.dims, out.spacing, out.kind) == (dims, voi.spacing, kind)
 
 
 def test_boundary_lesion_roundtrip():
