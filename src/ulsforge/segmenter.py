@@ -12,10 +12,12 @@ template (``PLACEHOLDERS``).
 from __future__ import annotations
 
 import os
+import select
 import shlex
 import signal
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -44,6 +46,13 @@ DEFAULT_HU_WINDOW = (-160, 240)
 
 # poll(2) takes at most a C int of milliseconds; longer bounds, inf too, wait unbounded
 _MAX_WAIT_S = (2 ** 31 - 1) // 1000
+
+# an exec: model's BLAS/OpenMP thread counts unless ulsforge's environment sets them: a run holds one model
+# per worker and by default one worker per CPU, so a pool per CPU in every model would oversubscribe the
+# CPUs; a constant, not a share of --workers, so a model whose results follow it scores alike at any count.
+# Where fewer models run than there are CPUs, a compute-bound model is slower for it (README)
+_ONE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+_STDERR_TAIL = 1 << 16  # the last bytes of an exec: model's stderr that are kept
 
 _FIRST_HALF_WIDTH = 16  # voxels on each side of the click the grower thresholds first
 _BFS_BATCH = 1024  # parents a truncated grow expands at a time
@@ -172,7 +181,13 @@ class ExternalSegmenter(SegmenterRef):
     z-slices at a time, never whole: the mask is read back as the box of
     its nonzero voxels, at the result's ``corner``. Messages name the two
     files ``{image}`` and ``{output}``, never their temp paths, so a
-    failing model's records read the same on every run. Raises
+    failing model's records read the same on every run. The model gets
+    ulsforge's environment, with ``OMP_NUM_THREADS``,
+    ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` at 1 wherever that
+    environment does not set them (a value set there, even an empty one,
+    wins), which is each model's share of the CPUs only when at least as
+    many models run as there are CPUs; its stdout goes to /dev/null, and
+    of its stderr only the last ``_STDERR_TAIL`` bytes are held. Raises
     ProcessFailedError, SegmenterTimeoutError, BadMaskDimsError,
     BadMaskValuesError or the mask's read error."""
 
@@ -212,10 +227,9 @@ class ExternalSegmenter(SegmenterRef):
                 argv.append(token)
             # a session of its own lets us kill the model with any workers it forked; stdout is unread
             with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                  start_new_session=True) as proc:
+                                  start_new_session=True, env={**_ONE_THREAD, **os.environ}) as proc:
                 try:
-                    _, stderr = proc.communicate(
-                        timeout=self.timeout_s if self.timeout_s <= _MAX_WAIT_S else None)
+                    stderr = _stderr_tail(proc, self.timeout_s)
                 except BaseException as e:
                     try:
                         os.killpg(proc.pid, signal.SIGKILL)
@@ -246,6 +260,28 @@ class ExternalSegmenter(SegmenterRef):
             mask.setflags(write=False)  # read-only: Volume3D keeps it without a copy
         return SegmentationResult(Volume3D(mask, f.spacing, VolumeKind.BINARY_MASK, f.header),
                                   corner=corner)
+
+
+def _stderr_tail(proc: subprocess.Popen, timeout_s: float) -> bytes:
+    """The last ``_STDERR_TAIL`` bytes of ``proc``'s stderr, read as they come
+    until the pipe closes, then its exit; past ``timeout_s`` raises
+    ``subprocess.TimeoutExpired``, as ``communicate`` does."""
+    deadline = time.monotonic() + timeout_s if timeout_s <= _MAX_WAIT_S else None
+    fd = proc.stderr.fileno()
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    tail = bytearray()
+    while True:
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0 or not poller.poll(None if left is None else left * 1000):
+            raise subprocess.TimeoutExpired(proc.args, timeout_s)
+        chunk = os.read(fd, _STDERR_TAIL)
+        if not chunk:
+            break
+        tail += chunk
+        del tail[:-_STDERR_TAIL]
+    proc.wait(None if deadline is None else max(0.0, deadline - time.monotonic()))
+    return bytes(tail)
 
 
 @dataclass(eq=False)

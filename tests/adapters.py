@@ -40,6 +40,37 @@ sys.stderr.write("cannot segment %s\\n" % sys.argv[1])
 sys.exit(3)
 """
 
+# names the thread counts it was started with and one sentinel variable on stderr, then exits 1
+THREAD_ENV = """
+import os, sys
+names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "ULSFORGE_TEST_SENTINEL")
+sys.stderr.write(" ".join("%s=%r" % (n, os.environ.get(n, "unset")) for n in names))
+sys.exit(1)
+"""
+
+# writes 64 MiB to stderr, ending with its input VOI's path, then exits 1
+LOUD_FAIL = """
+import sys
+for i in range(64):
+    sys.stderr.buffer.write(b"%02d" % i + b"-" * ((1 << 20) - 3) + b"\\n")
+sys.stderr.buffer.write(("cannot segment %s \\u2717\\n" % sys.argv[1]).encode())
+sys.exit(1)
+"""
+
+# writes to stderr without end
+SPAMS_STDERR = """
+import sys
+while True:
+    sys.stderr.write("x" * 1000)
+"""
+
+# closes its stderr, then hangs
+CLOSES_STDERR_AND_HANGS = """
+import os, time
+os.close(2)
+time.sleep(30)
+"""
+
 # exits 0 without writing a mask
 WRITES_NO_MASK = """
 import sys

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adapters import CLICK_DOT, ECHO_IMAGE_AND_FAIL, NOT_NIFTI_MASK, WRITES_NO_MASK, write_adapter
+from adapters import (CLICK_DOT, ECHO_IMAGE_AND_FAIL, NOT_NIFTI_MASK, THREAD_ENV, WRITES_NO_MASK,
+                      write_adapter)
 from oracles import flood_fill_components
 from synth import LESION_HU, make_case, make_manifest
 from ulsforge import (
@@ -469,6 +470,37 @@ def test_a_failing_external_model_writes_the_same_records_on_every_run(tmp_path,
     assert len(written) == 1  # no temp directory reaches a record
     for record in read_records_csv(run_dir / "records.csv"):
         assert named in record.error and "ulsforge-seg-" not in record.error, record.error
+
+
+@pytest.mark.parametrize("user_set, model_reads", [
+    ({}, "OMP_NUM_THREADS='1' OPENBLAS_NUM_THREADS='1' MKL_NUM_THREADS='1'"),
+    ({"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": ""},
+     "OMP_NUM_THREADS='3' OPENBLAS_NUM_THREADS='' MKL_NUM_THREADS='1'"),
+], ids=["unset", "user-set"])
+def test_an_exec_model_gets_one_thread_per_pool_unless_the_user_set_a_count(tmp_path, monkeypatch,
+                                                                            user_set, model_reads):
+    """The model sees ulsforge's environment, with each thread count the user
+    left unset at 1, at every worker count; ulsforge's own is left as it was."""
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in {**user_set, "ULSFORGE_TEST_SENTINEL": "kept as is"}.items():
+        monkeypatch.setenv(name, value)
+    before = dict(os.environ)
+    path = make_manifest(tmp_path, 2)
+    segmenter = "exec:" + write_adapter(tmp_path, THREAD_ENV)
+    written = set()
+    for workers in ("1", "2"):
+        run_dir = tmp_path / ("run" + workers)
+        assert main(["eval", "--manifest", str(path), "--voi", "32x32x16", "--out", str(run_dir),
+                     "--segmenter", segmenter, "--workers", workers]) == 0
+        written.add((run_dir / "records.csv").read_bytes())
+    assert len(written) == 1
+    assert dict(os.environ) == before
+    records = read_records_csv(run_dir / "records.csv")
+    assert len(records) == 2
+    for record in records:
+        assert record.error.endswith("stderr: %s ULSFORGE_TEST_SENTINEL='kept as is'" % model_reads), \
+            record.error
 
 
 def test_cli_reports_domain_errors(tmp_path, capsys):

@@ -15,11 +15,14 @@ from adapters import (
     ALWAYS_FAIL,
     BAD_VALUES,
     CLICK_DOT,
+    CLOSES_STDERR_AND_HANGS,
     COPY_IMAGE_ASIDE,
     COPY_MASK,
     FORKS_SLEEPER,
     LOUD_COPY_MASK,
+    LOUD_FAIL,
     SLEEPER,
+    SPAMS_STDERR,
     WRONG_DIMS,
     write_adapter,
 )
@@ -660,6 +663,36 @@ def test_an_exec_models_stdout_is_not_held(tmp_path):
             tracemalloc.stop()
         assert np.array_equal(res.mask.data, blob)
     assert peaks[1] - peaks[0] < 5_000_000, peaks
+
+
+def test_an_exec_models_stderr_is_held_as_a_bounded_tail(tmp_path):
+    """A model that writes 64 MiB to stderr and exits 1: the call's peak under
+    tracemalloc is within 5 MB of a quiet failing model's, and the message is
+    the whole stderr's, named, cut to its last 2,000 characters."""
+    image, _ = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
+    peaks = []
+    for name, body in (("quiet.py", ALWAYS_FAIL), ("loud.py", LOUD_FAIL)):
+        command = write_adapter(tmp_path, body, name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProcessFailedError) as err:
+                segment(image, (4, 4, 2), SegmenterRef.external(command))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 5_000_000, peaks
+    named_argv = command.replace("{x} {y} {z}", "4 4 2")
+    stderr = "63" + "-" * ((1 << 20) - 3) + "\ncannot segment {image} \u2717\n"
+    assert str(err.value) == "segmenter exited 1: %s\nstderr: %s" % (named_argv, stderr[-2000:])
+
+
+@pytest.mark.parametrize("body", [SPAMS_STDERR, CLOSES_STDERR_AND_HANGS], ids=["spams", "closes"])
+def test_an_exec_model_times_out_whatever_it_does_with_its_stderr(tmp_path, body):
+    image, _ = lesion_image(shape=(8, 8, 4), center=(4, 4, 2), radius=1)
+    start = time.monotonic()
+    with pytest.raises(SegmenterTimeoutError):
+        SegmenterRef.external(write_adapter(tmp_path, body), timeout_s=1.0).segment(image, (4, 4, 2))
+    assert time.monotonic() - start < 10
 
 
 def _process_state(pid):
